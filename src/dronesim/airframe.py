@@ -93,59 +93,127 @@ class Airframe:
             raise ValueError(f"an airframe needs at least 2 rotors, got {len(self.rotors)}")
 
 
+def thrust_gain(rotor: Rotor, air_density: float) -> float:
+    """k in f = k * s^2: c_T * rho * A, in N s^2."""
+    return rotor.thrust_coefficient * air_density * rotor.disk_area
+
+
 def rotor_thrust(rotor: Rotor, air_density: float) -> float:
     """Thrust of one rotor in N, along body +z: c_T * rho * A * s^2."""
     if not air_density > 0.0:
         raise ValueError(f"air_density must be > 0, got {air_density}")
     s = rotor.current_speed
-    return rotor.thrust_coefficient * air_density * rotor.disk_area * s * s
+    return thrust_gain(rotor, air_density) * (s * s)
 
 
-def net_wrench(airframe: Airframe, air_density: float) -> tuple[np.ndarray, np.ndarray]:
-    """Total (force, torque) on the body from all rotors, in body axes.
+@dataclass(frozen=True)
+class AirframeConstants:
+    """What the per-tick kernels read of one airframe at one air density.
+
+    ``rotors`` holds (thrust gain, arm x, arm y, signed torque gain) per
+    rotor; ``pinv_rows`` is the pseudo-inverse of the allocation matrix,
+    one 4-tuple per rotor, or None when the matrix is rank-deficient.
+    Everything is a plain float so the tick runs without numpy.
+    """
+
+    air_density: float
+    mass: float
+    inertia: tuple[float, float, float]
+    linear_drag: float
+    rotors: tuple[tuple[float, float, float, float], ...]
+    max_speeds: tuple[float, ...]
+    pinv_rows: tuple[tuple[float, float, float, float], ...] | None
+    rank: int
+
+
+def airframe_constants(airframe: Airframe, air_density: float) -> AirframeConstants:
+    """Per-rotor gains, body constants and the allocation pseudo-inverse.
+
+    Cached on the values (not the identity) of the airframe, so equal
+    airframes share one pseudo-inverse and rank check, and changing an
+    airframe in place can never serve stale constants.
+    """
+    if not air_density > 0.0:
+        raise ValueError(f"air_density must be > 0, got {air_density}")
+    body = airframe.body
+    rotors = tuple((thrust_gain(r, air_density), float(r.position_body[0]),
+                    float(r.position_body[1]),
+                    r.spin_direction * r.torque_coefficient * air_density * r.disk_area)
+                   for r in airframe.rotors)
+    return _constants(air_density, body.mass, tuple(body.inertia_diagonal.tolist()),
+                      body.linear_drag, rotors,
+                      tuple(r.max_speed for r in airframe.rotors))
+
+
+@lru_cache(maxsize=128)
+def _constants(air_density, mass, inertia, linear_drag, rotors,
+               max_speeds) -> AirframeConstants:
+    m = _allocation_rows(rotors)
+    rank = int(np.linalg.matrix_rank(m))
+    pinv_rows = tuple(map(tuple, np.linalg.pinv(m).tolist())) if rank == 4 else None
+    return AirframeConstants(air_density, mass, inertia, linear_drag, rotors,
+                             max_speeds, pinv_rows, rank)
+
+
+def _allocation_rows(rotors) -> np.ndarray:
+    return np.array([[k for k, _, _, _ in rotors],
+                     [k * y for k, _, y, _ in rotors],
+                     [-k * x for k, x, _, _ in rotors],
+                     [q for _, _, _, q in rotors]], dtype=float)
+
+
+def rotor_wrench(constants: AirframeConstants, speeds) -> tuple[float, float, float, float]:
+    """(thrust, torque x, y, z) in body axes for the given rotor speeds.
 
     force  = sum_i f_i ẑ
     torque = sum_i [ r_i x (f_i ẑ) + spin_i * c_Q_i * rho * A_i * s_i^2 ẑ ]
     """
-    if not air_density > 0.0:
-        raise ValueError(f"air_density must be > 0, got {air_density}")
-    fz = 0.0
-    tx = ty = tz = 0.0
-    for r in airframe.rotors:
-        s2 = r.current_speed * r.current_speed
-        f = r.thrust_coefficient * air_density * r.disk_area * s2
+    fz = tx = ty = tz = 0.0
+    for (k, x, y, q), s in zip(constants.rotors, speeds):
+        s2 = s * s
+        f = k * s2
         fz += f
         # r x (f ẑ) = f * (y, -x, 0)
-        tx += f * r.position_body[1]
-        ty -= f * r.position_body[0]
-        tz += r.spin_direction * r.torque_coefficient * air_density * r.disk_area * s2
+        tx += f * y
+        ty -= f * x
+        tz += q * s2
+    return fz, tx, ty, tz
+
+
+def allocate_speeds(constants: AirframeConstants, thrust: float, torque_x: float,
+                    torque_y: float, torque_z: float) -> list[float]:
+    """Rotor speeds for a demanded wrench; the law behind :func:`allocate`."""
+    if thrust < 0.0:
+        raise ValueError(f"desired_thrust must be >= 0, got {thrust}")
+    if constants.pinv_rows is None:
+        raise ConfigurationError(
+            f"allocation matrix is rank-deficient (rank {constants.rank} < 4); "
+            "this rotor layout cannot realize independent thrust and torques")
+    speeds = []
+    saturated = False
+    for (a, b, c, d), max_speed in zip(constants.pinv_rows, constants.max_speeds):
+        s_squared = a * thrust + b * torque_x + c * torque_y + d * torque_z
+        s = 0.0 if s_squared < 0.0 else math.sqrt(s_squared)
+        if s > max_speed:
+            s = max_speed
+            saturated = True
+        speeds.append(s)
+    if saturated:
+        log.debug("rotor saturation: demand %s clamped to %s",
+                  [thrust, torque_x, torque_y, torque_z], speeds)
+    return speeds
+
+
+def net_wrench(airframe: Airframe, air_density: float) -> tuple[np.ndarray, np.ndarray]:
+    """Total (force, torque) on the body from all rotors at their current speeds."""
+    fz, tx, ty, tz = rotor_wrench(airframe_constants(airframe, air_density),
+                                  [r.current_speed for r in airframe.rotors])
     return np.array([0.0, 0.0, fz]), np.array([tx, ty, tz])
 
 
 def allocation_matrix(airframe: Airframe, air_density: float) -> np.ndarray:
     """4 x n map from squared rotor speeds to (thrust, torque x/y/z)."""
-    n = len(airframe.rotors)
-    m = np.zeros((4, n))
-    for i, r in enumerate(airframe.rotors):
-        k = r.thrust_coefficient * air_density * r.disk_area
-        m[0, i] = k
-        m[1, i] = k * r.position_body[1]
-        m[2, i] = -k * r.position_body[0]
-        m[3, i] = r.spin_direction * r.torque_coefficient * air_density * r.disk_area
-    return m
-
-
-@lru_cache(maxsize=128)
-def _allocation_pinv(key: tuple) -> tuple[np.ndarray, int]:
-    m = np.array(key[1:], dtype=float).reshape(4, -1)
-    return np.linalg.pinv(m), int(np.linalg.matrix_rank(m))
-
-
-def _allocation_key(airframe: Airframe, air_density: float) -> tuple:
-    # Geometry and coefficients fully determine the matrix, so the cache
-    # key is their flattened values; rotor speed never enters.
-    rows = allocation_matrix(airframe, air_density)
-    return (air_density,) + tuple(rows.ravel().tolist())
+    return _allocation_rows(airframe_constants(airframe, air_density).rotors)
 
 
 def allocate(airframe: Airframe, desired_thrust: float, desired_torque,
@@ -158,22 +226,9 @@ def allocate(airframe: Airframe, desired_thrust: float, desired_torque,
     ConfigurationError when the allocation matrix is rank-deficient,
     i.e. the craft cannot span all four wrench components.
     """
-    if desired_thrust < 0.0:
-        raise ValueError(f"desired_thrust must be >= 0, got {desired_thrust}")
-    desired_torque = as_vec3(desired_torque, "desired_torque")
-    pinv, rank = _allocation_pinv(_allocation_key(airframe, air_density))
-    if rank < 4:
-        raise ConfigurationError(
-            f"allocation matrix is rank-deficient (rank {rank} < 4); "
-            "this rotor layout cannot realize independent thrust and torques")
-    demand = np.array([desired_thrust, desired_torque[0], desired_torque[1], desired_torque[2]])
-    s_squared = pinv @ demand
-    speeds = np.sqrt(np.maximum(s_squared, 0.0))
-    max_speeds = np.array([r.max_speed for r in airframe.rotors])
-    if np.any(speeds > max_speeds):
-        log.debug("rotor saturation: demand %s clamped from %s", demand.tolist(), speeds.tolist())
-        speeds = np.minimum(speeds, max_speeds)
-    return speeds
+    tx, ty, tz = as_vec3(desired_torque, "desired_torque").tolist()
+    return np.array(allocate_speeds(airframe_constants(airframe, air_density),
+                                    float(desired_thrust), tx, ty, tz))
 
 
 def set_rotor_speeds(airframe: Airframe, speeds) -> None:
@@ -188,5 +243,5 @@ def set_rotor_speeds(airframe: Airframe, speeds) -> None:
 
 def hover_speed(airframe: Airframe, gravity: float, air_density: float) -> float:
     """Closed-form equal-speed hover for a symmetric craft: sqrt(mg / (n k))."""
-    k = sum(r.thrust_coefficient * air_density * r.disk_area for r in airframe.rotors)
+    k = sum(thrust_gain(r, air_density) for r in airframe.rotors)
     return math.sqrt(airframe.body.mass * gravity / k)

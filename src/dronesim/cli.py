@@ -116,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--format", choices=("geojson", "csv"), default="geojson")
     p_sim.add_argument("--metrics", help="also write a JSON metrics report here")
     p_sim.add_argument("--parallel", action="store_true",
-                       help="step drones on a thread pool (identical results)")
+                       help="accepted for compatibility, no effect: runs are serial "
+                            "and deterministic")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_plan = sub.add_parser("plan-route", help="run the waypoint planner only")

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airframe import Airframe, allocate
+from .airframe import Airframe, AirframeConstants, airframe_constants, allocate_speeds
 from .dynamics import DroneState
-from .frames import as_vec3, quat_conjugate, quat_from_euler, quat_multiply
+from .frames import as_vec3, euler_to_quat, hamilton_product
 
 DEFAULT_POSITION_KP = 2.0
 DEFAULT_POSITION_KD = 2.8
@@ -71,6 +71,33 @@ def _clamp(value: float, limit: float) -> float:
     return max(-limit, min(limit, value))
 
 
+def _thrust_and_attitude(mass: float, gains: ControllerGains, gravity: float, x,
+                         target, yaw: float) -> tuple[float, float, float, float]:
+    # x: the 13 state floats; target: 3 floats
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz = x[0:10]
+    kp, kd = gains.position_kp, gains.position_kd
+    ax = kp * (target[0] - px) - kd * vx
+    ay = kp * (target[1] - py) - kd * vy
+    az = kp * (target[2] - pz) - kd * vz + gravity
+
+    # a_des projected on the body z axis (third column of R(q))
+    along_z = (ax * (2.0 * (qx * qz + qy * qw))
+               + ay * (2.0 * (qy * qz - qx * qw))
+               + az * (1.0 - 2.0 * (qx * qx + qy * qy)))
+    thrust = mass * max(0.0, along_z)
+
+    norm_a = math.sqrt(ax * ax + ay * ay + az * az)
+    if norm_a < 1e-9:
+        tilt_x, tilt_y = 0.0, 0.0
+    else:
+        tilt_x = ax / norm_a
+        tilt_y = ay / norm_a
+    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+    pitch_des = _clamp(tilt_x * cos_y + tilt_y * sin_y, gains.max_tilt)
+    roll_des = _clamp(tilt_x * sin_y - tilt_y * cos_y, gains.max_tilt)
+    return thrust, roll_des, pitch_des, yaw
+
+
 def thrust_and_attitude(state: DroneState, setpoint: Setpoint, airframe: Airframe,
                         gains: ControllerGains,
                         gravity: float) -> tuple[float, float, float, float]:
@@ -80,29 +107,32 @@ def thrust_and_attitude(state: DroneState, setpoint: Setpoint, airframe: Airfram
     thrust, and its direction is inverted at small angles for the tilt
     setpoint, clamped to +-max_tilt.
     """
-    a_des = (gains.position_kp * (setpoint.target_position - state.position)
-             - gains.position_kd * state.velocity)
-    a_des = a_des + np.array([0.0, 0.0, gravity])
+    return _thrust_and_attitude(float(airframe.body.mass), gains, float(gravity),
+                                state.as_floats(), setpoint.target_position.tolist(),
+                                float(setpoint.target_yaw))
 
-    qw, qx, qy, qz = state.orientation
-    z_body = np.array([
-        2.0 * (qx * qz + qy * qw),
-        2.0 * (qy * qz - qx * qw),
-        1.0 - 2.0 * (qx * qx + qy * qy),
-    ])
-    thrust = airframe.body.mass * max(0.0, float(a_des @ z_body))
 
-    norm_a = math.sqrt(a_des[0] ** 2 + a_des[1] ** 2 + a_des[2] ** 2)
-    if norm_a < 1e-9:
-        tilt_x, tilt_y = 0.0, 0.0
-    else:
-        tilt_x = a_des[0] / norm_a
-        tilt_y = a_des[1] / norm_a
-    yaw = setpoint.target_yaw
-    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-    pitch_des = _clamp(tilt_x * cos_y + tilt_y * sin_y, gains.max_tilt)
-    roll_des = _clamp(tilt_x * sin_y - tilt_y * cos_y, gains.max_tilt)
-    return thrust, roll_des, pitch_des, yaw
+def command_speeds(c: AirframeConstants, gains: ControllerGains, gravity: float,
+                   x, target, yaw: float) -> list[float]:
+    """Rotor speeds from the 13 state floats toward ``target`` at ``yaw``.
+
+    The law behind :func:`compute_commands`, on plain floats.
+    """
+    thrust, roll_des, pitch_des, yaw = _thrust_and_attitude(
+        c.mass, gains, gravity, x, target, yaw)
+
+    qw, qx, qy, qz = x[6:10]
+    ew, ex, ey, ez = hamilton_product((qw, -qx, -qy, -qz),
+                                      euler_to_quat(roll_des, pitch_des, yaw))
+    if ew < 0.0:
+        ex, ey, ez = -ex, -ey, -ez
+
+    kp, kd = gains.attitude_kp, gains.attitude_kd
+    ix, iy, iz = c.inertia
+    return allocate_speeds(c, thrust,
+                           ix * (kp * (2.0 * ex) - kd * x[10]),
+                           iy * (kp * (2.0 * ey) - kd * x[11]),
+                           iz * (kp * (2.0 * ez) - kd * x[12]))
 
 
 def compute_commands(state: DroneState, setpoint: Setpoint, airframe: Airframe,
@@ -113,22 +143,24 @@ def compute_commands(state: DroneState, setpoint: Setpoint, airframe: Airframe,
     Pure function of its inputs; a rank-deficient rotor layout raises
     ConfigurationError out of the allocation step.
     """
-    thrust, roll_des, pitch_des, yaw = thrust_and_attitude(
-        state, setpoint, airframe, gains, gravity)
+    return np.array(command_speeds(
+        airframe_constants(airframe, air_density), gains, float(gravity),
+        state.as_floats(), setpoint.target_position.tolist(), float(setpoint.target_yaw)))
 
-    q_des = quat_from_euler(roll_des, pitch_des, yaw)
-    q_err = quat_multiply(quat_conjugate(state.orientation), q_des)
-    if q_err[0] < 0.0:
-        q_err = -q_err
-    attitude_error = 2.0 * q_err[1:4]
 
-    alpha = gains.attitude_kp * attitude_error - gains.attitude_kd * state.angular_velocity
-    torque = airframe.body.inertia_diagonal * alpha
-    return allocate(airframe, thrust, torque, air_density)
+def within_capture(position, target, capture_radius: float) -> bool:
+    """True iff ``position`` lies within ``capture_radius`` of ``target`` (inclusive).
+
+    Reads the first three components of each, as plain floats.
+    """
+    dx = position[0] - target[0]
+    dy = position[1] - target[1]
+    dz = position[2] - target[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz) <= capture_radius
 
 
 def waypoint_reached(state: DroneState, setpoint: Setpoint,
                      gains: ControllerGains) -> bool:
     """True iff the drone sits within capture_radius of the target (inclusive)."""
-    d = state.position - setpoint.target_position
-    return math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2) <= gains.capture_radius
+    return within_capture(state.position.tolist(), setpoint.target_position.tolist(),
+                          gains.capture_radius)

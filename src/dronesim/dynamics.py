@@ -8,18 +8,23 @@ angular rate and I the diagonal inertia tensor:
     q̇ = ½ q ⊗ (0, ω)
     I ω̇ = τ_body − ω × (I ω)
 
-F_body and τ_body come from the rotors at their current speeds; wind
+F_body and τ_body come from the rotor speeds, held over a step; wind
 couples in through the linear drag term only. States advance with
 classical fixed-step RK4; the quaternion is renormalized once per step.
+The integrator runs on 13 plain floats (:func:`rk4_step`) with the
+airframe's constants built once (:func:`airframe_constants`);
+:func:`step` and :func:`state_derivative` wrap it for DroneState
+values and rotors' ``current_speed``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .airframe import Airframe, net_wrench
+from .airframe import Airframe, AirframeConstants, airframe_constants, rotor_wrench
 from .frames import as_quat, as_vec3, quat_norm
 from .scenario import EnvironmentSample
 
@@ -67,6 +72,24 @@ class DroneState:
         return DroneState(self.t, self.position.copy(), self.velocity.copy(),
                           self.orientation.copy(), self.angular_velocity.copy())
 
+    def as_floats(self) -> list[float]:
+        """The 13 components as plain floats: position, velocity,
+        orientation, angular velocity."""
+        return (self.position.tolist() + self.velocity.tolist()
+                + self.orientation.tolist() + self.angular_velocity.tolist())
+
+    @classmethod
+    def from_checked(cls, t: float, x) -> "DroneState":
+        """Build from 13 floats that :func:`rk4_step` has already checked
+        (finite, unit quaternion), without validating them again."""
+        state = cls.__new__(cls)
+        state.t = t
+        state.position = np.array(x[0:3])
+        state.velocity = np.array(x[3:6])
+        state.orientation = np.array(x[6:10])
+        state.angular_velocity = np.array(x[10:13])
+        return state
+
 
 @dataclass
 class Derivative:
@@ -78,96 +101,94 @@ class Derivative:
     d_angular_velocity: np.ndarray
 
 
-def _rhs(position, velocity, orientation, angular_velocity, airframe: Airframe,
-         env: EnvironmentSample, force_body, torque_body):
-    # Raw right-hand side, written in scalars for speed and so that
-    # non-finite components propagate (step() turns them into a
-    # DivergenceError) instead of tripping validation helpers. Rotor
-    # speeds are held constant over a step, so the wrench is evaluated
-    # once by the caller. The quaternion may be slightly off-unit during
+def _rhs(c: AirframeConstants, gravity: float, wind, wrench, x) -> list[float]:
+    # Right-hand side on the 13 state floats. Rotor speeds are held
+    # constant over a step, so the caller evaluates the wrench once.
+    # Non-finite components propagate (rk4_step turns them into a
+    # DivergenceError). The quaternion may be slightly off-unit during
     # RK4 substeps; the 2/n^2 factor applies the rotation of its
     # normalized form.
-    body = airframe.body
-    qw, qx, qy, qz = orientation
+    fz, tx, ty, tz = wrench
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
     n2 = qw * qw + qx * qx + qy * qy + qz * qz
     s = 2.0 / n2
     # thrust acts along body +z: world direction is the third matrix column
-    fz = force_body[2] / body.mass
-    ax = s * (qx * qz + qy * qw) * fz
-    ay = s * (qy * qz - qx * qw) * fz
-    az = (1.0 - s * (qx * qx + qy * qy)) * fz - env.gravity
-    accel = np.array([ax, ay, az])
-    if body.linear_drag != 0.0:
-        accel -= (body.linear_drag / body.mass) * (velocity - env.wind_velocity)
+    f = fz / c.mass
+    ax = s * (qx * qz + qy * qw) * f
+    ay = s * (qy * qz - qx * qw) * f
+    az = (1.0 - s * (qx * qx + qy * qy)) * f - gravity
+    if c.linear_drag != 0.0:
+        k = c.linear_drag / c.mass
+        ax -= k * (vx - wind[0])
+        ay -= k * (vy - wind[1])
+        az -= k * (vz - wind[2])
 
-    wx, wy, wz = angular_velocity
-    ix, iy, iz = body.inertia_diagonal
+    ix, iy, iz = c.inertia
     # omega x (I omega) for a diagonal inertia tensor
-    d_omega = np.array([
-        (torque_body[0] - wy * wz * (iz - iy)) / ix,
-        (torque_body[1] - wz * wx * (ix - iz)) / iy,
-        (torque_body[2] - wx * wy * (iy - ix)) / iz,
-    ])
+    return [vx, vy, vz, ax, ay, az,
+            0.5 * (-qx * wx - qy * wy - qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            (tx - wy * wz * (iz - iy)) / ix,
+            (ty - wz * wx * (ix - iz)) / iy,
+            (tz - wx * wy * (iy - ix)) / iz]
 
-    d_q = 0.5 * np.array([
-        -qx * wx - qy * wy - qz * wz,
-        qw * wx + qy * wz - qz * wy,
-        qw * wy - qx * wz + qz * wx,
-        qw * wz + qx * wy - qy * wx,
-    ])
-    return velocity, accel, d_q, d_omega
+
+def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
+             dt: float, t_end: float) -> list[float]:
+    """One RK4 step of the 13 state floats ``x`` with rotor speeds held.
+
+    The law behind :func:`step`. Raises DivergenceError, stamped with
+    ``t_end``, if the result is non-finite or its quaternion collapsed.
+    """
+    gravity = float(env.gravity)
+    wind = env.wind_velocity.tolist() if c.linear_drag != 0.0 else None
+    wrench = rotor_wrench(c, speeds)
+    h = 0.5 * dt
+    try:
+        k1 = _rhs(c, gravity, wind, wrench, x)
+        k2 = _rhs(c, gravity, wind, wrench, [a + h * b for a, b in zip(x, k1)])
+        k3 = _rhs(c, gravity, wind, wrench, [a + h * b for a, b in zip(x, k2)])
+        k4 = _rhs(c, gravity, wind, wrench, [a + dt * b for a, b in zip(x, k3)])
+    except ZeroDivisionError:  # a substep quaternion of zero norm
+        raise DivergenceError(f"non-finite state at t = {t_end}", t=t_end) from None
+    sixth = dt / 6.0
+    new = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, new)):
+        raise DivergenceError(f"non-finite state at t = {t_end}", t=t_end)
+
+    qw, qx, qy, qz = new[6:10]
+    norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    if not (norm > 1e-12 and math.isfinite(norm)):
+        raise DivergenceError(f"orientation collapsed at t = {t_end}", t=t_end)
+    new[6:10] = qw / norm, qx / norm, qy / norm, qz / norm
+    return new
 
 
 def state_derivative(state: DroneState, airframe: Airframe,
                      env: EnvironmentSample) -> Derivative:
     """Evaluate the equations of motion at the given state."""
-    force_body, torque_body = net_wrench(airframe, env.air_density)
-    dp, dv, dq, dw = _rhs(state.position, state.velocity, state.orientation,
-                          state.angular_velocity, airframe, env,
-                          force_body, torque_body)
-    return Derivative(dp, dv, dq, dw)
+    c = airframe_constants(airframe, env.air_density)
+    d = _rhs(c, float(env.gravity), env.wind_velocity.tolist(),
+             rotor_wrench(c, [r.current_speed for r in airframe.rotors]), state.as_floats())
+    return Derivative(np.array(d[0:3]), np.array(d[3:6]), np.array(d[6:10]),
+                      np.array(d[10:13]))
 
 
 def step(state: DroneState, airframe: Airframe, env: EnvironmentSample,
          dt: float) -> DroneState:
     """Advance one classical RK4 step of size dt and renormalize orientation.
 
-    Deterministic: identical inputs produce bit-identical outputs. Raises
-    DivergenceError (with the end-of-step time) if any component of the
-    result is non-finite.
+    Rotor speeds are the rotors' ``current_speed``, held constant across
+    the step (zero-order hold). Deterministic: identical inputs produce
+    bit-identical outputs. Raises DivergenceError (with the end-of-step
+    time) if any component of the result is non-finite.
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-
-    p, v, q, w = state.position, state.velocity, state.orientation, state.angular_velocity
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # rotor speeds are held constant across the step (zero-order hold)
-        force_body, torque_body = net_wrench(airframe, env.air_density)
-        k1 = _rhs(p, v, q, w, airframe, env, force_body, torque_body)
-        k2 = _rhs(p + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1],
-                  q + 0.5 * dt * k1[2], w + 0.5 * dt * k1[3], airframe, env,
-                  force_body, torque_body)
-        k3 = _rhs(p + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1],
-                  q + 0.5 * dt * k2[2], w + 0.5 * dt * k2[3], airframe, env,
-                  force_body, torque_body)
-        k4 = _rhs(p + dt * k3[0], v + dt * k3[1],
-                  q + dt * k3[2], w + dt * k3[3], airframe, env,
-                  force_body, torque_body)
-
-        sixth = dt / 6.0
-        new_p = p + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        new_v = v + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        new_q = q + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        new_w = w + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-
     t_end = state.t + dt
-    if not (np.all(np.isfinite(new_p)) and np.all(np.isfinite(new_v))
-            and np.all(np.isfinite(new_q)) and np.all(np.isfinite(new_w))):
-        raise DivergenceError(f"non-finite state at t = {t_end}", t=t_end)
-
-    norm = quat_norm(new_q)
-    if not (norm > 1e-12 and np.isfinite(norm)):
-        raise DivergenceError(f"orientation collapsed at t = {t_end}", t=t_end)
-    new_q = new_q / norm
-
-    return DroneState(t_end, new_p, new_v, new_q, new_w)
+    x = rk4_step(airframe_constants(airframe, env.air_density), env,
+                 [r.current_speed for r in airframe.rotors], state.as_floats(), dt, t_end)
+    return DroneState.from_checked(t_end, x)

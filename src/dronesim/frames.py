@@ -89,14 +89,17 @@ def quat_inverse(q) -> np.ndarray:
 
 def quat_multiply(q1, q2) -> np.ndarray:
     """Hamilton product q1 ⊗ q2 (apply q2 first, then q1)."""
+    return np.array(hamilton_product(q1, q2))
+
+
+def hamilton_product(q1, q2) -> tuple[float, float, float, float]:
+    """q1 ⊗ q2 on plain 4-sequences; the law behind :func:`quat_multiply`."""
     w1, x1, y1, z1 = q1
     w2, x2, y2, z2 = q2
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -115,15 +118,19 @@ def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
     Angles compose in ZYX order: q = q_yaw ⊗ q_pitch ⊗ q_roll.
     """
+    return np.array(euler_to_quat(roll, pitch, yaw))
+
+
+def euler_to_quat(roll: float, pitch: float,
+                  yaw: float) -> tuple[float, float, float, float]:
+    """:func:`quat_from_euler` as a plain tuple."""
     cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
     cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
     cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
-    return np.array([
-        cy * cp * cr + sy * sp * sr,
-        cy * cp * sr - sy * sp * cr,
-        cy * sp * cr + sy * cp * sr,
-        sy * cp * cr - cy * sp * sr,
-    ])
+    return (cy * cp * cr + sy * sp * sr,
+            cy * cp * sr - sy * sp * cr,
+            cy * sp * cr + sy * cp * sr,
+            sy * cp * cr - cy * sp * sr)
 
 
 def quat_to_matrix(q) -> np.ndarray:

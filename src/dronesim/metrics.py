@@ -65,6 +65,36 @@ def point_polyline_distance(p, vertices: list[np.ndarray]) -> float:
                for i in range(len(vertices) - 1))
 
 
+# point-segment pairs per block of polyline_distances, bounding its memory
+_PAIRS_PER_BLOCK = 1 << 16
+
+
+def polyline_distances(points, vertices) -> np.ndarray:
+    """Distance from each of the (m, 3) ``points`` to the polyline.
+
+    The vectorised form of :func:`point_polyline_distance`: the same
+    clamped projection on every segment, a single vertex counting as a
+    zero-length segment, then the minimum over segments.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
+    if len(vertices) == 0:
+        raise ValueError("polyline needs at least one vertex")
+    if len(vertices) == 1:
+        vertices = np.vstack([vertices, vertices])
+    a, ab = vertices[:-1], np.diff(vertices, axis=0)
+    denom = np.einsum("ij,ij->i", ab, ab)
+    denom[denom == 0.0] = np.inf  # a zero-length segment projects to t = 0
+    out = np.empty(len(points))
+    block = max(1, _PAIRS_PER_BLOCK // len(a))
+    for start in range(0, len(points), block):
+        ap = points[start:start + block, None, :] - a        # (b, s, 3)
+        t = np.clip(np.einsum("bsk,sk->bs", ap, ab) / denom, 0.0, 1.0)
+        d = ap - t[:, :, None] * ab
+        out[start:start + block] = np.sqrt(np.einsum("bsk,bsk->bs", d, d).min(axis=1))
+    return out
+
+
 def compute_rmse(trajectory: Trajectory,
                  reference: dict[str, list[Setpoint]]) -> MetricsReport:
     """Build the metrics report for a flown trajectory.
@@ -81,18 +111,18 @@ def compute_rmse(trajectory: Trajectory,
                 report.waypoint_capture_times_s.setdefault(drone_id, []).append(event.t)
 
     for drone_id, states in trajectory.samples.items():
-        positions = [s.position for s in states]
-        flown = 0.0
-        for i in range(len(positions) - 1):
-            delta = positions[i + 1] - positions[i]
-            flown += math.sqrt(float(delta @ delta))
-        report.route_length_flown_m[drone_id] = flown
+        positions = np.array([s.position for s in states], dtype=float).reshape(-1, 3)
+        steps = np.diff(positions, axis=0)
+        report.route_length_flown_m[drone_id] = float(
+            np.sqrt(np.einsum("ij,ij->i", steps, steps)).sum())
 
         setpoints = reference.get(drone_id)
         if not setpoints:
             report.skipped_drones.append(drone_id)
             continue
-        vertices = [sp.target_position for sp in setpoints]
-        squared = [point_polyline_distance(p, vertices) ** 2 for p in positions]
-        report.rmse_m[drone_id] = math.sqrt(sum(squared) / len(squared)) if squared else 0.0
+        if len(positions) == 0:
+            report.rmse_m[drone_id] = 0.0
+            continue
+        distances = polyline_distances(positions, [sp.target_position for sp in setpoints])
+        report.rmse_m[drone_id] = math.sqrt(float(np.mean(distances * distances)))
     return report

@@ -10,23 +10,29 @@ maneuvers.
 
 Drones that finish their route keep station-holding at their last
 setpoint until the whole swarm is done; drones that hit the ground or
-diverge are deactivated and keep their last state. Per-drone stepping
-may run on a thread pool (``parallel=True``) because within a tick no
-drone reads another's state; results are identical bit for bit in both
-modes.
+diverge are deactivated and keep their last state.
+
+The clock is the tick index: tick k is time k * dt exactly, so every
+sample and event time is an exact tick multiple. Each drone's tick runs
+on plain floats (its 13 state components and its setpoint), with its
+airframe's constants built once per run; rotor speeds pass from the
+controller to the integrator as values, and no caller-supplied object
+is changed. Runs are serial and deterministic: the same swarm and
+scenario give a bit-identical trajectory every time. ``parallel`` is
+accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import dynamics
-from .airframe import Airframe, set_rotor_speeds
-from .control import ControllerGains, Setpoint, compute_commands, waypoint_reached
-from .dynamics import DivergenceError, DroneState
+from .airframe import Airframe, AirframeConstants, airframe_constants
+# compute_commands, the public form of command_speeds, stays importable from
+# here for code that looks the per-drone controller up in this module
+from .control import (ControllerGains, Setpoint, command_speeds,  # noqa: F401
+                      compute_commands, within_capture)
+from .dynamics import DivergenceError, DroneState, rk4_step
 from .scenario import FlyingConditions, Scenario, point_in_obstacle, sample_environment
 
 WAYPOINT_REACHED = "waypoint_reached"
@@ -91,27 +97,27 @@ class Trajectory:
         return list(self.samples.keys())
 
 
-def _instant_violations(ids: list[str], positions: list[np.ndarray],
-                        min_separation: float, conditions: FlyingConditions,
-                        t: float) -> list[SimEvent]:
+def _instant_violations(ids: list[str], positions: list, min_separation: float,
+                        conditions: FlyingConditions, t: float) -> list[SimEvent]:
+    # positions: one sequence of 3 plain floats per drone
     events = []
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            delta = positions[i] - positions[j]
-            distance = float(np.sqrt(delta @ delta))
+    for i, (ax, ay, az) in enumerate(positions):
+        for j in range(i + 1, len(positions)):
+            bx, by, bz = positions[j]
+            dx, dy, dz = ax - bx, ay - by, az - bz
+            distance = math.sqrt(dx * dx + dy * dy + dz * dz)
             if distance < min_separation:
                 pair = tuple(sorted((ids[i], ids[j])))
-                midpoint = 0.5 * (positions[i] + positions[j])
                 events.append(SimEvent(t, SEPARATION_VIOLATION, pair, {
                     "distance_m": distance,
                     "min_separation_m": min_separation,
-                    "position": midpoint.tolist(),
+                    "position": [0.5 * (ax + bx), 0.5 * (ay + by), 0.5 * (az + bz)],
                 }))
     if conditions.obstacles:
         for drone_id, pos in zip(ids, positions):
             if point_in_obstacle(conditions, pos):
                 events.append(SimEvent(t, OBSTACLE_COLLISION, (drone_id,), {
-                    "position": pos.tolist(),
+                    "position": list(pos),
                 }))
     return events
 
@@ -125,7 +131,7 @@ def check_interactions(swarm: Swarm, conditions: FlyingConditions,
     Episode deduplication over time is handled by :func:`simulate`.
     """
     ids = [d.id for d in swarm.drones]
-    positions = [d.state.position for d in swarm.drones]
+    positions = [d.state.position.tolist() for d in swarm.drones]
     return _instant_violations(ids, positions, swarm.min_separation, conditions, t)
 
 
@@ -133,35 +139,31 @@ def _violation_key(event: SimEvent) -> tuple:
     return (event.kind,) + event.drone_ids
 
 
-@dataclass
+@dataclass(slots=True)
 class _DroneRun:
-    drone: Drone
-    state: DroneState
+    """One drone's run: its state as 13 plain floats and its route as floats."""
+
+    id: str
+    constants: AirframeConstants  # at the scenario's (uniform) air density
+    gains: ControllerGains
+    targets: list[tuple[list[float], float]]  # (position, yaw) per route setpoint
+    x: list[float]
+    tick: int = 0  # the state is the drone's state at time tick * dt
+    recorded_tick: int = -1
     status: str = "flying"  # flying | complete | deactivated
     route_index: int = 0
-    hold: Setpoint | None = None
-
-    def current_setpoint(self) -> Setpoint:
-        if self.status == "flying" and self.route_index < len(self.drone.route):
-            return self.drone.route[self.route_index]
-        assert self.hold is not None
-        return self.hold
+    setpoint: tuple[list[float], float] | None = None
 
 
-def _step_one(run: _DroneRun, scenario: Scenario, dt: float):
-    """Advance one drone by one tick; returns the new state or the error.
-
-    Touches only this drone's state and airframe, so calls for different
-    drones are safe to run concurrently.
-    """
-    env = sample_environment(scenario, run.state.position, run.state.t)
-    try:
-        speeds = compute_commands(run.state, run.current_setpoint(), run.drone.airframe,
-                                  run.drone.gains, env.gravity, env.air_density)
-        set_rotor_speeds(run.drone.airframe, speeds)
-        return dynamics.step(run.state, run.drone.airframe, env, dt), None
-    except DivergenceError as err:
-        return None, err
+def _start(drone: Drone, air_density: float) -> _DroneRun:
+    # validate the caller's state once, on the swarm clock's t = 0
+    s = drone.state
+    start = DroneState(0.0, s.position, s.velocity, s.orientation, s.angular_velocity)
+    return _DroneRun(
+        id=drone.id, constants=airframe_constants(drone.airframe, air_density),
+        gains=drone.gains,
+        targets=[(sp.target_position.tolist(), float(sp.target_yaw)) for sp in drone.route],
+        x=start.as_floats())
 
 
 def simulate(swarm: Swarm, scenario: Scenario,
@@ -170,9 +172,13 @@ def simulate(swarm: Swarm, scenario: Scenario,
     """Run the swarm until every drone finished or max_duration elapses.
 
     States are recorded every ``recording_interval`` (which must be at
-    least the reference time step); events always carry exact tick
-    times. The result is deterministic: the same swarm and scenario give
-    a bit-identical trajectory, serial or parallel.
+    least the reference time step). Tick k is time ``k * dt`` exactly,
+    so every sample and event time is an exact tick multiple; every
+    drone starts at t = 0 and the ``t`` of its initial state is not
+    used. Drones step one after another; the result is deterministic:
+    the same swarm and scenario give a bit-identical trajectory.
+    ``parallel`` is accepted and ignored. The swarm and its drones,
+    airframes, states and routes are left unchanged.
     """
     dt = scenario.reference_time_step
     if recording_interval < dt:
@@ -181,91 +187,83 @@ def simulate(swarm: Swarm, scenario: Scenario,
     record_every = max(1, round(recording_interval / dt))
     n_ticks = max(1, round(scenario.max_duration / dt))
 
-    runs = [_DroneRun(drone=d, state=d.state.copy()) for d in swarm.drones]
-    samples: dict[str, list[DroneState]] = {d.id: [] for d in swarm.drones}
+    runs = [_start(d, scenario.physics.air_density) for d in swarm.drones]
+    ids = [run.id for run in runs]
+    samples: dict[str, list[DroneState]] = {run.id: [] for run in runs}
     events: list[SimEvent] = []
     active_violations: set[tuple] = set()
-    executor = ThreadPoolExecutor(max_workers=len(runs)) if parallel and len(runs) > 1 else None
 
-    # the clock accumulates t += dt exactly as the integrator does, so
-    # event times and sample times agree bit for bit
-    t = 0.0
-    try:
-        for tick in range(n_ticks + 1):
+    for tick in range(n_ticks + 1):
+        t = tick * dt
 
-            # capture waypoints and retire finished routes at the tick boundary
-            for run in runs:
-                if run.status != "flying":
-                    continue
-                route = run.drone.route
-                while (run.route_index < len(route)
-                       and waypoint_reached(run.state, route[run.route_index], run.drone.gains)):
-                    sp = route[run.route_index]
-                    events.append(SimEvent(t, WAYPOINT_REACHED, (run.drone.id,), {
-                        "waypoint_index": run.route_index,
-                        "position": sp.target_position.tolist(),
-                    }))
-                    run.route_index += 1
-                if run.route_index >= len(route):
-                    run.status = "complete"
-                    hold_position = (route[-1].target_position if route
-                                     else run.state.position.copy())
-                    hold_yaw = route[-1].target_yaw if route else 0.0
-                    run.hold = Setpoint(hold_position, hold_yaw)
-                    events.append(SimEvent(t, MISSION_COMPLETE, (run.drone.id,), {
-                        "position": run.state.position.tolist(),
-                    }))
-
-            if tick % record_every == 0:
-                for run in runs:
-                    if run.state.t >= t - 0.5 * dt:  # skip drones frozen earlier
-                        samples[run.drone.id].append(run.state)
-
-            if tick == n_ticks or all(r.status != "flying" for r in runs):
-                break
-
-            # model updates: one writer per drone state, no cross-drone reads
-            stepping = [r for r in runs if r.status != "deactivated"]
-            if executor is not None:
-                outcomes = list(executor.map(
-                    lambda r: _step_one(r, scenario, dt), stepping))
+        # capture waypoints and retire finished routes at the tick boundary
+        for run in runs:
+            if run.status != "flying":
+                continue
+            targets = run.targets
+            while (run.route_index < len(targets) and within_capture(
+                    run.x, targets[run.route_index][0], run.gains.capture_radius)):
+                events.append(SimEvent(t, WAYPOINT_REACHED, (run.id,), {
+                    "waypoint_index": run.route_index,
+                    "position": list(targets[run.route_index][0]),
+                }))
+                run.route_index += 1
+            if run.route_index < len(targets):
+                run.setpoint = targets[run.route_index]
             else:
-                outcomes = [_step_one(r, scenario, dt) for r in stepping]
+                run.status = "complete"
+                run.setpoint = targets[-1] if targets else (run.x[0:3], 0.0)
+                events.append(SimEvent(t, MISSION_COMPLETE, (run.id,), {
+                    "position": run.x[0:3],
+                }))
 
-            t_next = t + dt
-            for run, (new_state, err) in zip(stepping, outcomes):
-                if err is not None:
-                    run.status = "deactivated"
-                    events.append(SimEvent(t_next, DIVERGENCE, (run.drone.id,), {
-                        "detail": str(err),
-                        "position": run.state.position.tolist(),
-                    }))
-                    continue
-                run.state = new_state
-                if new_state.position[2] < 0.0:
-                    run.status = "deactivated"
-                    events.append(SimEvent(t_next, GROUND_CONTACT, (run.drone.id,), {
-                        "position": new_state.position.tolist(),
-                    }))
+        if tick % record_every == 0:
+            for run in runs:
+                if run.tick == tick:  # skip drones frozen earlier
+                    samples[run.id].append(DroneState.from_checked(t, run.x))
+                    run.recorded_tick = tick
 
-            # interaction checks follow every model update for this tick
-            instant = _instant_violations(
-                [r.drone.id for r in runs], [r.state.position for r in runs],
-                swarm.min_separation, scenario.conditions, t_next)
-            current_keys = {_violation_key(e) for e in instant}
-            for event in instant:
-                if _violation_key(event) not in active_violations:
-                    events.append(event)
-            active_violations = current_keys
-            t = t_next
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+        if tick == n_ticks or all(r.status != "flying" for r in runs):
+            break
+
+        # model updates: each drone reads and writes only its own run
+        t_next = (tick + 1) * dt
+        for run in runs:
+            if run.status == "deactivated":
+                continue
+            x = run.x
+            env = sample_environment(scenario, x[0:3], t)
+            target, yaw = run.setpoint
+            try:
+                speeds = command_speeds(run.constants, run.gains, env.gravity, x, target, yaw)
+                x = rk4_step(run.constants, env, speeds, x, dt, t_next)
+            except DivergenceError as err:
+                run.status = "deactivated"
+                events.append(SimEvent(t_next, DIVERGENCE, (run.id,), {
+                    "detail": str(err),
+                    "position": run.x[0:3],
+                }))
+                continue
+            run.x = x
+            run.tick = tick + 1
+            if x[2] < 0.0:
+                run.status = "deactivated"
+                events.append(SimEvent(t_next, GROUND_CONTACT, (run.id,), {
+                    "position": x[0:3],
+                }))
+
+        # interaction checks follow every model update for this tick
+        instant = _instant_violations(ids, [r.x[0:3] for r in runs],
+                                      swarm.min_separation, scenario.conditions, t_next)
+        current_keys = {_violation_key(e) for e in instant}
+        for event in instant:
+            if _violation_key(event) not in active_violations:
+                events.append(event)
+        active_violations = current_keys
 
     # flush the last state of drones whose final tick fell between records
     for run in runs:
-        recorded = samples[run.drone.id]
-        if not recorded or recorded[-1].t < run.state.t:
-            recorded.append(run.state)
+        if run.recorded_tick < run.tick:
+            samples[run.id].append(DroneState.from_checked(run.tick * dt, run.x))
 
     return Trajectory(samples=samples, events=events)

@@ -293,3 +293,25 @@ def test_flown_length_sums_sample_legs():
     report = ds.compute_rmse(ds.Trajectory(samples={"alpha": states}, events=[]),
                              straight_reference())
     assert report.route_length_flown_m["alpha"] == pytest.approx(17.0, abs=1e-12)
+
+
+def test_rmse_matches_scalar_point_to_polyline_distance():
+    # seeded random polylines, among them single-vertex ones and ones with
+    # zero-length segments; some samples sit exactly on a vertex
+    from dronesim.metrics import point_polyline_distance, polyline_distances
+
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        vertices = rng.uniform(-50.0, 50.0, size=(int(rng.integers(1, 9)), 3))
+        if len(vertices) >= 3 and trial % 2 == 0:
+            vertices[2] = vertices[1]
+        positions = rng.uniform(-60.0, 60.0, size=(int(rng.integers(1, 40)), 3))
+        positions[0] = vertices[-1]
+        expected = [point_polyline_distance(p, list(vertices)) for p in positions]
+        assert polyline_distances(positions, vertices) == pytest.approx(expected, rel=1e-12)
+
+        states = [level_state(*p, t=0.1 * i) for i, p in enumerate(positions)]
+        report = ds.compute_rmse(ds.Trajectory(samples={"alpha": states}, events=[]),
+                                 {"alpha": [ds.Setpoint(v) for v in vertices]})
+        rmse = math.sqrt(sum(d * d for d in expected) / len(expected))
+        assert report.rmse_m["alpha"] == pytest.approx(rmse, rel=1e-12)

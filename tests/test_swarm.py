@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import dronesim as ds
+import dronesim.airframe as dronesim_airframe
+from dronesim.cli import routes_from_plan
 
 from conftest import build_reference_craft, level_state
 
@@ -205,3 +209,103 @@ def test_swarm_validation():
         ds.Swarm([make_drone("x", (0, 0, 0)), make_drone("x", (1, 0, 0))])
     with pytest.raises(ValueError):
         ds.Swarm([make_drone("a", (0, 0, 0))], min_separation=-1.0)
+
+
+# --- clock, isolation and per-run constants -----------------------------------
+
+def _bundled_run(name, parallel=False, share_airframe=False):
+    swarm, scenario, mission = ds.load_scenario(ds.bundled_scenario_path(name))
+    routes_from_plan(swarm, mission, ds.optimize(mission))
+    if share_airframe:
+        for drone in swarm.drones[1:]:
+            drone.airframe = swarm.drones[0].airframe
+    return swarm, scenario, ds.simulate(swarm, scenario, scenario.recording_interval,
+                                        parallel=parallel)
+
+
+def test_square_route_times_are_exact_tick_multiples():
+    _, scenario, trajectory = _bundled_run("square_route.json")
+    dt = scenario.reference_time_step
+    times = [s.t for states in trajectory.samples.values() for s in states]
+    times += [e.t for e in trajectory.events]
+    assert len(times) > 100
+    for t in times:
+        assert t == round(t / dt) * dt
+
+
+def test_two_drone_cross_captures_on_the_tick_grid():
+    _, _, trajectory = _bundled_run("two_drone_cross.json")
+    captures = {e.t for e in events_of(trajectory, "waypoint_reached")}
+    assert captures == {5.002}
+
+
+def _assert_bit_identical(a, b):
+    assert [(e.t, e.kind, e.drone_ids, e.payload) for e in a.events] == \
+           [(e.t, e.kind, e.drone_ids, e.payload) for e in b.events]
+    assert list(a.samples) == list(b.samples)
+    for drone_id in a.samples:
+        assert len(a.samples[drone_id]) == len(b.samples[drone_id])
+        for sa, sb in zip(a.samples[drone_id], b.samples[drone_id]):
+            assert sa.t == sb.t
+            assert np.array_equal(sa.position, sb.position)
+            assert np.array_equal(sa.velocity, sb.velocity)
+            assert np.array_equal(sa.orientation, sb.orientation)
+            assert np.array_equal(sa.angular_velocity, sb.angular_velocity)
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_shared_airframe_flies_like_separate_airframes(parallel):
+    # a short thread switch interval makes any cross-drone race show up
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        swarm, _, separate = _bundled_run("two_drone_cross.json", parallel=parallel)
+        assert swarm.drones[0].airframe is not swarm.drones[1].airframe
+        swarm, _, shared = _bundled_run("two_drone_cross.json", parallel=parallel,
+                                        share_airframe=True)
+        assert swarm.drones[0].airframe is swarm.drones[1].airframe
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_bit_identical(separate, shared)
+
+
+def test_simulate_leaves_caller_objects_unchanged():
+    east = make_drone("east", (-5.0, 0.0, 5.0), route=[(5.0, 0.0, 5.0)])
+    west = make_drone("west", (5.0, 0.5, 5.0), route=[(-5.0, 0.5, 5.0)])
+    west.airframe.rotors[0].current_speed = 123.0
+    before = [(d.state.copy(), [r.current_speed for r in d.airframe.rotors],
+               [sp.target_position.copy() for sp in d.route]) for d in (east, west)]
+    trajectory = ds.simulate(ds.Swarm([east, west], min_separation=2.0),
+                             calm_scenario(max_duration=15.0), 0.1)
+    assert events_of(trajectory, "mission_complete")
+    for drone, (state, speeds, targets) in zip((east, west), before):
+        assert [r.current_speed for r in drone.airframe.rotors] == speeds
+        assert drone.state.t == state.t
+        assert np.array_equal(drone.state.position, state.position)
+        assert np.array_equal(drone.state.velocity, state.velocity)
+        assert np.array_equal(drone.state.orientation, state.orientation)
+        assert np.array_equal(drone.state.angular_velocity, state.angular_velocity)
+        assert all(np.array_equal(sp.target_position, target)
+                   for sp, target in zip(drone.route, targets))
+
+
+def test_allocation_pinv_and_rank_run_once_per_airframe_per_run(monkeypatch):
+    calls = {"pinv": 0, "matrix_rank": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    dronesim_airframe._constants.cache_clear()
+    shared = build_reference_craft()
+    drones = [make_drone("a", (0.0, 0.0, 5.0), route=[(3.0, 0.0, 5.0)]),
+              make_drone("b", (10.0, 0.0, 5.0), route=[(13.0, 0.0, 5.0)]),
+              make_drone("c", (20.0, 0.0, 5.0), route=[(23.0, 0.0, 5.0)])]
+    drones[0].airframe = drones[1].airframe = shared
+    trajectory = ds.simulate(ds.Swarm(drones), calm_scenario(), 0.1)
+    assert trajectory.samples["a"][-1].t > 1.0  # many ticks flown
+    # three drones, two airframe objects, one set of airframe values
+    assert calls == {"pinv": 1, "matrix_rank": 1}
