@@ -14,8 +14,8 @@ from .control import (ControllerGains, Setpoint, compute_commands,
 from .dynamics import (DEFAULT_TIME_STEP, Derivative, DivergenceError,
                        DroneState, state_derivative, step)
 from .export import export_csv, export_geojson, load_csv
-from .frames import (EARTH_RADIUS_M, InertialFrame, geo_project, geo_unproject,
-                     integrate_orientation, quat_from_axis_angle,
+from .frames import (EARTH_RADIUS_M, FieldError, InertialFrame, geo_project,
+                     geo_unproject, integrate_orientation, quat_from_axis_angle,
                      quat_from_euler, quat_identity, quat_inverse,
                      quat_multiply, quat_normalize, quat_to_matrix, rotate,
                      vec3)
@@ -38,7 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Airframe", "Body", "Box", "ConfigurationError", "ControllerGains",
     "DEFAULT_TIME_STEP", "Derivative", "DivergenceError", "Drone",
-    "DroneState", "EARTH_RADIUS_M", "EnvironmentSample", "FlyingConditions",
+    "DroneState", "EARTH_RADIUS_M", "EnvironmentSample", "FieldError",
+    "FlyingConditions",
     "InertialFrame", "InstanceTooLargeError", "MetricsReport", "Mission",
     "Physics", "RoutePlan", "Rotor", "Scenario", "ScenarioError",
     "ScenarioInvariantError", "ScenarioParseError", "ScenarioSchemaError",

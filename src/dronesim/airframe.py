@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import as_vec3
+from .frames import FieldError, as_float, as_vec3, non_negative, positive
 
 log = logging.getLogger(__name__)
 
@@ -47,20 +47,20 @@ class Rotor:
     current_speed: float = 0.0
 
     def __post_init__(self):
-        self.position_body = as_vec3(self.position_body, "rotor position")
+        self.position_body = as_vec3(self.position_body, "rotor position", "position_body")
         if self.spin_direction not in (CLOCKWISE, COUNTER_CLOCKWISE):
-            raise ValueError(f"spin_direction must be -1 or +1, got {self.spin_direction}")
-        if not self.disk_area > 0.0:
-            raise ValueError(f"disk_area must be > 0, got {self.disk_area}")
-        if not self.thrust_coefficient > 0.0:
-            raise ValueError(f"thrust_coefficient must be > 0, got {self.thrust_coefficient}")
-        if self.torque_coefficient < 0.0:
-            raise ValueError(f"torque_coefficient must be >= 0, got {self.torque_coefficient}")
-        if not self.max_speed > 0.0:
-            raise ValueError(f"max_speed must be > 0, got {self.max_speed}")
+            raise FieldError(f"spin_direction must be -1 or +1, got {self.spin_direction}",
+                             "spin_direction")
+        self.spin_direction = int(self.spin_direction)
+        self.disk_area = positive(self.disk_area, "disk_area")
+        self.thrust_coefficient = positive(self.thrust_coefficient, "thrust_coefficient")
+        self.torque_coefficient = non_negative(self.torque_coefficient, "torque_coefficient")
+        self.max_speed = positive(self.max_speed, "max_speed")
+        self.current_speed = as_float(self.current_speed, "current_speed")
         if not 0.0 <= self.current_speed <= self.max_speed:
-            raise ValueError(
-                f"current_speed must be in [0, {self.max_speed}], got {self.current_speed}")
+            raise FieldError(
+                f"current_speed must be in [0, {self.max_speed}], got {self.current_speed}",
+                "current_speed")
 
 
 @dataclass
@@ -72,13 +72,14 @@ class Body:
     linear_drag: float = 0.0
 
     def __post_init__(self):
-        self.inertia_diagonal = as_vec3(self.inertia_diagonal, "inertia diagonal")
-        if not self.mass > 0.0:
-            raise ValueError(f"mass must be > 0, got {self.mass}")
+        self.inertia_diagonal = as_vec3(self.inertia_diagonal, "inertia diagonal",
+                                        "inertia_diagonal")
+        self.mass = positive(self.mass, "mass")
         if not np.all(self.inertia_diagonal > 0.0):
-            raise ValueError(f"inertia components must be > 0, got {self.inertia_diagonal.tolist()}")
-        if self.linear_drag < 0.0:
-            raise ValueError(f"linear_drag must be >= 0, got {self.linear_drag}")
+            raise FieldError(
+                f"inertia components must be > 0, got {self.inertia_diagonal.tolist()}",
+                "inertia_diagonal")
+        self.linear_drag = non_negative(self.linear_drag, "linear_drag")
 
 
 @dataclass
@@ -90,7 +91,8 @@ class Airframe:
 
     def __post_init__(self):
         if len(self.rotors) < 2:
-            raise ValueError(f"an airframe needs at least 2 rotors, got {len(self.rotors)}")
+            raise FieldError(f"an airframe needs at least 2 rotors, got {len(self.rotors)}",
+                             "rotors")
 
 
 def thrust_gain(rotor: Rotor, air_density: float) -> float:

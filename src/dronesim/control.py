@@ -25,7 +25,8 @@ import numpy as np
 
 from .airframe import Airframe, AirframeConstants, airframe_constants, allocate_speeds
 from .dynamics import DroneState
-from .frames import as_vec3, euler_to_quat, hamilton_product
+from .frames import (FieldError, as_float, as_vec3, euler_to_quat, hamilton_product,
+                     non_negative, positive)
 
 DEFAULT_POSITION_KP = 2.0
 DEFAULT_POSITION_KD = 2.8
@@ -46,12 +47,11 @@ class ControllerGains:
 
     def __post_init__(self):
         for name in ("position_kp", "position_kd", "attitude_kp", "attitude_kd"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            setattr(self, name, non_negative(getattr(self, name), name))
+        self.max_tilt = as_float(self.max_tilt, "max_tilt")
         if not 0.0 < self.max_tilt < math.pi / 2.0:
-            raise ValueError(f"max_tilt must be in (0, pi/2), got {self.max_tilt}")
-        if not self.capture_radius > 0.0:
-            raise ValueError(f"capture_radius must be > 0, got {self.capture_radius}")
+            raise FieldError(f"max_tilt must be in (0, pi/2), got {self.max_tilt}", "max_tilt")
+        self.capture_radius = positive(self.capture_radius, "capture_radius")
 
 
 @dataclass
@@ -62,9 +62,10 @@ class Setpoint:
     target_yaw: float = 0.0
 
     def __post_init__(self):
-        self.target_position = as_vec3(self.target_position, "target position")
+        self.target_position = as_vec3(self.target_position, "target position",
+                                       "target_position")
         if not math.isfinite(self.target_yaw):
-            raise ValueError("target_yaw must be finite")
+            raise FieldError("target_yaw must be finite", "target_yaw")
 
 
 def _clamp(value: float, limit: float) -> float:

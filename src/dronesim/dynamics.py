@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airframe import Airframe, AirframeConstants, airframe_constants, rotor_wrench
-from .frames import as_quat, as_vec3, quat_norm
+from .frames import FieldError, as_quat, as_vec3, quat_norm
 from .scenario import EnvironmentSample
 
 DEFAULT_TIME_STEP = 0.001
@@ -58,15 +58,16 @@ class DroneState:
     angular_velocity: np.ndarray
 
     def __post_init__(self):
-        self.position = as_vec3(self.position, "position")
-        self.velocity = as_vec3(self.velocity, "velocity")
-        self.orientation = as_quat(self.orientation, "orientation")
-        self.angular_velocity = as_vec3(self.angular_velocity, "angular_velocity")
+        self.position = as_vec3(self.position, "position", "position")
+        self.velocity = as_vec3(self.velocity, "velocity", "velocity")
+        self.orientation = as_quat(self.orientation, "orientation", "orientation")
+        self.angular_velocity = as_vec3(self.angular_velocity, "angular_velocity",
+                                        "angular_velocity")
         if not np.isfinite(self.t):
-            raise ValueError("t must be finite")
+            raise FieldError("t must be finite", "t")
         n = quat_norm(self.orientation)
         if abs(n - 1.0) > _ORIENTATION_NORM_TOL:
-            raise ValueError(f"orientation must be a unit quaternion, norm is {n}")
+            raise FieldError(f"orientation must be a unit quaternion, norm is {n}", "orientation")
 
     def copy(self) -> "DroneState":
         return DroneState(self.t, self.position.copy(), self.velocity.copy(),

@@ -32,14 +32,69 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([float(x), float(y), float(z)])
 
 
-def as_vec3(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float64 3-vector, raising ValueError otherwise."""
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must have exactly 3 components, got shape {arr.shape}")
+class FieldError(ValueError):
+    """A constructor argument that breaks its invariant.
+
+    ``field`` names it as a path relative to the object being built, such
+    as ``mass``, ``waypoints[1].id`` or ``drones[1].id`` (empty when the
+    object as a whole is at fault); ``str()`` is the diagnostic.
+    """
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field
+
+
+def first_repeat(items: list) -> int | None:
+    """Index of the first item equal to an earlier one, or None."""
+    seen = set()
+    for i, item in enumerate(items):
+        if item in seen:
+            return i
+        seen.add(item)
+    return None
+
+
+def as_float(value, field: str) -> float:
+    """Coerce to a Python float, raising FieldError when that cannot be done."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FieldError(f"{field} must be a number in float range", field) from None
+
+
+def positive(value, field: str) -> float:
+    """``value`` as a float that must be finite and > 0."""
+    x = as_float(value, field)
+    if not (math.isfinite(x) and x > 0.0):
+        raise FieldError(f"{field} must be finite and > 0, got {x}", field)
+    return x
+
+
+def non_negative(value, field: str) -> float:
+    """``value`` as a float that must be finite and >= 0."""
+    x = as_float(value, field)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise FieldError(f"{field} must be finite and >= 0, got {x}", field)
+    return x
+
+
+def _finite_array(v, size: int, name: str, field: str) -> np.ndarray:
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise FieldError(f"{name} must be {size} numbers in float range", field) from None
+    if arr.shape != (size,):
+        raise FieldError(f"{name} must have exactly {size} components, got shape {arr.shape}",
+                         field)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite components: {arr.tolist()}")
+        raise FieldError(f"{name} has non-finite components: {arr.tolist()}", field)
     return arr
+
+
+def as_vec3(v, name: str = "vector", field: str = "") -> np.ndarray:
+    """Coerce to a finite float64 3-vector, raising FieldError otherwise."""
+    return _finite_array(v, 3, name, field)
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +105,8 @@ def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def as_quat(q, name: str = "quaternion") -> np.ndarray:
-    arr = np.asarray(q, dtype=float)
-    if arr.shape != (4,):
-        raise ValueError(f"{name} must have exactly 4 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite components: {arr.tolist()}")
-    return arr
+def as_quat(q, name: str = "quaternion", field: str = "") -> np.ndarray:
+    return _finite_array(q, 4, name, field)
 
 
 def quat_norm(q) -> float:
@@ -213,14 +263,20 @@ class InertialFrame:
     axes: str = "ENU"
 
     def __post_init__(self):
-        if not (-90.0 <= self.latitude_deg <= 90.0):
-            raise ValueError(f"latitude must be in [-90, 90], got {self.latitude_deg}")
-        if not (-180.0 <= self.longitude_deg <= 180.0):
-            raise ValueError(f"longitude must be in [-180, 180], got {self.longitude_deg}")
-        if not math.isfinite(self.altitude_m):
-            raise ValueError("altitude must be finite")
+        lat = as_float(self.latitude_deg, "latitude_deg")
+        lon = as_float(self.longitude_deg, "longitude_deg")
+        alt = as_float(self.altitude_m, "altitude_m")
+        if not (-90.0 <= lat <= 90.0):
+            raise FieldError(f"latitude must be in [-90, 90], got {lat}", "latitude_deg")
+        if not (-180.0 <= lon <= 180.0):
+            raise FieldError(f"longitude must be in [-180, 180], got {lon}", "longitude_deg")
+        if not math.isfinite(alt):
+            raise FieldError("altitude must be finite", "altitude_m")
         if self.axes != "ENU":
-            raise ValueError(f"unsupported axes convention {self.axes!r}, only 'ENU'")
+            raise FieldError(f"unsupported axes convention {self.axes!r}, only 'ENU'", "axes")
+        object.__setattr__(self, "latitude_deg", lat)
+        object.__setattr__(self, "longitude_deg", lon)
+        object.__setattr__(self, "altitude_m", alt)
 
 
 def geo_project(frame: InertialFrame, p) -> tuple[float, float, float]:

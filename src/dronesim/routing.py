@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airframe import ConfigurationError
-from .frames import as_vec3
+from .frames import FieldError, as_float, as_vec3, first_repeat
 from .scenario import Box, segment_hits_box
 
 
@@ -48,8 +48,8 @@ class Waypoint:
 
     def __post_init__(self):
         if not self.id:
-            raise ValueError("waypoint id must be non-empty")
-        self.position = as_vec3(self.position, f"waypoint {self.id!r} position")
+            raise FieldError("waypoint id must be non-empty", "id")
+        self.position = as_vec3(self.position, f"waypoint {self.id!r} position", "position")
 
 
 @dataclass
@@ -63,12 +63,18 @@ class Mission:
 
     def __post_init__(self):
         ids = [w.id for w in self.waypoints]
-        if len(set(ids)) != len(ids):
+        repeat = first_repeat(ids)
+        if repeat is not None:
             dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"waypoint ids must be unique, duplicated: {dup}")
-        self.start_positions = [as_vec3(p, "start position") for p in self.start_positions]
+            raise FieldError(f"waypoint ids must be unique, duplicated: {dup}",
+                             f"waypoints[{repeat}].id")
+        self.start_positions = [as_vec3(p, "start position", f"start_positions[{i}]")
+                                for i, p in enumerate(self.start_positions)]
+        # infinite is allowed: no length budget
+        self.max_route_length = as_float(self.max_route_length, "max_route_length")
         if not self.max_route_length > 0.0:
-            raise ValueError(f"max_route_length must be > 0, got {self.max_route_length}")
+            raise FieldError(f"max_route_length must be > 0, got {self.max_route_length}",
+                             "max_route_length")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import InertialFrame, as_vec3
+from .frames import FieldError, InertialFrame, as_vec3, positive
 
 DEFAULT_GRAVITY = 9.81
 DEFAULT_AIR_DENSITY = 1.225
@@ -26,10 +26,8 @@ class Physics:
     air_density: float = DEFAULT_AIR_DENSITY
 
     def __post_init__(self):
-        if not self.gravity > 0.0:
-            raise ValueError(f"gravity must be > 0, got {self.gravity}")
-        if not self.air_density > 0.0:
-            raise ValueError(f"air_density must be > 0, got {self.air_density}")
+        self.gravity = positive(self.gravity, "gravity")
+        self.air_density = positive(self.air_density, "air_density")
 
 
 @dataclass
@@ -40,10 +38,10 @@ class Box:
     max_corner: np.ndarray
 
     def __post_init__(self):
-        self.min_corner = as_vec3(self.min_corner, "box min corner")
-        self.max_corner = as_vec3(self.max_corner, "box max corner")
+        self.min_corner = as_vec3(self.min_corner, "box min corner", "min_corner")
+        self.max_corner = as_vec3(self.max_corner, "box max corner", "max_corner")
         if np.any(self.min_corner > self.max_corner):
-            raise ValueError(
+            raise FieldError(
                 f"box min corner {self.min_corner.tolist()} exceeds "
                 f"max corner {self.max_corner.tolist()}")
 
@@ -56,7 +54,7 @@ class FlyingConditions:
     obstacles: list[Box] = field(default_factory=list)
 
     def __post_init__(self):
-        self.wind_velocity = as_vec3(self.wind_velocity, "wind velocity")
+        self.wind_velocity = as_vec3(self.wind_velocity, "wind velocity", "wind_velocity")
 
 
 @dataclass
@@ -69,12 +67,13 @@ class Scenario:
     recording_interval: float = 0.1
 
     def __post_init__(self):
-        if not self.reference_time_step > 0.0:
-            raise ValueError(f"reference_time_step must be > 0, got {self.reference_time_step}")
-        if not self.max_duration > 0.0:
-            raise ValueError(f"max_duration must be > 0, got {self.max_duration}")
-        if not self.recording_interval > 0.0:
-            raise ValueError(f"recording_interval must be > 0, got {self.recording_interval}")
+        self.reference_time_step = positive(self.reference_time_step, "reference_time_step")
+        self.max_duration = positive(self.max_duration, "max_duration")
+        self.recording_interval = positive(self.recording_interval, "recording_interval")
+        if self.recording_interval < self.reference_time_step:
+            raise FieldError(f"recording_interval must be >= reference_time_step "
+                             f"({self.reference_time_step}), got {self.recording_interval}",
+                             "recording_interval")
 
 
 @dataclass

@@ -3,11 +3,14 @@
 A scenario is a single versioned JSON document with sections for
 physics, flying conditions, the geodetic frame, the simulation clock,
 the drones (body, rotors, gains, start state) and an optional mission.
-Loading is strict: unknown keys are rejected, and every domain invariant
-is re-checked with a diagnostic naming the offending field path.
+Loading is strict and checks each thing in one place: the shipped JSON
+schema checks the document's structure (unknown keys are rejected), the
+constructors of the simulation objects check every value, and the
+loader maps the document onto those constructors and names the
+offending field by its document path.
 
 Three distinct, machine-readable failure kinds are raised:
-ScenarioParseError (unreadable or not JSON), ScenarioSchemaError
+ScenarioParseError (unreadable, not UTF-8 or not JSON), ScenarioSchemaError
 (structure does not match the shipped JSON schema), and
 ScenarioInvariantError (structurally valid but physically inconsistent
 values). All carry a ``path`` attribute pointing at the first offending
@@ -18,22 +21,36 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from .airframe import Airframe, Body, Rotor
 from .control import ControllerGains
 from .dynamics import DroneState
-from .frames import InertialFrame, quat_norm
+from .frames import FieldError, InertialFrame
 from .routing import Mission, Waypoint
 from .scenario import Box, FlyingConditions, Physics, Scenario
 from .swarm import (DEFAULT_MIN_SEPARATION, DEFAULT_RECORDING_INTERVAL, Drone,
                     Swarm)
 
 SCHEMA_VERSION = 1
+
+# Constructor fields whose document key differs, per class. The swarm is
+# built at the document root, so its key is a full path.
+_DOCUMENT_KEYS = {
+    Rotor: {"position_body": "position"},
+    Body: {"inertia_diagonal": "inertia"},
+    FlyingConditions: {"wind_velocity": "wind"},
+    Box: {"min_corner": "min", "max_corner": "max"},
+    Scenario: {"reference_time_step": "dt"},
+    Swarm: {"min_separation": "simulation.min_separation"},
+}
+
+_START_DEFAULTS = {"velocity": [0.0, 0.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0],
+                   "angular_velocity": [0.0, 0.0, 0.0]}
 
 
 class ScenarioError(Exception):
@@ -71,167 +88,33 @@ def bundled_scenario_path(name: str) -> Path:
     return path
 
 
-def _positive(data: dict, key: str, path: str, default=None) -> float:
-    value = float(data.get(key, default))
-    if not value > 0.0:
-        raise ScenarioInvariantError(f"must be > 0, got {value}", path=f"{path}.{key}")
-    return value
+def _build(cls, path: str, data: dict, **fields):
+    """``cls`` from the document object ``data`` at ``path``, plus ``fields``.
 
-
-def _non_negative(data: dict, key: str, path: str, default=None) -> float:
-    value = float(data.get(key, default))
-    if value < 0.0:
-        raise ScenarioInvariantError(f"must be >= 0, got {value}", path=f"{path}.{key}")
-    return value
-
-
-def _finite_vec(raw, path: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ScenarioInvariantError(f"components must be finite, got {raw}", path=path)
-    return arr
-
-
-def _build_physics(data: dict) -> Physics:
-    return Physics(
-        gravity=_positive(data, "gravity", "physics", Physics.gravity),
-        air_density=_positive(data, "air_density", "physics", Physics.air_density),
-    )
-
-
-def _build_conditions(data: dict) -> FlyingConditions:
-    wind = _finite_vec(data.get("wind", [0.0, 0.0, 0.0]), "flying_conditions.wind")
-    obstacles = []
-    for i, raw in enumerate(data.get("obstacles", [])):
-        path = f"flying_conditions.obstacles[{i}]"
-        lo = _finite_vec(raw["min"], f"{path}.min")
-        hi = _finite_vec(raw["max"], f"{path}.max")
-        if np.any(lo > hi):
-            raise ScenarioInvariantError(
-                f"min corner {lo.tolist()} exceeds max corner {hi.tolist()}", path=path)
-        obstacles.append(Box(lo, hi))
-    return FlyingConditions(wind_velocity=wind, obstacles=obstacles)
-
-
-def _build_frame(data: dict) -> InertialFrame:
-    lat = float(data["latitude_deg"])
-    lon = float(data["longitude_deg"])
-    alt = float(data.get("altitude_m", 0.0))
-    if not -90.0 <= lat <= 90.0:
-        raise ScenarioInvariantError(f"must be in [-90, 90], got {lat}",
-                                     path="inertial_frame.latitude_deg")
-    if not -180.0 <= lon <= 180.0:
-        raise ScenarioInvariantError(f"must be in [-180, 180], got {lon}",
-                                     path="inertial_frame.longitude_deg")
-    if not math.isfinite(alt):
-        raise ScenarioInvariantError("must be finite", path="inertial_frame.altitude_m")
-    return InertialFrame(lat, lon, alt)
-
-
-def _build_rotor(data: dict, path: str) -> Rotor:
-    max_speed = _positive(data, "max_speed", path)
-    current = _non_negative(data, "current_speed", path, 0.0)
-    if current > max_speed:
+    A FieldError from the constructor becomes a ScenarioInvariantError at
+    the document path of the offending field.
+    """
+    keys = _DOCUMENT_KEYS.get(cls, {})
+    renamed = {key: name for name, key in keys.items()}
+    try:
+        return cls(**{renamed.get(k, k): v for k, v in data.items()}, **fields)
+    except FieldError as err:
+        name, rest = re.match(r"(\w*)(.*)", err.field).groups()
+        field = keys.get(name, name) + rest
         raise ScenarioInvariantError(
-            f"must be <= max_speed {max_speed}, got {current}", path=f"{path}.current_speed")
-    return Rotor(
-        position_body=_finite_vec(data["position"], f"{path}.position"),
-        spin_direction=int(data["spin_direction"]),
-        disk_area=_positive(data, "disk_area", path),
-        thrust_coefficient=_positive(data, "thrust_coefficient", path),
-        torque_coefficient=_non_negative(data, "torque_coefficient", path),
-        max_speed=max_speed,
-        current_speed=current,
-    )
-
-
-def _build_body(data: dict, path: str) -> Body:
-    inertia = _finite_vec(data["inertia"], f"{path}.inertia")
-    if not np.all(inertia > 0.0):
-        raise ScenarioInvariantError(f"components must be > 0, got {inertia.tolist()}",
-                                     path=f"{path}.inertia")
-    return Body(
-        mass=_positive(data, "mass", path),
-        inertia_diagonal=inertia,
-        linear_drag=_non_negative(data, "linear_drag", path, 0.0),
-    )
-
-
-def _build_gains(data: dict, path: str) -> ControllerGains:
-    gains = ControllerGains()
-    kwargs = {}
-    for key in ("position_kp", "position_kd", "attitude_kp", "attitude_kd"):
-        kwargs[key] = _non_negative(data, key, path, getattr(gains, key))
-    max_tilt = float(data.get("max_tilt", gains.max_tilt))
-    if not 0.0 < max_tilt < math.pi / 2.0:
-        raise ScenarioInvariantError(f"must be in (0, pi/2), got {max_tilt}",
-                                     path=f"{path}.max_tilt")
-    kwargs["max_tilt"] = max_tilt
-    kwargs["capture_radius"] = _positive(data, "capture_radius", path, gains.capture_radius)
-    return ControllerGains(**kwargs)
-
-
-def _build_start_state(data: dict, path: str) -> DroneState:
-    orientation = _finite_vec(data.get("orientation", [1.0, 0.0, 0.0, 0.0]),
-                              f"{path}.orientation")
-    if orientation.shape != (4,):
-        raise ScenarioInvariantError("must have 4 components [w, x, y, z]",
-                                     path=f"{path}.orientation")
-    if abs(quat_norm(orientation) - 1.0) > 1e-6:
-        raise ScenarioInvariantError(
-            f"must be a unit quaternion, norm is {quat_norm(orientation)}",
-            path=f"{path}.orientation")
-    return DroneState(
-        t=0.0,
-        position=_finite_vec(data["position"], f"{path}.position"),
-        velocity=_finite_vec(data.get("velocity", [0.0, 0.0, 0.0]), f"{path}.velocity"),
-        orientation=orientation,
-        angular_velocity=_finite_vec(data.get("angular_velocity", [0.0, 0.0, 0.0]),
-                                     f"{path}.angular_velocity"),
-    )
+            str(err), path=".".join(p for p in (path, field) if p)) from err
 
 
 def _build_drone(data: dict, index: int) -> Drone:
     path = f"drones[{index}]"
-    if not data["id"]:
-        raise ScenarioInvariantError("must be non-empty", path=f"{path}.id")
-    rotors = [_build_rotor(r, f"{path}.rotors[{i}]") for i, r in enumerate(data["rotors"])]
-    return Drone(
-        id=data["id"],
-        airframe=Airframe(body=_build_body(data["body"], f"{path}.body"), rotors=rotors),
-        state=_build_start_state(data["start"], f"{path}.start"),
-        gains=_build_gains(data.get("gains", {}), f"{path}.gains"),
-        route=[],
-    )
-
-
-def _build_mission(data: dict | None, swarm: Swarm,
-                   conditions: FlyingConditions) -> Mission:
-    waypoints = []
-    seen = set()
-    if data is not None:
-        for i, raw in enumerate(data["waypoints"]):
-            path = f"mission.waypoints[{i}]"
-            if not raw["id"]:
-                raise ScenarioInvariantError("must be non-empty", path=f"{path}.id")
-            if raw["id"] in seen:
-                raise ScenarioInvariantError(f"duplicate waypoint id {raw['id']!r}",
-                                             path=f"{path}.id")
-            seen.add(raw["id"])
-            waypoints.append(Waypoint(
-                id=raw["id"],
-                position=_finite_vec(raw["position"], f"{path}.position"),
-                label=raw.get("label"),
-            ))
-        max_route_length = _positive(data, "max_route_length", "mission")
-    else:
-        max_route_length = math.inf
-    return Mission(
-        waypoints=waypoints,
-        start_positions=[d.state.position.copy() for d in swarm.drones],
-        max_route_length=max_route_length,
-        obstacles=list(conditions.obstacles),
-    )
+    rotors = [_build(Rotor, f"{path}.rotors[{i}]", r) for i, r in enumerate(data["rotors"])]
+    airframe = _build(Airframe, path, {}, body=_build(Body, f"{path}.body", data["body"]),
+                      rotors=rotors)
+    return _build(
+        Drone, path, {"id": data["id"]}, airframe=airframe,
+        state=_build(DroneState, f"{path}.start", _START_DEFAULTS | data["start"], t=0.0),
+        gains=_build(ControllerGains, f"{path}.gains", data.get("gains", {})),
+        route=[])
 
 
 def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
@@ -243,40 +126,37 @@ def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
         dotted = ".".join(str(p) for p in first.absolute_path) or "(document root)"
         raise ScenarioSchemaError(first.message, path=dotted)
 
+    section = data.get("flying_conditions", {})
+    obstacles = [_build(Box, f"flying_conditions.obstacles[{i}]", raw)
+                 for i, raw in enumerate(section.get("obstacles", []))]
+    conditions = _build(FlyingConditions, "flying_conditions", section | {"obstacles": obstacles})
     sim = data["simulation"]
-    dt = _positive(sim, "dt", "simulation")
-    tick = float(sim.get("reference_time_step", dt))
+    dt = sim["dt"]
+    scenario = _build(
+        Scenario, "simulation", {},
+        physics=_build(Physics, "physics", data.get("physics", {})),
+        conditions=conditions,
+        inertial_frame=_build(InertialFrame, "inertial_frame", data["inertial_frame"]),
+        reference_time_step=dt, max_duration=sim["max_duration"],
+        recording_interval=sim.get("recording_interval", max(DEFAULT_RECORDING_INTERVAL, dt)))
+    # the one check no constructor sees: the document's two names for the clock agree
+    tick = sim.get("reference_time_step", dt)
     if tick != dt:
         raise ScenarioInvariantError(
-            f"must equal dt ({dt}) — the swarm runs on one global clock, got {tick}",
-            path="simulation.reference_time_step")
-    max_duration = _positive(sim, "max_duration", "simulation")
-    recording_interval = _positive(sim, "recording_interval", "simulation",
-                                   max(DEFAULT_RECORDING_INTERVAL, dt))
-    if recording_interval < dt:
-        raise ScenarioInvariantError(
-            f"must be >= dt ({dt}), got {recording_interval}",
-            path="simulation.recording_interval")
-    min_separation = _non_negative(sim, "min_separation", "simulation",
-                                   DEFAULT_MIN_SEPARATION)
+            f"must equal dt ({scenario.reference_time_step}) — the swarm runs on one "
+            f"global clock, got {tick}", path="simulation.reference_time_step")
 
-    conditions = _build_conditions(data.get("flying_conditions", {}))
-    try:
-        scenario = Scenario(
-            physics=_build_physics(data.get("physics", {})),
-            conditions=conditions,
-            inertial_frame=_build_frame(data["inertial_frame"]),
-            reference_time_step=dt,
-            max_duration=max_duration,
-            recording_interval=recording_interval,
-        )
-        drones = [_build_drone(d, i) for i, d in enumerate(data["drones"])]
-        swarm = Swarm(drones=drones, min_separation=min_separation)
-    except ScenarioError:
-        raise
-    except ValueError as err:  # backstop: constructor invariants not caught above
-        raise ScenarioInvariantError(str(err)) from err
-    mission = _build_mission(data.get("mission"), swarm, conditions)
+    drones = [_build_drone(d, i) for i, d in enumerate(data["drones"])]
+    swarm = _build(Swarm, "", {}, drones=drones,
+                   min_separation=sim.get("min_separation", DEFAULT_MIN_SEPARATION))
+
+    section = data.get("mission", {"waypoints": [], "max_route_length": math.inf})
+    waypoints = [_build(Waypoint, f"mission.waypoints[{i}]", raw)
+                 for i, raw in enumerate(section["waypoints"])]
+    mission = _build(Mission, "mission", {"max_route_length": section["max_route_length"]},
+                     waypoints=waypoints,
+                     start_positions=[d.state.position.copy() for d in swarm.drones],
+                     obstacles=list(conditions.obstacles))
     return swarm, scenario, mission
 
 
@@ -290,11 +170,13 @@ def load_scenario(path) -> tuple[Swarm, Scenario, Mission]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ScenarioParseError(f"cannot read scenario file: {err}") from err
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError covers malformed JSON and integers too long to convert;
+        # RecursionError, arrays or objects nested too deep to decode
         raise ScenarioParseError(f"not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario document must be a JSON object")

@@ -33,6 +33,7 @@ from .airframe import Airframe, AirframeConstants, airframe_constants
 from .control import (ControllerGains, Setpoint, command_speeds,  # noqa: F401
                       compute_commands, within_capture)
 from .dynamics import DivergenceError, DroneState, rk4_step
+from .frames import FieldError, first_repeat, non_negative
 from .scenario import FlyingConditions, Scenario, point_in_obstacle, sample_environment
 
 WAYPOINT_REACHED = "waypoint_reached"
@@ -59,7 +60,7 @@ class Drone:
 
     def __post_init__(self):
         if not self.id:
-            raise ValueError("drone id must be non-empty")
+            raise FieldError("drone id must be non-empty", "id")
 
 
 @dataclass
@@ -69,13 +70,14 @@ class Swarm:
 
     def __post_init__(self):
         if not self.drones:
-            raise ValueError("a swarm needs at least one drone")
+            raise FieldError("a swarm needs at least one drone", "drones")
         ids = [d.id for d in self.drones]
-        if len(set(ids)) != len(ids):
+        repeat = first_repeat(ids)
+        if repeat is not None:
             dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"drone ids must be unique, duplicated: {dup}")
-        if self.min_separation < 0.0:
-            raise ValueError(f"min_separation must be >= 0, got {self.min_separation}")
+            raise FieldError(f"drone ids must be unique, duplicated: {dup}",
+                             f"drones[{repeat}].id")
+        self.min_separation = non_negative(self.min_separation, "min_separation")
 
 
 @dataclass

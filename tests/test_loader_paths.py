@@ -2,7 +2,8 @@
 
 Each case sets one field of the bundled ``two_drone_cross`` document to
 an invalid value and pins the ``ScenarioInvariantError.path`` the loader
-reports for it.
+reports for it. Files that cannot be parsed raise ScenarioParseError, and
+the constructors behind the loader raise FieldError naming the field.
 """
 
 import json
@@ -34,7 +35,8 @@ def set_field(doc, path, value):
 def case(field, value, expected=None):
     """One pinned case: set ``field`` to ``value``, expect ``expected``
     (by default the field itself) as the reported path."""
-    return pytest.param(field, value, expected or field, id=f"{field}={value!r}"[:80])
+    label = re.sub(r"\d{40,}", "1e400", f"{field}={value!r}")
+    return pytest.param(field, value, expected or field, id=label)
 
 
 PINNED = [
@@ -106,7 +108,46 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("field, value, expected", PINNED)
+# Values the loader used to accept or report without a path: NaN passed the
+# ">= 0" checks, infinity passed where a finite quantity is needed, and an
+# integer beyond float range or a repeated drone id escaped or lost its path.
+HUGE = 10 ** 400
+
+CLOSED = [
+    case("drones[0].rotors[0].torque_coefficient", NAN),
+    case("drones[0].body.linear_drag", NAN),
+    case("drones[0].gains.position_kp", NAN),
+    case("drones[0].gains.position_kd", NAN),
+    case("drones[1].gains.attitude_kp", NAN),
+    case("drones[1].gains.attitude_kd", NAN),
+    case("simulation.min_separation", NAN),
+    case("drones[0].rotors[0].current_speed", NAN),
+    case("physics.gravity", INF),
+    case("drones[0].body.mass", INF),
+    case("drones[0].body.linear_drag", INF),
+    case("drones[0].rotors[1].disk_area", INF),
+    case("drones[0].rotors[1].thrust_coefficient", INF),
+    case("drones[0].rotors[1].torque_coefficient", INF),
+    case("drones[0].rotors[1].max_speed", INF),
+    case("drones[0].gains.position_kp", INF),
+    case("drones[0].gains.capture_radius", INF),
+    case("simulation.dt", INF),
+    case("simulation.reference_time_step", INF),
+    case("simulation.max_duration", INF),
+    case("simulation.recording_interval", INF),
+    case("simulation.min_separation", INF),
+    case("drones[0].body.mass", HUGE),
+    case("drones[0].body.inertia", [0.01, HUGE, 0.02]),
+    case("drones[1].rotors[2].current_speed", HUGE),
+    case("inertial_frame.latitude_deg", HUGE),
+    case("inertial_frame.altitude_m", -HUGE),
+    case("simulation.max_duration", HUGE),
+    case("mission.max_route_length", HUGE),
+    case("drones[1].id", "east"),
+]
+
+
+@pytest.mark.parametrize("field, value, expected", PINNED + CLOSED)
 def test_invalid_value_is_reported_at_its_path(field, value, expected):
     data = fixture_dict()
     set_field(data, field, value)
@@ -114,3 +155,76 @@ def test_invalid_value_is_reported_at_its_path(field, value, expected):
         ds.scenario_from_dict(data)
     assert excinfo.value.path == expected
     assert str(excinfo.value).startswith(f"{expected}: ")
+
+
+def test_infinite_route_budget_stays_legal():
+    data = fixture_dict()
+    data["mission"]["max_route_length"] = INF
+    _, _, mission = ds.scenario_from_dict(data)
+    assert mission.max_route_length == INF
+
+
+def test_integer_beyond_float_range_in_a_file_names_its_path(tmp_path):
+    text = ds.bundled_scenario_path("hover.json").read_text()
+    data = json.loads(text)
+    data["drones"][0]["body"]["mass"] = HUGE
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ds.ScenarioInvariantError) as excinfo:
+        ds.load_scenario(path)
+    assert excinfo.value.path == "drones[0].body.mass"
+
+
+def test_integer_too_long_to_parse_is_a_scenario_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"version": 1' + "0" * 5000 + "}")
+    # a parse error where Python limits int conversion (3.11, late 3.10)
+    with pytest.raises(ds.ScenarioError):
+        ds.load_scenario(path)
+
+
+def test_deeply_nested_document_is_a_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ds.ScenarioParseError):
+        ds.load_scenario(path)
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"version": 1, "note": "caf\xe9"}')
+    with pytest.raises(ds.ScenarioParseError):
+        ds.load_scenario(path)
+
+
+# --- the constructors name the offending field ------------------------------
+
+def test_constructors_raise_field_errors():
+    with pytest.raises(ds.FieldError) as excinfo:
+        ds.Body(mass=INF, inertia_diagonal=[0.01, 0.01, 0.02])
+    assert excinfo.value.field == "mass"
+    assert str(excinfo.value) == "mass must be finite and > 0, got inf"
+    with pytest.raises(ds.FieldError) as excinfo:
+        ds.Mission(waypoints=[ds.Waypoint("a", [0, 0, 0]), ds.Waypoint("b", [1, 0, 0]),
+                              ds.Waypoint("a", [2, 0, 0])],
+                   start_positions=[[0, 0, 0]], max_route_length=INF)
+    assert excinfo.value.field == "waypoints[2].id"
+    assert isinstance(excinfo.value, ValueError)
+
+
+def test_scenario_recording_interval_covers_its_time_step():
+    parts = dict(physics=ds.Physics(), conditions=ds.FlyingConditions(),
+                 inertial_frame=ds.InertialFrame(41.1, 16.9))
+    ds.Scenario(**parts, reference_time_step=0.01, recording_interval=0.01)
+    with pytest.raises(ds.FieldError) as excinfo:
+        ds.Scenario(**parts, reference_time_step=0.01, recording_interval=0.005)
+    assert excinfo.value.field == "recording_interval"
+
+
+def test_constructors_store_floats():
+    rotor = ds.Rotor(position_body=[0, 1, 0], spin_direction=1, disk_area=1,
+                     thrust_coefficient=1, torque_coefficient=0, max_speed=1000)
+    assert all(type(getattr(rotor, name)) is float for name in
+               ("disk_area", "thrust_coefficient", "torque_coefficient", "max_speed",
+                "current_speed"))
+    assert type(ds.InertialFrame(45, 9).latitude_deg) is float
