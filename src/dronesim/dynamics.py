@@ -20,12 +20,12 @@ values and rotors' ``current_speed``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .airframe import Airframe, AirframeConstants, airframe_constants, rotor_wrench
-from .frames import FieldError, as_quat, as_vec3, quat_norm
+from .frames import FieldError, as_quat, as_vec3, quat_identity, quat_norm
 from .scenario import EnvironmentSample
 
 DEFAULT_TIME_STEP = 0.001
@@ -48,14 +48,15 @@ class DroneState:
     """Full kinematic state of one drone at time t.
 
     position/velocity are in the world frame, angular_velocity in the
-    body frame, orientation the body-to-world unit quaternion.
+    body frame, orientation the body-to-world unit quaternion. A state
+    given only t and position is at rest and level.
     """
 
     t: float
     position: np.ndarray
-    velocity: np.ndarray
-    orientation: np.ndarray
-    angular_velocity: np.ndarray
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    orientation: np.ndarray = field(default_factory=quat_identity)
+    angular_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         self.position = as_vec3(self.position, "position", "position")

@@ -12,7 +12,7 @@ vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,13 +31,7 @@ class MetricsReport:
     skipped_drones: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "rmse_m": self.rmse_m,
-            "route_length_flown_m": self.route_length_flown_m,
-            "waypoint_capture_times_s": self.waypoint_capture_times_s,
-            "event_counts": self.event_counts,
-            "skipped_drones": self.skipped_drones,
-        }
+        return asdict(self)
 
 
 def point_segment_distance(p, a, b) -> float:

@@ -3,13 +3,16 @@
 A scenario bundles everything the drones fly inside of: gravity and air
 density, a uniform constant wind, obstacles as axis-aligned boxes, the
 geodetic anchor of the world frame, and the global time step that keeps
-the whole swarm on one clock. Sampling the environment is a function of
-(position, time) so that non-uniform fields can land later without
-signature changes, even though this release returns constants.
+the whole swarm on one clock. The constructors hold every default and
+check every value; a scenario file only overrides them. Sampling the
+environment is a function of (position, time) so that non-uniform fields
+can land later without signature changes, even though this release
+returns constants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +21,7 @@ from .frames import FieldError, InertialFrame, as_vec3, positive
 
 DEFAULT_GRAVITY = 9.81
 DEFAULT_AIR_DENSITY = 1.225
+DEFAULT_RECORDING_INTERVAL = 0.1
 
 
 @dataclass
@@ -57,23 +61,48 @@ class FlyingConditions:
         self.wind_velocity = as_vec3(self.wind_velocity, "wind velocity", "wind_velocity")
 
 
+def _finite_ticks(value: float, reference_time_step: float, field: str) -> float:
+    if not math.isfinite(value / reference_time_step):
+        raise FieldError(f"{field} must span a finite number of reference time steps "
+                         f"({reference_time_step}), got {value}", field)
+    return value
+
+
+def check_recording_interval(value, reference_time_step: float) -> float:
+    """``value`` as a float spanning at least one and a finite number of
+    ``reference_time_step`` ticks; raises FieldError otherwise."""
+    interval = positive(value, "recording_interval")
+    if interval < reference_time_step:
+        raise FieldError(f"recording_interval must be >= reference_time_step "
+                         f"({reference_time_step}), got {interval}", "recording_interval")
+    return _finite_ticks(interval, reference_time_step, "recording_interval")
+
+
 @dataclass
 class Scenario:
+    """The world the swarm flies in and its clock.
+
+    ``max_duration`` and ``recording_interval`` must each span a finite
+    number of ``reference_time_step`` ticks, and ``recording_interval``
+    at least one; it defaults to ``max(DEFAULT_RECORDING_INTERVAL,
+    reference_time_step)``.
+    """
+
     physics: Physics
     conditions: FlyingConditions
     inertial_frame: InertialFrame
     reference_time_step: float = 0.001
     max_duration: float = 60.0
-    recording_interval: float = 0.1
+    recording_interval: float | None = None
 
     def __post_init__(self):
         self.reference_time_step = positive(self.reference_time_step, "reference_time_step")
-        self.max_duration = positive(self.max_duration, "max_duration")
-        self.recording_interval = positive(self.recording_interval, "recording_interval")
-        if self.recording_interval < self.reference_time_step:
-            raise FieldError(f"recording_interval must be >= reference_time_step "
-                             f"({self.reference_time_step}), got {self.recording_interval}",
-                             "recording_interval")
+        dt = self.reference_time_step
+        self.max_duration = _finite_ticks(positive(self.max_duration, "max_duration"), dt,
+                                          "max_duration")
+        if self.recording_interval is None:
+            self.recording_interval = max(DEFAULT_RECORDING_INTERVAL, dt)
+        self.recording_interval = check_recording_interval(self.recording_interval, dt)
 
 
 @dataclass

@@ -5,20 +5,24 @@ physics, flying conditions, the geodetic frame, the simulation clock,
 the drones (body, rotors, gains, start state) and an optional mission.
 Loading is strict and checks each thing in one place: the shipped JSON
 schema checks the document's structure (unknown keys are rejected), the
-constructors of the simulation objects check every value, and the
-loader maps the document onto those constructors and names the
-offending field by its document path.
+constructors of the simulation objects check every value and hold every
+default, and the loader maps the document onto those constructors and
+names the offending field by its document path. One table of the keys
+whose document name differs from the constructor field serves both
+reading and writing.
 
 Three distinct, machine-readable failure kinds are raised:
 ScenarioParseError (unreadable, not UTF-8 or not JSON), ScenarioSchemaError
 (structure does not match the shipped JSON schema), and
 ScenarioInvariantError (structurally valid but physically inconsistent
 values). All carry a ``path`` attribute pointing at the first offending
-field.
+field, in one notation with list indices in brackets, such as
+``drones[0].rotors[1].max_speed``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -26,6 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from .airframe import Airframe, Body, Rotor
 from .control import ControllerGains
@@ -33,13 +38,12 @@ from .dynamics import DroneState
 from .frames import FieldError, InertialFrame
 from .routing import Mission, Waypoint
 from .scenario import Box, FlyingConditions, Physics, Scenario
-from .swarm import (DEFAULT_MIN_SEPARATION, DEFAULT_RECORDING_INTERVAL, Drone,
-                    Swarm)
+from .swarm import Drone, Swarm
 
 SCHEMA_VERSION = 1
 
-# Constructor fields whose document key differs, per class. The swarm is
-# built at the document root, so its key is a full path.
+# Constructor fields whose document key differs, per class, for reading and
+# for writing. The swarm is built at the document root, so its key is a full path.
 _DOCUMENT_KEYS = {
     Rotor: {"position_body": "position"},
     Body: {"inertia_diagonal": "inertia"},
@@ -49,8 +53,8 @@ _DOCUMENT_KEYS = {
     Swarm: {"min_separation": "simulation.min_separation"},
 }
 
-_START_DEFAULTS = {"velocity": [0.0, 0.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0],
-                   "angular_velocity": [0.0, 0.0, 0.0]}
+# Constructor fields a document does not hold
+_UNWRITTEN = {InertialFrame: ("axes",), DroneState: ("t",)}
 
 
 class ScenarioError(Exception):
@@ -112,9 +116,8 @@ def _build_drone(data: dict, index: int) -> Drone:
                       rotors=rotors)
     return _build(
         Drone, path, {"id": data["id"]}, airframe=airframe,
-        state=_build(DroneState, f"{path}.start", _START_DEFAULTS | data["start"], t=0.0),
-        gains=_build(ControllerGains, f"{path}.gains", data.get("gains", {})),
-        route=[])
+        state=_build(DroneState, f"{path}.start", data["start"], t=0.0),
+        gains=_build(ControllerGains, f"{path}.gains", data.get("gains", {})))
 
 
 def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
@@ -123,32 +126,32 @@ def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
         first = jsonschema.exceptions.best_match(errors)
-        dotted = ".".join(str(p) for p in first.absolute_path) or "(document root)"
-        raise ScenarioSchemaError(first.message, path=dotted)
+        path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                       for p in first.absolute_path).removeprefix(".")
+        raise ScenarioSchemaError(first.message, path=path or "(document root)")
 
     section = data.get("flying_conditions", {})
     obstacles = [_build(Box, f"flying_conditions.obstacles[{i}]", raw)
                  for i, raw in enumerate(section.get("obstacles", []))]
     conditions = _build(FlyingConditions, "flying_conditions", section | {"obstacles": obstacles})
-    sim = data["simulation"]
-    dt = sim["dt"]
+    # dt, max_duration and recording_interval belong to the scenario, min_separation
+    # to the swarm; a missing one takes its constructor's default
+    clock = dict(data["simulation"])
+    tick = clock.pop("reference_time_step", clock["dt"])
+    spacing = {k: clock.pop(k) for k in ["min_separation"] if k in clock}
     scenario = _build(
-        Scenario, "simulation", {},
+        Scenario, "simulation", clock,
         physics=_build(Physics, "physics", data.get("physics", {})),
         conditions=conditions,
-        inertial_frame=_build(InertialFrame, "inertial_frame", data["inertial_frame"]),
-        reference_time_step=dt, max_duration=sim["max_duration"],
-        recording_interval=sim.get("recording_interval", max(DEFAULT_RECORDING_INTERVAL, dt)))
+        inertial_frame=_build(InertialFrame, "inertial_frame", data["inertial_frame"]))
     # the one check no constructor sees: the document's two names for the clock agree
-    tick = sim.get("reference_time_step", dt)
-    if tick != dt:
+    if tick != clock["dt"]:
         raise ScenarioInvariantError(
             f"must equal dt ({scenario.reference_time_step}) — the swarm runs on one "
             f"global clock, got {tick}", path="simulation.reference_time_step")
 
     drones = [_build_drone(d, i) for i, d in enumerate(data["drones"])]
-    swarm = _build(Swarm, "", {}, drones=drones,
-                   min_separation=sim.get("min_separation", DEFAULT_MIN_SEPARATION))
+    swarm = _build(Swarm, "", spacing, drones=drones)
 
     section = data.get("mission", {"waypoints": [], "max_route_length": math.inf})
     waypoints = [_build(Waypoint, f"mission.waypoints[{i}]", raw)
@@ -183,8 +186,24 @@ def load_scenario(path) -> tuple[Swarm, Scenario, Mission]:
     return scenario_from_dict(data)
 
 
-def _vec_list(arr) -> list[float]:
-    return [float(x) for x in arr]
+def _to_document(value):
+    """``value`` in document form.
+
+    A constructor object becomes a document object holding its fields
+    under their ``_DOCUMENT_KEYS`` names, less the ``_UNWRITTEN`` ones and
+    any that are None (a waypoint without a label); arrays become lists.
+    """
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_to_document(v) for v in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    keys = _DOCUMENT_KEYS.get(type(value), {})
+    skip = _UNWRITTEN.get(type(value), ())
+    fields = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    return {keys.get(name, name): _to_document(v) for name, v in fields
+            if v is not None and name not in skip}
 
 
 def scenario_to_dict(swarm: Swarm, scenario: Scenario, mission: Mission) -> dict:
@@ -193,79 +212,29 @@ def scenario_to_dict(swarm: Swarm, scenario: Scenario, mission: Mission) -> dict
     Writes every field explicitly (defaults included), so serializing,
     loading, and serializing again produces an identical document.
     """
+    tick = scenario.reference_time_step
     doc = {
         "version": SCHEMA_VERSION,
-        "physics": {
-            "gravity": scenario.physics.gravity,
-            "air_density": scenario.physics.air_density,
-        },
-        "flying_conditions": {
-            "wind": _vec_list(scenario.conditions.wind_velocity),
-            "obstacles": [
-                {"min": _vec_list(b.min_corner), "max": _vec_list(b.max_corner)}
-                for b in scenario.conditions.obstacles
-            ],
-        },
-        "inertial_frame": {
-            "latitude_deg": scenario.inertial_frame.latitude_deg,
-            "longitude_deg": scenario.inertial_frame.longitude_deg,
-            "altitude_m": scenario.inertial_frame.altitude_m,
-        },
+        "physics": _to_document(scenario.physics),
+        "flying_conditions": _to_document(scenario.conditions),
+        "inertial_frame": _to_document(scenario.inertial_frame),
         "simulation": {
-            "dt": scenario.reference_time_step,
-            "reference_time_step": scenario.reference_time_step,
+            _DOCUMENT_KEYS[Scenario]["reference_time_step"]: tick,
+            "reference_time_step": tick,
             "max_duration": scenario.max_duration,
             "recording_interval": scenario.recording_interval,
             "min_separation": swarm.min_separation,
         },
         "drones": [
-            {
-                "id": d.id,
-                "body": {
-                    "mass": d.airframe.body.mass,
-                    "inertia": _vec_list(d.airframe.body.inertia_diagonal),
-                    "linear_drag": d.airframe.body.linear_drag,
-                },
-                "rotors": [
-                    {
-                        "position": _vec_list(r.position_body),
-                        "spin_direction": r.spin_direction,
-                        "disk_area": r.disk_area,
-                        "thrust_coefficient": r.thrust_coefficient,
-                        "torque_coefficient": r.torque_coefficient,
-                        "max_speed": r.max_speed,
-                        "current_speed": r.current_speed,
-                    }
-                    for r in d.airframe.rotors
-                ],
-                "gains": {
-                    "position_kp": d.gains.position_kp,
-                    "position_kd": d.gains.position_kd,
-                    "attitude_kp": d.gains.attitude_kp,
-                    "attitude_kd": d.gains.attitude_kd,
-                    "max_tilt": d.gains.max_tilt,
-                    "capture_radius": d.gains.capture_radius,
-                },
-                "start": {
-                    "position": _vec_list(d.state.position),
-                    "velocity": _vec_list(d.state.velocity),
-                    "orientation": [float(x) for x in d.state.orientation],
-                    "angular_velocity": _vec_list(d.state.angular_velocity),
-                },
-            }
+            {"id": d.id, "body": _to_document(d.airframe.body),
+             "rotors": _to_document(d.airframe.rotors), "gains": _to_document(d.gains),
+             "start": _to_document(d.state)}
             for d in swarm.drones
         ],
     }
     if mission.waypoints or math.isfinite(mission.max_route_length):
-        block: dict = {
-            "waypoints": [
-                {"id": w.id, "position": _vec_list(w.position)}
-                | ({"label": w.label} if w.label is not None else {})
-                for w in mission.waypoints
-            ],
-            "max_route_length": mission.max_route_length,
-        }
-        doc["mission"] = block
+        doc["mission"] = {"waypoints": _to_document(mission.waypoints),
+                          "max_route_length": mission.max_route_length}
     return doc
 
 

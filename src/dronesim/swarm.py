@@ -34,7 +34,8 @@ from .control import (ControllerGains, Setpoint, command_speeds,  # noqa: F401
                       compute_commands, within_capture)
 from .dynamics import DivergenceError, DroneState, rk4_step
 from .frames import FieldError, first_repeat, non_negative
-from .scenario import FlyingConditions, Scenario, point_in_obstacle, sample_environment
+from .scenario import (DEFAULT_RECORDING_INTERVAL, FlyingConditions, Scenario,
+                       check_recording_interval, point_in_obstacle, sample_environment)
 
 WAYPOINT_REACHED = "waypoint_reached"
 SEPARATION_VIOLATION = "separation_violation"
@@ -47,7 +48,6 @@ EVENT_KINDS = (WAYPOINT_REACHED, SEPARATION_VIOLATION, OBSTACLE_COLLISION,
                GROUND_CONTACT, MISSION_COMPLETE, DIVERGENCE)
 
 DEFAULT_MIN_SEPARATION = 2.0
-DEFAULT_RECORDING_INTERVAL = 0.1
 
 
 @dataclass
@@ -173,19 +173,18 @@ def simulate(swarm: Swarm, scenario: Scenario,
              parallel: bool = False) -> Trajectory:
     """Run the swarm until every drone finished or max_duration elapses.
 
-    States are recorded every ``recording_interval`` (which must be at
-    least the reference time step). Tick k is time ``k * dt`` exactly,
-    so every sample and event time is an exact tick multiple; every
-    drone starts at t = 0 and the ``t`` of its initial state is not
-    used. Drones step one after another; the result is deterministic:
-    the same swarm and scenario give a bit-identical trajectory.
-    ``parallel`` is accepted and ignored. The swarm and its drones,
-    airframes, states and routes are left unchanged.
+    States are recorded every ``recording_interval``, which must span at
+    least one and a finite number of reference time steps. Tick k is
+    time ``k * dt`` exactly, so every sample and event time is an exact
+    tick multiple; every drone starts at t = 0 and the ``t`` of its
+    initial state is not used. Drones step one after another; the
+    result is deterministic: the same swarm and scenario give a
+    bit-identical trajectory. ``parallel`` is accepted and ignored. The
+    swarm and its drones, airframes, states and routes are left
+    unchanged.
     """
     dt = scenario.reference_time_step
-    if recording_interval < dt:
-        raise ValueError(
-            f"recording_interval {recording_interval} must be >= reference_time_step {dt}")
+    recording_interval = check_recording_interval(recording_interval, dt)
     record_every = max(1, round(recording_interval / dt))
     n_ticks = max(1, round(scenario.max_duration / dt))
 

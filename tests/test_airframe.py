@@ -147,6 +147,28 @@ def test_allocate_wrench_round_trip_on_demands():
         assert np.max(np.abs(produced - demand)) <= 1e-9 * max(1.0, float(np.linalg.norm(demand)))
 
 
+def test_allocation_matrix_maps_squared_speeds_to_the_wrench():
+    rng = np.random.default_rng(41)
+    # the reference quad and a seeded irregular hexacopter
+    hexa = ds.Airframe(
+        body=ds.Body(1.5, ds.vec3(0.02, 0.02, 0.04)),
+        rotors=[ds.Rotor(position_body=rng.normal(scale=0.3, size=3),
+                         spin_direction=(-1) ** i,
+                         disk_area=float(rng.uniform(0.02, 0.1)),
+                         thrust_coefficient=float(rng.uniform(5e-5, 2e-4)),
+                         torque_coefficient=float(rng.uniform(1e-7, 5e-6)),
+                         max_speed=1200.0) for i in range(6)])
+    for craft in (build_reference_craft(), hexa):
+        matrix = ds.allocation_matrix(craft, AIR_DENSITY)
+        for _ in range(100):
+            speeds = rng.uniform(0.0, 1000.0, len(craft.rotors))
+            ds.set_rotor_speeds(craft, speeds)
+            force, torque = ds.net_wrench(craft, AIR_DENSITY)
+            wrench = np.array([force[2], *torque])
+            error = np.linalg.norm(matrix @ speeds**2 - wrench)
+            assert error <= 1e-9 * np.linalg.norm(wrench)
+
+
 def test_airframe_requires_two_rotors():
     rotor = ds.Rotor(ds.vec3(0.2, 0.0, 0.0), 1, 0.05, 1e-4, 1e-6, 1000.0)
     with pytest.raises(ValueError):

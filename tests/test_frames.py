@@ -26,6 +26,14 @@ def test_rotate_inverse_round_trip():
         assert np.max(np.abs(back - v)) < 1e-12 * max(1.0, float(np.linalg.norm(v)))
 
 
+def test_quat_to_matrix_rotates_like_rotate():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        q = rng.normal(size=4)  # both normalise their quaternion
+        v = rng.normal(size=3) * 10.0
+        assert np.max(np.abs(ds.quat_to_matrix(q) @ v - ds.rotate(q, v))) < 1e-12
+
+
 def test_rotate_preserves_norm():
     rng = np.random.default_rng(11)
     for _ in range(500):

@@ -51,8 +51,17 @@ def test_unknown_top_level_key_rejected(tmp_path):
 def test_unknown_nested_key_rejected(tmp_path):
     data = load_fixture_dict("hover.json")
     data["drones"][0]["body"]["weight"] = 1.0
-    with pytest.raises(ds.ScenarioSchemaError):
+    with pytest.raises(ds.ScenarioSchemaError) as excinfo:
         ds.load_scenario(write_scenario(tmp_path, data))
+    assert excinfo.value.path == "drones[0].body"
+
+
+def test_schema_error_path_indexes_lists_like_invariant_errors(tmp_path):
+    data = load_fixture_dict("hover.json")
+    data["drones"][0]["rotors"][1]["max_speed"] = "fast"
+    with pytest.raises(ds.ScenarioSchemaError) as excinfo:
+        ds.load_scenario(write_scenario(tmp_path, data))
+    assert excinfo.value.path == "drones[0].rotors[1].max_speed"
 
 
 def test_parse_errors_are_distinct(tmp_path):
@@ -69,7 +78,7 @@ def test_schema_violation_reports_path(tmp_path):
     data["drones"][0]["rotors"] = data["drones"][0]["rotors"][:1]  # below minItems
     with pytest.raises(ds.ScenarioSchemaError) as excinfo:
         ds.load_scenario(write_scenario(tmp_path, data))
-    assert "rotors" in excinfo.value.path
+    assert excinfo.value.path == "drones[0].rotors"
 
 
 def test_mismatched_reference_time_step_rejected(tmp_path):

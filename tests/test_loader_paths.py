@@ -144,6 +144,9 @@ CLOSED = [
     case("simulation.max_duration", HUGE),
     case("mission.max_route_length", HUGE),
     case("drones[1].id", "east"),
+    # finite, but too many ticks of dt to count
+    case("simulation.max_duration", 1e308),
+    case("simulation.recording_interval", 1e308),
 ]
 
 
@@ -219,6 +222,9 @@ def test_scenario_recording_interval_covers_its_time_step():
     with pytest.raises(ds.FieldError) as excinfo:
         ds.Scenario(**parts, reference_time_step=0.01, recording_interval=0.005)
     assert excinfo.value.field == "recording_interval"
+    # the default is 0.1 s, or one step when the step is longer
+    assert ds.Scenario(**parts, reference_time_step=0.01).recording_interval == 0.1
+    assert ds.Scenario(**parts, reference_time_step=0.2).recording_interval == 0.2
 
 
 def test_constructors_store_floats():

@@ -198,8 +198,10 @@ def test_divergent_drone_is_isolated():
 
 def test_recording_interval_must_cover_time_step():
     drone = make_drone("a", (0, 0, 5))
-    with pytest.raises(ValueError):
-        ds.simulate(ds.Swarm([drone]), calm_scenario(dt=0.01), recording_interval=0.001)
+    # 1e308 covers the step but spans more ticks of 0.01 than a float counts
+    for interval in (0.001, 1e308):
+        with pytest.raises(ValueError):
+            ds.simulate(ds.Swarm([drone]), calm_scenario(dt=0.01), recording_interval=interval)
 
 
 def test_swarm_validation():
