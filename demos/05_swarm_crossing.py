@@ -18,7 +18,7 @@ routes_from_plan(swarm, mission, plan)
 for drone, route in zip(swarm.drones, plan.routes):
     print(f"{drone.id}: start {drone.state.position.tolist()} -> {route}")
 
-trajectory = ds.simulate(swarm, scenario, scenario.recording_interval)
+trajectory = ds.simulate(swarm, scenario)
 
 print(f"\nsimulated {trajectory.samples['east'][-1].t:.2f} s on a "
       f"{scenario.reference_time_step * 1000:.0f} ms tick")

@@ -23,7 +23,7 @@ routes_from_plan(swarm, mission, plan)
 print("planned visiting order:", " -> ".join(plan.routes[0]),
       f"({plan.total_length:.2f} m)")
 
-trajectory = ds.simulate(swarm, scenario, scenario.recording_interval)
+trajectory = ds.simulate(swarm, scenario)
 drone = swarm.drones[0]
 print(f"flew {trajectory.samples[drone.id][-1].t:.1f} s, "
       f"{len(trajectory.samples[drone.id])} samples, "

@@ -85,8 +85,7 @@ def _cmd_simulate(args) -> int:
         if drone.route:
             reference[drone.id] = [Setpoint(drone.state.position.copy())] + drone.route
 
-    trajectory = simulate(swarm, scenario, scenario.recording_interval,
-                          parallel=args.parallel)
+    trajectory = simulate(swarm, scenario, parallel=args.parallel)
 
     if args.format == "geojson":
         export_geojson(trajectory, scenario.inertial_frame, args.out)

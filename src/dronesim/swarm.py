@@ -34,8 +34,8 @@ from .control import (ControllerGains, Setpoint, command_speeds,  # noqa: F401
                       compute_commands, within_capture)
 from .dynamics import DivergenceError, DroneState, rk4_step
 from .frames import FieldError, first_repeat, non_negative
-from .scenario import (DEFAULT_RECORDING_INTERVAL, FlyingConditions, Scenario,
-                       check_recording_interval, point_in_obstacle, sample_environment)
+from .scenario import (FlyingConditions, Scenario, check_recording_interval,
+                       point_in_obstacle, sample_environment)
 
 WAYPOINT_REACHED = "waypoint_reached"
 SEPARATION_VIOLATION = "separation_violation"
@@ -169,12 +169,13 @@ def _start(drone: Drone, air_density: float) -> _DroneRun:
 
 
 def simulate(swarm: Swarm, scenario: Scenario,
-             recording_interval: float = DEFAULT_RECORDING_INTERVAL,
+             recording_interval: float | None = None,
              parallel: bool = False) -> Trajectory:
     """Run the swarm until every drone finished or max_duration elapses.
 
-    States are recorded every ``recording_interval``, which must span at
-    least one and a finite number of reference time steps. Tick k is
+    States are recorded every ``recording_interval``, by default the
+    scenario's; it must span at least one and a finite number of
+    reference time steps. Tick k is
     time ``k * dt`` exactly, so every sample and event time is an exact
     tick multiple; every drone starts at t = 0 and the ``t`` of its
     initial state is not used. Drones step one after another; the
@@ -184,6 +185,8 @@ def simulate(swarm: Swarm, scenario: Scenario,
     unchanged.
     """
     dt = scenario.reference_time_step
+    if recording_interval is None:
+        recording_interval = scenario.recording_interval
     recording_interval = check_recording_interval(recording_interval, dt)
     record_every = max(1, round(recording_interval / dt))
     n_ticks = max(1, round(scenario.max_duration / dt))

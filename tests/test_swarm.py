@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -202,6 +203,17 @@ def test_recording_interval_must_cover_time_step():
     for interval in (0.001, 1e308):
         with pytest.raises(ValueError):
             ds.simulate(ds.Swarm([drone]), calm_scenario(dt=0.01), recording_interval=interval)
+
+
+def test_recording_interval_defaults_to_the_scenarios():
+    # a coarse clock whose recording interval is its own step, under the
+    # 0.1 s that the scenario would default to for a finer step
+    scenario = dataclasses.replace(calm_scenario(), reference_time_step=0.2,
+                                   max_duration=2.0, recording_interval=None)
+    assert scenario.recording_interval == 0.2
+    drone = make_drone("a", (0, 0, 5), route=[(0, 0, 50)])
+    trajectory = ds.simulate(ds.Swarm([drone]), scenario)
+    assert [s.t for s in trajectory.samples["a"]] == [k * 0.2 for k in range(11)]
 
 
 def test_swarm_validation():
