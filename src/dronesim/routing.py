@@ -7,11 +7,17 @@ scale:
 
 * assignment: angular sweep around the centroid of the drone start
   positions, contiguous arcs balanced to within one waypoint;
-* ordering: nearest-neighbor construction (one run from the drone start
-  plus one anchored restart per waypoint), each descended with
-  interleaved 2-opt segment reversals and 1-3 waypoint block
-  relocations until no move improves; the shortest result wins. Every
-  returned route is 2-opt locally optimal.
+* ordering: one table of pairwise distances per route, built once
+  (node 0 the drone start, nodes 1..k the waypoints in id order), on
+  which every step below runs. Nearest-neighbor construction (one run
+  from the drone start plus one restart anchored on each waypoint, in
+  id order; the lower node wins a distance tie), each descended with a
+  first-improvement 2-opt pass and then alternating 1-3 waypoint block
+  relocations (Or-opt) and 2-opt passes until a round changes nothing.
+  A move is taken only if it shortens the route by more than 1e-12 m.
+  The shortest result wins, the lower id sequence breaking length ties.
+  Every returned route is locally optimal: no segment reversal and no
+  relocation of a block of 1-3 consecutive waypoints shortens it.
 * feasibility: a plan is flagged infeasible (never repaired) when a
   drone's route exceeds its length budget or a leg crosses an obstacle.
 
@@ -130,25 +136,37 @@ def _sweep_partition(mission: Mission) -> list[list[Waypoint]]:
     return assigned
 
 
-def _nearest_neighbor(start, wps: list[Waypoint],
-                      first: Waypoint | None = None) -> list[Waypoint]:
-    """Greedy construction, optionally anchored on a forced first visit."""
-    remaining = sorted(wps, key=lambda w: w.id)
-    route: list[Waypoint] = []
-    current = start
+def _distance_table(points) -> list[list[float]]:
+    """``_dist`` between every pair of ``points``, as plain floats.
+
+    ``_dist`` is symmetric bit for bit, so one triangle fills the table.
+    """
+    table = [[0.0] * len(points) for _ in points]
+    for a in range(len(points)):
+        for b in range(a + 1, len(points)):
+            table[a][b] = table[b][a] = _dist(points[a], points[b])
+    return table
+
+
+def _nearest_neighbor(table: list[list[float]], first: int | None = None) -> list[int]:
+    """Greedy construction from node 0, optionally anchored on a forced first visit."""
+    remaining = list(range(1, len(table)))
+    route: list[int] = []
+    current = 0
     if first is not None:
         remaining.remove(first)
         route.append(first)
-        current = first.position
+        current = first
     while remaining:
-        best = min(remaining, key=lambda w: (_dist(current, w.position), w.id))
+        # remaining stays ascending, so min keeps the lowest node on ties
+        best = min(remaining, key=table[current].__getitem__)
         remaining.remove(best)
         route.append(best)
-        current = best.position
+        current = best
     return route
 
 
-def _two_opt(start, route: list[Waypoint]) -> list[Waypoint]:
+def _two_opt(table: list[list[float]], route: list[int]) -> list[int]:
     """Reverse-segment descent on an open path until no move improves it."""
     route = list(route)
     k = len(route)
@@ -158,23 +176,23 @@ def _two_opt(start, route: list[Waypoint]) -> list[Waypoint]:
     while improved:
         improved = False
         for i in range(k - 1):
-            prev = start if i == 0 else route[i - 1].position
+            from_prev = table[0 if i == 0 else route[i - 1]]
             for j in range(i + 1, k):
                 # reversing route[i..j] only swaps the two boundary legs;
                 # the final leg is absent because the path does not close
-                old = _dist(prev, route[i].position)
-                new = _dist(prev, route[j].position)
+                old = from_prev[route[i]]
+                new = from_prev[route[j]]
                 if j < k - 1:
-                    after = route[j + 1].position
-                    old += _dist(route[j].position, after)
-                    new += _dist(route[i].position, after)
+                    after = route[j + 1]
+                    old += table[route[j]][after]
+                    new += table[route[i]][after]
                 if new < old - 1e-12:
                     route[i:j + 1] = reversed(route[i:j + 1])
                     improved = True
     return route
 
 
-def _or_opt(start, route: list[Waypoint]) -> list[Waypoint]:
+def _or_opt(table: list[list[float]], route: list[int]) -> list[int]:
     """Relocate blocks of 1-3 consecutive waypoints while that shortens."""
     route = list(route)
     improved = True
@@ -187,19 +205,22 @@ def _or_opt(start, route: list[Waypoint]) -> list[Waypoint]:
             for i in range(k - size + 1):
                 block = route[i:i + size]
                 rest = route[:i] + route[i + size:]
-                prev = start if i == 0 else route[i - 1].position
-                removal_gain = _dist(prev, block[0].position)
+                # the table is symmetric: one row holds the legs to and from a node
+                head, tail = table[block[0]], table[block[-1]]
+                prev = 0 if i == 0 else route[i - 1]
+                removal_gain = head[prev]
                 if i + size < k:
-                    after = route[i + size].position
-                    removal_gain += _dist(block[-1].position, after) - _dist(prev, after)
-                for j in range(len(rest) + 1):
+                    after = route[i + size]
+                    removal_gain += tail[after] - table[prev][after]
+                last = len(rest)
+                for j in range(last + 1):
                     if j == i:
                         continue
-                    ins_prev = start if j == 0 else rest[j - 1].position
-                    insertion_cost = _dist(ins_prev, block[0].position)
-                    if j < len(rest):
-                        nxt = rest[j].position
-                        insertion_cost += _dist(block[-1].position, nxt) - _dist(ins_prev, nxt)
+                    ins_prev = 0 if j == 0 else rest[j - 1]
+                    insertion_cost = head[ins_prev]
+                    if j < last:
+                        nxt = rest[j]
+                        insertion_cost += tail[nxt] - table[ins_prev][nxt]
                     if insertion_cost < removal_gain - 1e-12:
                         route = rest[:j] + block + rest[j:]
                         improved = True
@@ -212,27 +233,32 @@ def _or_opt(start, route: list[Waypoint]) -> list[Waypoint]:
 
 
 def _order_route(start, wps: list[Waypoint]) -> list[Waypoint]:
-    """Best route over the multi-start descents, ids breaking length ties."""
+    """Best route over the multi-start descents, ids breaking length ties.
+
+    The search runs on node numbers into one distance table: node 0 is
+    the start and nodes 1..k are the waypoints in id order, so comparing
+    node sequences compares id sequences.
+    """
     if len(wps) < 2:
         return list(wps)
-    candidates = [_nearest_neighbor(start, wps)]
-    candidates += [_nearest_neighbor(start, wps, first=w)
-                   for w in sorted(wps, key=lambda w: w.id)]
+    by_id = sorted(wps, key=lambda w: w.id)
+    table = _distance_table([start] + [w.position for w in by_id])
     best_key: tuple | None = None
-    best_route: list[Waypoint] | None = None
-    for candidate in candidates:
-        route = _two_opt(start, candidate)
+    for first in [None, *range(1, len(table))]:
+        route = _two_opt(table, _nearest_neighbor(table, first))
         while True:
-            relocated = _two_opt(start, _or_opt(start, route))
-            if [w.id for w in relocated] == [w.id for w in route]:
+            relocated = _two_opt(table, _or_opt(table, route))
+            if relocated == route:
                 break
             route = relocated
-        key = (route_length(start, route), tuple(w.id for w in route))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_route = route
-    assert best_route is not None
-    return best_route
+        # summed leg by leg from 0.0, as route_length does: the same float
+        length = 0.0
+        for a, b in zip([0] + route, route):
+            length += table[a][b]
+        if best_key is None or (length, route) < best_key:
+            best_key = (length, route)
+    assert best_key is not None
+    return [by_id[node - 1] for node in best_key[1]]
 
 
 def _leg_violations(mission: Mission, drone_idx: int, route: list[Waypoint]) -> list[str]:
@@ -272,7 +298,7 @@ def optimize(mission: Mission) -> RoutePlan:
     """Sweep-partition the waypoints, then locally optimize each route.
 
     Deterministic given the mission (including list order); every route
-    in the result is 2-opt locally optimal. Raises ConfigurationError
+    in the result is 2-opt and Or-opt locally optimal. Raises ConfigurationError
     for a mission with no drones; an empty waypoint set yields a trivial
     feasible plan.
     """
@@ -314,18 +340,13 @@ def brute_force_optimize(mission: Mission) -> RoutePlan:
             f"{', '.join(f'{v} waypoints for {k} drone(s)' for k, v in _BRUTE_FORCE_LIMITS.items())}; "
             f"got {count} waypoints for {n} drone(s)")
 
-    positions = [w.position for w in wps]
-    starts = mission.start_positions
-    dist = [[_dist(a, b) for b in positions] for a in positions]
-    start_dist = [[_dist(s, p) for p in positions] for s in starts]
+    # nodes 0..n-1 are the drone starts, n..n+count-1 the waypoints in id order
+    points = list(mission.start_positions) + [w.position for w in wps]
+    dist = _distance_table(points)
     obstacles = mission.obstacles
     if obstacles:
-        leg_blocked = [[any(segment_hits_box(box, positions[i], positions[j])
-                            for box in obstacles) for j in range(count)]
-                       for i in range(count)]
-        start_blocked = [[any(segment_hits_box(box, starts[d], positions[j])
-                              for box in obstacles) for j in range(count)]
-                         for d in range(n)]
+        blocked = [[any(segment_hits_box(box, a, b) for box in obstacles) for b in points]
+                   for a in points]
 
     def splits(total: int):
         # all ways to cut a permutation into n consecutive (possibly
@@ -338,7 +359,7 @@ def brute_force_optimize(mission: Mission) -> RoutePlan:
 
     best_key: tuple | None = None
     best_pick: tuple | None = None
-    for perm in itertools.permutations(range(count)):
+    for perm in itertools.permutations(range(n, n + count)):
         for sizes in splits(count):
             total = 0.0
             feasible = True
@@ -347,12 +368,12 @@ def brute_force_optimize(mission: Mission) -> RoutePlan:
                 if size == 0:
                     continue
                 first = perm[cursor]
-                length = start_dist[drone_idx][first]
-                if obstacles and start_blocked[drone_idx][first]:
+                length = dist[drone_idx][first]
+                if obstacles and blocked[drone_idx][first]:
                     feasible = False
                 for k in range(cursor, cursor + size - 1):
                     length += dist[perm[k]][perm[k + 1]]
-                    if obstacles and leg_blocked[perm[k]][perm[k + 1]]:
+                    if obstacles and blocked[perm[k]][perm[k + 1]]:
                         feasible = False
                 cursor += size
                 if length > mission.max_route_length:
@@ -369,6 +390,6 @@ def brute_force_optimize(mission: Mission) -> RoutePlan:
     best_routes = []
     cursor = 0
     for size in sizes:
-        best_routes.append([wps[perm[k]] for k in range(cursor, cursor + size)])
+        best_routes.append([wps[perm[k] - n] for k in range(cursor, cursor + size)])
         cursor += size
     return _finish_plan(mission, best_routes)

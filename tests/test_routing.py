@@ -31,6 +31,18 @@ def assert_two_opt_optimal(start, route):
             assert ds.route_length(start, candidate) >= base - 1e-9
 
 
+def assert_or_opt_optimal(start, route):
+    """Move every block of 1-3 consecutive waypoints to every other place in
+    the route, keeping its direction: none of these may shorten the route."""
+    base = ds.route_length(start, route)
+    for size in (1, 2, 3):
+        for i in range(len(route) - size + 1):
+            block, rest = route[i:i + size], route[:i] + route[i + size:]
+            for j in range(len(rest) + 1):
+                candidate = rest[:j] + block + rest[j:]
+                assert ds.route_length(start, candidate) >= base - 1e-9
+
+
 def test_route_length_empty():
     assert ds.route_length(ds.vec3(0, 0, 0), []) == 0.0
 
@@ -79,6 +91,19 @@ def test_optimized_routes_are_two_opt_locally_optimal():
         plan = ds.optimize(mission)
         route = reorder(plan, mission)[0]
         assert_two_opt_optimal(mission.start_positions[0], route)
+
+
+def test_optimized_routes_are_or_opt_locally_optimal():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        drones = int(rng.integers(1, 4))
+        mission = ds.Mission(
+            waypoints=make_waypoints(rng.uniform(-30, 30, (int(rng.integers(15, 31)), 3))),
+            start_positions=[rng.uniform(-30, 30, 3) for _ in range(drones)],
+            max_route_length=1e9)
+        plan = ds.optimize(mission)
+        for start, route in zip(mission.start_positions, reorder(plan, mission)):
+            assert_or_opt_optimal(start, route)
 
 
 def test_partition_covers_every_waypoint_exactly_once():
