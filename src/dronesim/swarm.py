@@ -175,14 +175,13 @@ def simulate(swarm: Swarm, scenario: Scenario,
 
     States are recorded every ``recording_interval``, by default the
     scenario's; it must span at least one and a finite number of
-    reference time steps. Tick k is
-    time ``k * dt`` exactly, so every sample and event time is an exact
-    tick multiple; every drone starts at t = 0 and the ``t`` of its
-    initial state is not used. Drones step one after another; the
-    result is deterministic: the same swarm and scenario give a
-    bit-identical trajectory. ``parallel`` is accepted and ignored. The
-    swarm and its drones, airframes, states and routes are left
-    unchanged.
+    reference time steps. Tick k is time ``k * dt`` exactly, so every
+    sample and event time is an exact tick multiple; every drone starts
+    at t = 0 and the ``t`` of its initial state is not used. Drones step
+    one after another; the result is deterministic: the same swarm and
+    scenario give a bit-identical trajectory. ``parallel`` is accepted
+    and ignored. The swarm and its drones, airframes, states and routes
+    are left unchanged.
     """
     dt = scenario.reference_time_step
     if recording_interval is None:

@@ -74,7 +74,8 @@ def survey_mission(seed: int, drones: int, count: int) -> ds.Mission:
         r, c = divmod(k, cols)
         x = east0 + 15.0 * (c + layout.uniform(-0.3, 0.3))
         y = north0 + 15.0 * (r + layout.uniform(-0.3, 0.3))
-        waypoints.append(ds.Waypoint(f"wp{labels[k]:03d}", [x, y, 10.0 + layout.uniform(-1.0, 1.0)]))
+        z = 10.0 + layout.uniform(-1.0, 1.0)
+        waypoints.append(ds.Waypoint(f"wp{labels[k]:03d}", [x, y, z]))
     rng.shuffle(waypoints)
     far_x = east0 + 15.0 * cols
     far_y = north0 + 15.0 * rows
