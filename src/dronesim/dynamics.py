@@ -43,6 +43,14 @@ class DivergenceError(Exception):
         self.t = t
 
 
+def check_unit_orientation(q) -> None:
+    """Raise FieldError unless the finite quaternion q is a unit quaternion
+    to within the tolerance every constructed state is held to."""
+    n = quat_norm(q)
+    if abs(n - 1.0) > _ORIENTATION_NORM_TOL:
+        raise FieldError(f"orientation must be a unit quaternion, norm is {n}", "orientation")
+
+
 @dataclass
 class DroneState:
     """Full kinematic state of one drone at time t.
@@ -66,9 +74,7 @@ class DroneState:
                                         "angular_velocity")
         if not np.isfinite(self.t):
             raise FieldError("t must be finite", "t")
-        n = quat_norm(self.orientation)
-        if abs(n - 1.0) > _ORIENTATION_NORM_TOL:
-            raise FieldError(f"orientation must be a unit quaternion, norm is {n}", "orientation")
+        check_unit_orientation(self.orientation)
 
     def copy(self) -> "DroneState":
         return DroneState(self.t, self.position.copy(), self.velocity.copy(),

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
-import numpy as np
-
-from .dynamics import DroneState
-from .frames import InertialFrame, geo_project
+from .dynamics import DroneState, check_unit_orientation
+from .frames import FieldError, InertialFrame, geo_project
 from .swarm import SimEvent, Trajectory
 
 CSV_FIELDS = ("drone_id", "t", "px", "py", "pz", "vx", "vy", "vz",
@@ -106,24 +105,37 @@ def export_csv(trajectory: Trajectory, path) -> None:
 
 
 def load_csv(path) -> Trajectory:
-    """Read a trajectory CSV back into states (events are not stored in CSV)."""
+    """Read a trajectory CSV back into states (events are not stored in CSV).
+
+    Every row must hold the 15 columns of the header, finite numbers and
+    a unit quaternion, as :class:`DroneState` requires; otherwise a
+    ValueError (a FieldError naming the column for a bad value) gives the
+    CSV line number.
+    """
     samples: dict[str, list[DroneState]] = {}
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != list(CSV_FIELDS):
-            raise ValueError(f"unexpected CSV header: {header}")
+            raise ValueError(f"CSV line 1: unexpected CSV header: {header}")
         for row in reader:
             if not row:
                 continue
-            drone_id = row[0]
-            values = [float(x) for x in row[1:]]
-            state = DroneState(
-                t=values[0],
-                position=np.array(values[1:4]),
-                velocity=np.array(values[4:7]),
-                orientation=np.array(values[7:11]),
-                angular_velocity=np.array(values[11:14]),
-            )
-            samples.setdefault(drone_id, []).append(state)
+            line = reader.line_num
+            if len(row) != len(CSV_FIELDS):
+                raise ValueError(f"CSV line {line}: expected {len(CSV_FIELDS)} columns, "
+                                 f"got {len(row)}")
+            try:
+                values = [float(v) for v in row[1:]]
+            except ValueError as err:
+                raise ValueError(f"CSV line {line}: {err}") from None
+            if not all(map(math.isfinite, values)):
+                name, value = next((n, v) for n, v in zip(CSV_FIELDS[1:], values)
+                                   if not math.isfinite(v))
+                raise FieldError(f"CSV line {line}: {name} must be finite, got {value}", name)
+            try:
+                check_unit_orientation(values[7:11])
+            except FieldError as err:
+                raise FieldError(f"CSV line {line}: {err}", err.field) from None
+            samples.setdefault(row[0], []).append(DroneState.from_checked(values[0], values[1:]))
     return Trajectory(samples=samples, events=[])

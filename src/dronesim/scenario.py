@@ -125,18 +125,27 @@ def sample_environment(scenario: Scenario, position, t: float) -> EnvironmentSam
     )
 
 
+def box_bounds(box: Box) -> tuple[float, float, float, float, float, float]:
+    """The box as plain floats ``(lx, ly, lz, hx, hy, hz)``, for :func:`inside_any`."""
+    return (*box.min_corner.tolist(), *box.max_corner.tolist())
+
+
+def inside_any(bounds, x: float, y: float, z: float) -> bool:
+    """True iff the finite point (x, y, z) lies inside (inclusive) any of
+    the boxes given by :func:`box_bounds`; the caller has checked the point."""
+    for lx, ly, lz, hx, hy, hz in bounds:
+        if lx <= x <= hx and ly <= y <= hy and lz <= z <= hz:
+            return True
+    return False
+
+
 def point_in_box(box: Box, p) -> bool:
-    p = as_vec3(p, "point")
-    return bool(np.all(p >= box.min_corner) and np.all(p <= box.max_corner))
+    return inside_any((box_bounds(box),), *as_vec3(p, "point").tolist())
 
 
 def point_in_obstacle(conditions: FlyingConditions, p) -> bool:
     """True iff p lies inside (inclusive) any obstacle box."""
-    p = as_vec3(p, "point")
-    for box in conditions.obstacles:
-        if np.all(p >= box.min_corner) and np.all(p <= box.max_corner):
-            return True
-    return False
+    return inside_any(map(box_bounds, conditions.obstacles), *as_vec3(p, "point").tolist())
 
 
 def segment_hits_box(box: Box, a, b) -> bool:

@@ -237,6 +237,41 @@ def test_csv_uses_nine_significant_digits(tmp_path):
     assert row[2] == "1234.56789"
 
 
+def csv_with_third_row(tmp_path, cells):
+    # a valid three-sample file whose third row (CSV line 4) is replaced
+    out = tmp_path / "bad.csv"
+    ds.export_csv(stationary_trajectory(n=3), out)
+    lines = out.read_text().splitlines()
+    lines[3] = ",".join(cells)
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+GOOD_ROW = ["alpha", "0.2", "1", "2", "3", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("cells, error, message", [
+    (GOOD_ROW + ["7", "8"], ValueError, "CSV line 4: expected 15 columns, got 17"),
+    (GOOD_ROW[:13], ValueError, "CSV line 4: expected 15 columns, got 13"),
+    (GOOD_ROW[:4] + ["nan"] + GOOD_ROW[5:], ds.FieldError, "CSV line 4: pz must be finite"),
+    (GOOD_ROW[:1] + ["inf"] + GOOD_ROW[2:], ds.FieldError, "CSV line 4: t must be finite"),
+    (GOOD_ROW[:8] + ["2"] + GOOD_ROW[9:], ds.FieldError,
+     "CSV line 4: orientation must be a unit quaternion, norm is 2.0"),
+    (GOOD_ROW[:6] + ["fast"] + GOOD_ROW[7:], ValueError, "CSV line 4: could not convert"),
+])
+def test_load_csv_rejects_a_bad_row_naming_its_line(tmp_path, cells, error, message):
+    with pytest.raises(error, match=message):
+        ds.load_csv(csv_with_third_row(tmp_path, cells))
+
+
+def test_load_csv_accepts_a_quaternion_within_the_state_tolerance(tmp_path):
+    cells = GOOD_ROW[:8] + ["1.0000009"] + GOOD_ROW[9:]
+    loaded = ds.load_csv(csv_with_third_row(tmp_path, cells))
+    assert loaded.samples["alpha"][2].orientation.tolist() == [1.0000009, 0.0, 0.0, 0.0]
+    with pytest.raises(ds.FieldError, match="norm is 1.000002"):
+        ds.load_csv(csv_with_third_row(tmp_path, GOOD_ROW[:8] + ["1.000002"] + GOOD_ROW[9:]))
+
+
 # --- metrics ----------------------------------------------------------------
 
 def straight_reference():
