@@ -4,20 +4,33 @@ A scenario is a single versioned JSON document with sections for
 physics, flying conditions, the geodetic frame, the simulation clock,
 the drones (body, rotors, gains, start state) and an optional mission.
 Loading is strict and checks each thing in one place: the shipped JSON
-schema checks the document's structure (unknown keys are rejected), the
+schema states the document's structure (unknown keys are rejected), the
 constructors of the simulation objects check every value and hold every
 default, and the loader maps the document onto those constructors and
 names the offending field by its document path. One table of the keys
 whose document name differs from the constructor field serves both
 reading and writing.
 
+The structure is checked by a small walk of the schema, read once at
+import, not by a JSON Schema library. The walk interprets the keywords
+the schema uses, with Draft 2020-12 meaning: ``type`` (only a dict is an
+object, only a list an array, and a bool is never a number), ``const``
+and ``enum`` (a bool never equals a number), ``required``,
+``properties`` with ``additionalProperties``, ``items``, ``minItems``,
+``maxItems`` and ``$ref`` into ``$defs``. A schema holding any other
+keyword makes the import fail, so the file stays the one statement of
+the format and none of its rules is skipped.
+
 Three distinct, machine-readable failure kinds are raised:
 ScenarioParseError (unreadable, not UTF-8 or not JSON), ScenarioSchemaError
 (structure does not match the shipped JSON schema), and
 ScenarioInvariantError (structurally valid but physically inconsistent
-values). All carry a ``path`` attribute pointing at the first offending
-field, in one notation with list indices in brackets, such as
-``drones[0].rotors[1].max_speed``.
+values). All carry a ``path`` attribute pointing at the offending field,
+in one notation with list indices in brackets, such as
+``drones[0].rotors[1].max_speed``. Of several structure errors the
+shallowest is reported, and of those the first in document order; at
+one object a missing key comes before an unknown one, and the message
+names the key.
 """
 
 from __future__ import annotations
@@ -29,7 +42,6 @@ import re
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .airframe import Airframe, Body, Rotor
@@ -83,6 +95,90 @@ def schema() -> dict:
     return json.loads(text)
 
 
+# Schema keywords the structure check interprets, and those that state no
+# rule of their own ($defs is reached through $ref). A schema holding any
+# other keyword fails the import, so the file cannot state a rule the loader
+# skips.
+_INTERPRETED = {"type", "const", "enum", "required", "properties", "additionalProperties",
+                "items", "minItems", "maxItems", "$ref"}
+_ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
+
+# The JSON types the schema may name, as the Draft 2020-12 type checker sees
+# them: only a dict is an object and only a list an array. A bool is none of
+# them, although Python makes it an int.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float)}
+
+
+def _prepared(node: dict, definitions: dict) -> tuple:
+    """Schema ``node`` as the tuple ``_structure_errors`` walks, refs resolved.
+
+    Raises ValueError on any keyword or value the walk would not
+    interpret; ``definitions`` are the schema's ``$defs``.
+    """
+    if not isinstance(node, dict):
+        raise ValueError(f"scenario schema nodes must be objects, got {node!r}")
+    unknown = sorted(node.keys() - _INTERPRETED - _ANNOTATIONS)
+    if unknown:
+        raise ValueError(f"scenario schema keywords the loader does not check: {unknown}")
+    if "$ref" in node:
+        prefix, _, name = node["$ref"].partition("#/$defs/")
+        if len(node) > 1 or prefix or name not in definitions:
+            raise ValueError(f"scenario schema $ref must stand alone and name a $defs "
+                             f"entry: {node}")
+        return _prepared(definitions[name], definitions)
+    kind = node.get("type")
+    extra = node.get("additionalProperties", True)
+    if (kind not in (None, *_TYPES) or not isinstance(extra, bool)
+            or {"const", "enum"} <= node.keys()):
+        raise ValueError(f"scenario schema holds values the loader does not check: {node}")
+    for sub in node.get("$defs", {}).values():
+        _prepared(sub, definitions)
+    return (_TYPES.get(kind), kind, [node["const"]] if "const" in node else node.get("enum"),
+            node.get("required", ()), not extra,
+            {key: _prepared(sub, definitions) for key, sub in node.get("properties", {}).items()},
+            _prepared(node["items"], definitions) if "items" in node else None,
+            node.get("minItems", 0), node.get("maxItems", math.inf))
+
+
+def _same(value, constant) -> bool:
+    """JSON equality of a document value and a schema constant: a bool never
+    equals a number."""
+    return isinstance(value, bool) == isinstance(constant, bool) and value == constant
+
+
+def _structure_errors(node: tuple, value, path: tuple, errors: list) -> None:
+    """Append ``(path, message)`` for each way ``value`` breaks schema ``node``.
+
+    Errors come in document order; at one object its missing keys come
+    before its unknown keys.
+    """
+    types, kind, allowed, required, closed, properties, items, min_items, max_items = node
+    if types and (not isinstance(value, types) or isinstance(value, bool)):
+        errors.append((path, f"must be of type {kind}, got {type(value).__name__}"))
+    if allowed is not None and not any(_same(value, c) for c in allowed):
+        errors.append((path, f"must be {' or '.join(map(repr, allowed))}, got {value!r}"))
+    if isinstance(value, dict):
+        errors += [(path, f"missing required key {key!r}") for key in required
+                   if key not in value]
+        for key, item in value.items():
+            if key in properties:
+                _structure_errors(properties[key], item, path + (key,), errors)
+            elif closed:
+                errors.append((path, f"unknown key {key!r}"))
+    elif isinstance(value, list):
+        if len(value) < min_items:
+            errors.append((path, f"must hold at least {min_items} items, got {len(value)}"))
+        if len(value) > max_items:
+            errors.append((path, f"must hold at most {max_items} items, got {len(value)}"))
+        if items is not None:
+            for i, item in enumerate(value):
+                _structure_errors(items, item, path + (i,), errors)
+
+
+_SCHEMA = schema()
+_ROOT = _prepared(_SCHEMA, _SCHEMA.get("$defs", {}))
+
+
 def bundled_scenario_path(name: str) -> Path:
     """Filesystem path of a shipped example scenario (e.g. 'hover.json')."""
     path = Path(str(resources.files("dronesim").joinpath("data/scenarios", name)))
@@ -122,13 +218,12 @@ def _build_drone(data: dict, index: int) -> Drone:
 
 def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
     """Validate a parsed document and build the simulation objects."""
-    validator = jsonschema.Draft202012Validator(schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+    errors = []
+    _structure_errors(_ROOT, data, (), errors)
     if errors:
-        first = jsonschema.exceptions.best_match(errors)
-        path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
-                       for p in first.absolute_path).removeprefix(".")
-        raise ScenarioSchemaError(first.message, path=path or "(document root)")
+        path, message = min(errors, key=lambda error: len(error[0]))
+        text = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise ScenarioSchemaError(message, path=text.removeprefix(".") or "(document root)")
 
     section = data.get("flying_conditions", {})
     obstacles = [_build(Box, f"flying_conditions.obstacles[{i}]", raw)

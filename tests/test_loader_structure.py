@@ -1,0 +1,205 @@
+"""The loader's structure check against the shipped schema.
+
+The loader checks a document's structure with its own walk of
+``scenario.schema.json`` and never imports ``jsonschema`` at run time.
+``jsonschema`` stays a test dependency to check the walk against: both
+accept and reject the same documents, and where both reject, the loader
+reports one of ``jsonschema``'s shallowest error paths. Among several
+errors the loader reports the shallowest, then the first in document
+order, whichever ``jsonschema`` version is installed.
+"""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import jsonschema
+import pytest
+from hypothesis import given, settings
+
+import dronesim as ds
+from dronesim import scenario_io
+
+from test_loader_properties import BUNDLED, MUTATIONS, PATHS, PROPERTY, mutate, \
+    scenario_documents
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import crossing_document, survey_document  # noqa: E402
+
+VALIDATOR = jsonschema.Draft202012Validator(scenario_io.schema())
+
+
+def path_text(path) -> str:
+    text = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    return text.removeprefix(".") or "(document root)"
+
+
+def loader_path(document):
+    """The path of the loader's schema error, or None when it has none."""
+    try:
+        ds.scenario_from_dict(document)
+    except ds.ScenarioSchemaError as err:
+        return err.path
+    except ds.ScenarioError:
+        pass
+    return None
+
+
+def agrees_with_jsonschema(document) -> bool:
+    """Whether the loader rejects ``document`` for its structure exactly when
+    jsonschema does, at one of jsonschema's shallowest error paths."""
+    errors = list(VALIDATOR.iter_errors(document))
+    path = loader_path(document)
+    if not errors:
+        return path is None
+    depth = min(len(e.absolute_path) for e in errors)
+    return path in {path_text(e.absolute_path) for e in errors if len(e.absolute_path) == depth}
+
+
+def test_every_single_mutation_of_the_bundled_scenarios_agrees():
+    texts = {name: json.dumps(document) for name, document in BUNDLED.items()}
+    for name, path in PATHS:
+        for mutation in MUTATIONS:
+            document = json.loads(texts[name])
+            mutate(document, path, mutation)
+            assert agrees_with_jsonschema(document), (name, path, mutation)
+    assert len(PATHS) * len(MUTATIONS) == 5250
+
+
+@pytest.mark.parametrize("seed", [1, 7, 104729])
+def test_perfbench_documents_agree(seed):
+    documents = [crossing_document(seed)[0], survey_document(seed, 1, 30),
+                 survey_document(seed, 4, 96)]
+    for document in documents:
+        assert not list(VALIDATOR.iter_errors(document))
+        assert loader_path(document) is None
+
+
+@settings(PROPERTY, max_examples=30)
+@given(scenario_documents())
+def test_generated_valid_scenarios_agree(document):
+    assert not list(VALIDATOR.iter_errors(document))
+    assert loader_path(document) is None
+
+
+# --- which of several errors is reported ------------------------------------
+
+def two_drone_cross():
+    return copy.deepcopy(BUNDLED["two_drone_cross.json"])
+
+
+def schema_error(document) -> ds.ScenarioSchemaError:
+    with pytest.raises(ds.ScenarioSchemaError) as excinfo:
+        ds.scenario_from_dict(document)
+    return excinfo.value
+
+
+def test_first_of_sibling_errors_is_reported():
+    document = two_drone_cross()
+    document["drones"] = [1.0, 2.0]
+    assert schema_error(document).path == "drones[0]"
+    document = two_drone_cross()
+    for rotor in (1, 3):
+        document["drones"][0]["rotors"][rotor]["max_speed"] = "fast"
+    assert schema_error(document).path == "drones[0].rotors[1].max_speed"
+
+
+def test_missing_key_is_reported_before_an_unknown_key_beside_it():
+    document = two_drone_cross()
+    body = document["drones"][1]["body"]
+    body["weight"] = body.pop("mass")
+    err = schema_error(document)
+    assert err.path == "drones[1].body"
+    assert str(err) == "drones[1].body: missing required key 'mass'"
+    del document["drones"][1]["body"]["inertia"]
+    document["drones"][1]["body"]["mass"] = 1.0
+    assert str(schema_error(document)) == "drones[1].body: missing required key 'inertia'"
+    document["drones"][1]["body"]["inertia"] = [0.01, 0.01, 0.02]
+    assert str(schema_error(document)) == "drones[1].body: unknown key 'weight'"
+
+
+def test_shallowest_error_is_reported_before_an_earlier_deeper_one():
+    document = two_drone_cross()
+    document["drones"][0]["rotors"][0]["max_speed"] = "fast"
+    document["drones"][1]["gains"]["gain"] = 1.0
+    assert schema_error(document).path == "drones[1].gains"
+    del document["simulation"]["dt"]
+    assert schema_error(document).path == "simulation"
+    document["version"] = True
+    assert schema_error(document).path == "version"
+
+
+def test_a_float_equal_to_an_enum_integer_is_accepted():
+    for value in (1.0, -1.0):
+        document = two_drone_cross()
+        document["drones"][0]["rotors"][0]["spin_direction"] = value
+        assert loader_path(document) is None
+        assert not list(VALIDATOR.iter_errors(document))
+
+
+def test_a_non_object_document_is_a_schema_error_at_its_root():
+    assert schema_error([]).path == "(document root)"
+
+
+# --- the schema holds only what the walk checks -----------------------------
+
+def test_shipped_schema_holds_only_interpreted_keywords():
+    shipped = scenario_io.schema()
+    scenario_io._prepared(shipped, shipped["$defs"])
+
+
+@pytest.mark.parametrize("node", [
+    {"type": "string", "pattern": "x"},
+    {"type": "number", "minimum": 0},
+    {"type": "integer"},
+    {"type": ["number", "null"]},
+    {"type": "object", "additionalProperties": {"type": "number"}},
+    {"const": 1, "enum": [1, 2]},
+    {"$ref": "#/$defs/missing"},
+    {"$ref": "vec3"},
+    {"$ref": "#/$defs/vec3", "minItems": 1},
+    {"type": "array", "items": True},
+    {"type": "object", "properties": {"a": {"oneOf": []}}},
+])
+def test_schema_keyword_guard_rejects_what_the_walk_does_not_check(node):
+    with pytest.raises(ValueError):
+        scenario_io._prepared(node, {"vec3": {"type": "array"}})
+
+
+# --- the runtime needs no jsonschema ----------------------------------------
+
+def run_python(code: str, cwd) -> None:
+    src = Path(ds.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd,
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_runtime_runs_with_jsonschema_unimportable(tmp_path):
+    run_python("""
+        import sys
+        sys.modules["jsonschema"] = None  # any import of it raises ImportError
+        import dronesim as ds
+        from dronesim import cli
+        for name in ("hover.json", "square_route.json", "two_drone_cross.json"):
+            ds.load_scenario(ds.bundled_scenario_path(name))
+        scenario = str(ds.bundled_scenario_path("two_drone_cross.json"))
+        assert cli.main(["simulate", "--scenario", scenario, "--out", "track.csv",
+                         "--format", "csv"]) == 0
+        """, tmp_path)
+    assert (tmp_path / "track.csv").stat().st_size > 0
+
+
+def test_loading_imports_no_jsonschema(tmp_path):
+    run_python("""
+        import sys
+        import dronesim as ds
+        for name in ("hover.json", "square_route.json", "two_drone_cross.json"):
+            ds.load_scenario(ds.bundled_scenario_path(name))
+        assert "jsonschema" not in sys.modules
+        """, tmp_path)
