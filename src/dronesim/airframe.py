@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy import ndarray
 
+from .backend import FLOATS, ROWS
 from .frames import FieldError, as_float, as_vec3, non_negative, positive
 
 log = logging.getLogger(__name__)
@@ -182,27 +184,26 @@ def rotor_wrench(constants: AirframeConstants, speeds) -> tuple[float, float, fl
     return fz, tx, ty, tz
 
 
-def allocate_speeds(constants: AirframeConstants, thrust: float, torque_x: float,
-                    torque_y: float, torque_z: float) -> list[float]:
-    """Rotor speeds for a demanded wrench; the law behind :func:`allocate`."""
-    if thrust < 0.0:
-        raise ValueError(f"desired_thrust must be >= 0, got {thrust}")
+def allocate_speeds(constants: AirframeConstants, thrust, torque_x, torque_y,
+                    torque_z) -> list:
+    """Rotor speeds for a demanded wrench; the law behind :func:`allocate`.
+
+    On floats, or on rows of n drones' demands (then each speed is a
+    row); a rank-deficient rotor layout raises ConfigurationError.
+    """
     if constants.pinv_rows is None:
         raise ConfigurationError(
             f"allocation matrix is rank-deficient (rank {constants.rank} < 4); "
             "this rotor layout cannot realize independent thrust and torques")
-    speeds = []
-    saturated = False
-    for (a, b, c, d), max_speed in zip(constants.pinv_rows, constants.max_speeds):
-        s_squared = a * thrust + b * torque_x + c * torque_y + d * torque_z
-        s = 0.0 if s_squared < 0.0 else math.sqrt(s_squared)
-        if s > max_speed:
-            s = max_speed
-            saturated = True
-        speeds.append(s)
+    s_squared = []  # a loop, not a comprehension: on floats it costs less
+    for a, b, c, d in constants.pinv_rows:
+        s_squared.append(a * thrust + b * torque_x + c * torque_y + d * torque_z)
+    B = ROWS if isinstance(thrust, ndarray) else FLOATS
+    speeds, saturated = B.rotor_speeds(s_squared, constants.max_speeds)
     if saturated:
-        log.debug("rotor saturation: demand %s clamped to %s",
-                  [thrust, torque_x, torque_y, torque_z], speeds)
+        for demand, clamped in B.columns(saturated, [thrust, torque_x, torque_y, torque_z],
+                                         speeds):
+            log.debug("rotor saturation: demand %s clamped to %s", demand, clamped)
     return speeds
 
 
@@ -229,8 +230,11 @@ def allocate(airframe: Airframe, desired_thrust: float, desired_torque,
     i.e. the craft cannot span all four wrench components.
     """
     tx, ty, tz = as_vec3(desired_torque, "desired_torque").tolist()
-    return np.array(allocate_speeds(airframe_constants(airframe, air_density),
-                                    float(desired_thrust), tx, ty, tz))
+    constants = airframe_constants(airframe, air_density)
+    thrust = float(desired_thrust)
+    if thrust < 0.0:
+        raise ValueError(f"desired_thrust must be >= 0, got {thrust}")
+    return np.array(allocate_speeds(constants, thrust, tx, ty, tz))
 
 
 def set_rotor_speeds(airframe: Airframe, speeds) -> None:

@@ -22,10 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import ndarray
 
 from .airframe import Airframe, AirframeConstants, airframe_constants, allocate_speeds
+from .backend import FLOATS, ROWS
 from .dynamics import DroneState
-from .frames import (FieldError, as_float, as_vec3, euler_to_quat, hamilton_product,
+from .frames import (FieldError, as_float, as_vec3, half_angle_quat, hamilton_product,
                      non_negative, positive)
 
 DEFAULT_POSITION_KP = 2.0
@@ -68,13 +70,17 @@ class Setpoint:
             raise FieldError("target_yaw must be finite", "target_yaw")
 
 
-def _clamp(value: float, limit: float) -> float:
-    return max(-limit, min(limit, value))
+def heading(yaw: float) -> tuple[float, float, float, float]:
+    """cos and sin of a setpoint's yaw and of half of it, as
+    :func:`command_speeds` reads them: computed once per setpoint, not
+    once per tick."""
+    half = 0.5 * yaw
+    return math.cos(yaw), math.sin(yaw), math.cos(half), math.sin(half)
 
 
-def _thrust_and_attitude(mass: float, gains: ControllerGains, gravity: float, x,
-                         target, yaw: float) -> tuple[float, float, float, float]:
-    # x: the 13 state floats; target: 3 floats
+def _thrust_and_attitude(B, mass: float, gains: ControllerGains, gravity: float, x,
+                         target, cos_y, sin_y) -> tuple:
+    # x: the 13 state floats, or rows; target: 3 floats, or rows; B: their backend
     px, py, pz, vx, vy, vz, qw, qx, qy, qz = x[0:10]
     kp, kd = gains.position_kp, gains.position_kd
     ax = kp * (target[0] - px) - kd * vx
@@ -85,18 +91,12 @@ def _thrust_and_attitude(mass: float, gains: ControllerGains, gravity: float, x,
     along_z = (ax * (2.0 * (qx * qz + qy * qw))
                + ay * (2.0 * (qy * qz - qx * qw))
                + az * (1.0 - 2.0 * (qx * qx + qy * qy)))
-    thrust = mass * max(0.0, along_z)
+    thrust = mass * B.positive(along_z)
 
-    norm_a = math.sqrt(ax * ax + ay * ay + az * az)
-    if norm_a < 1e-9:
-        tilt_x, tilt_y = 0.0, 0.0
-    else:
-        tilt_x = ax / norm_a
-        tilt_y = ay / norm_a
-    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-    pitch_des = _clamp(tilt_x * cos_y + tilt_y * sin_y, gains.max_tilt)
-    roll_des = _clamp(tilt_x * sin_y - tilt_y * cos_y, gains.max_tilt)
-    return thrust, roll_des, pitch_des, yaw
+    tilt_x, tilt_y = B.direction(ax, ay, B.sqrt(ax * ax + ay * ay + az * az))
+    pitch_des = B.clamp(tilt_x * cos_y + tilt_y * sin_y, gains.max_tilt)
+    roll_des = B.clamp(tilt_x * sin_y - tilt_y * cos_y, gains.max_tilt)
+    return thrust, roll_des, pitch_des
 
 
 def thrust_and_attitude(state: DroneState, setpoint: Setpoint, airframe: Airframe,
@@ -108,25 +108,33 @@ def thrust_and_attitude(state: DroneState, setpoint: Setpoint, airframe: Airfram
     thrust, and its direction is inverted at small angles for the tilt
     setpoint, clamped to +-max_tilt.
     """
-    return _thrust_and_attitude(float(airframe.body.mass), gains, float(gravity),
-                                state.as_floats(), setpoint.target_position.tolist(),
-                                float(setpoint.target_yaw))
+    yaw = float(setpoint.target_yaw)
+    cos_y, sin_y, _, _ = heading(yaw)
+    return (*_thrust_and_attitude(FLOATS, float(airframe.body.mass), gains, float(gravity),
+                                  state.as_floats(), setpoint.target_position.tolist(),
+                                  cos_y, sin_y), yaw)
 
 
 def command_speeds(c: AirframeConstants, gains: ControllerGains, gravity: float,
-                   x, target, yaw: float) -> list[float]:
-    """Rotor speeds from the 13 state floats toward ``target`` at ``yaw``.
+                   x, target, yaw_trig) -> list:
+    """Rotor speeds from the 13 state floats toward ``target`` at the yaw
+    whose :func:`heading` is ``yaw_trig``.
 
-    The law behind :func:`compute_commands`, on plain floats.
+    The law behind :func:`compute_commands`, on plain floats, or on rows
+    of a (13, n) block (``target`` (3, n), ``yaw_trig`` (4, n)) for n
+    drones that share ``c`` and ``gains``: then each speed is a row.
     """
-    thrust, roll_des, pitch_des, yaw = _thrust_and_attitude(
-        c.mass, gains, gravity, x, target, yaw)
+    B = ROWS if isinstance(x, ndarray) else FLOATS
+    cos_y, sin_y, cos_half_yaw, sin_half_yaw = yaw_trig
+    thrust, roll_des, pitch_des = _thrust_and_attitude(
+        B, c.mass, gains, gravity, x, target, cos_y, sin_y)
 
+    half_roll, half_pitch = 0.5 * roll_des, 0.5 * pitch_des
     qw, qx, qy, qz = x[6:10]
-    ew, ex, ey, ez = hamilton_product((qw, -qx, -qy, -qz),
-                                      euler_to_quat(roll_des, pitch_des, yaw))
-    if ew < 0.0:
-        ex, ey, ez = -ex, -ey, -ez
+    ew, ex, ey, ez = hamilton_product((qw, -qx, -qy, -qz), half_angle_quat(
+        B.cos(half_roll), B.sin(half_roll), B.cos(half_pitch), B.sin(half_pitch),
+        cos_half_yaw, sin_half_yaw))
+    ex, ey, ez = B.hemisphere(ew, ex, ey, ez)
 
     kp, kd = gains.attitude_kp, gains.attitude_kd
     ix, iy, iz = c.inertia
@@ -146,18 +154,22 @@ def compute_commands(state: DroneState, setpoint: Setpoint, airframe: Airframe,
     """
     return np.array(command_speeds(
         airframe_constants(airframe, air_density), gains, float(gravity),
-        state.as_floats(), setpoint.target_position.tolist(), float(setpoint.target_yaw)))
+        state.as_floats(), setpoint.target_position.tolist(),
+        heading(float(setpoint.target_yaw))))
 
 
 def within_capture(position, target, capture_radius: float) -> bool:
     """True iff ``position`` lies within ``capture_radius`` of ``target`` (inclusive).
 
-    Reads the first three components of each, as plain floats.
+    Reads the first three components of each, as plain floats, or as
+    rows of n drones' positions and targets: then the result is a row
+    of n booleans.
     """
     dx = position[0] - target[0]
     dy = position[1] - target[1]
     dz = position[2] - target[2]
-    return math.sqrt(dx * dx + dy * dy + dz * dz) <= capture_radius
+    B = ROWS if isinstance(dx, ndarray) else FLOATS
+    return B.sqrt(dx * dx + dy * dy + dz * dz) <= capture_radius
 
 
 def waypoint_reached(state: DroneState, setpoint: Setpoint,

@@ -11,20 +11,23 @@ angular rate and I the diagonal inertia tensor:
 F_body and τ_body come from the rotor speeds, held over a step; wind
 couples in through the linear drag term only. States advance with
 classical fixed-step RK4; the quaternion is renormalized once per step.
-The integrator runs on 13 plain floats (:func:`rk4_step`) with the
-airframe's constants built once (:func:`airframe_constants`);
+The integrator runs on 13 plain floats, or on the rows of a (13, n)
+block of drones with one airframe (:func:`rk4_step`, its branches
+through :mod:`dronesim.backend`), with the airframe's constants built
+once (:func:`airframe_constants`);
 :func:`step` and :func:`state_derivative` wrap it for DroneState
 values and rotors' ``current_speed``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy import ndarray
 
 from .airframe import Airframe, AirframeConstants, airframe_constants, rotor_wrench
+from .backend import FLOATS, ROWS, DivergenceError
 from .frames import FieldError, as_quat, as_vec3, quat_identity, quat_norm
 from .scenario import EnvironmentSample
 
@@ -33,14 +36,6 @@ DEFAULT_TIME_STEP = 0.001
 # Orientation guard: a loose sanity bound for constructed states. The
 # integrator itself keeps the norm within ~1e-15 of unity per step.
 _ORIENTATION_NORM_TOL = 1e-6
-
-
-class DivergenceError(Exception):
-    """The integrator produced a non-finite state component."""
-
-    def __init__(self, message: str, t: float):
-        super().__init__(message)
-        self.t = t
 
 
 def check_unit_orientation(q) -> None:
@@ -149,6 +144,9 @@ def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
 
     The law behind :func:`step`. Raises DivergenceError, stamped with
     ``t_end``, if the result is non-finite or its quaternion collapsed.
+    ``x`` may also be a (13, n) block of drones sharing ``c``, with one
+    row per rotor speed: then it returns the stepped block, or raises
+    with the failed columns.
     """
     gravity = float(env.gravity)
     wind = env.wind_velocity.tolist() if c.linear_drag != 0.0 else None
@@ -162,17 +160,9 @@ def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
     except ZeroDivisionError:  # a substep quaternion of zero norm
         raise DivergenceError(f"non-finite state at t = {t_end}", t=t_end) from None
     sixth = dt / 6.0
-    new = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, new)):
-        raise DivergenceError(f"non-finite state at t = {t_end}", t=t_end)
-
-    qw, qx, qy, qz = new[6:10]
-    norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    if not (norm > 1e-12 and math.isfinite(norm)):
-        raise DivergenceError(f"orientation collapsed at t = {t_end}", t=t_end)
-    new[6:10] = qw / norm, qx / norm, qy / norm, qz / norm
-    return new
+    B = ROWS if isinstance(x, ndarray) else FLOATS
+    return B.renormalized([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)], t_end)
 
 
 def state_derivative(state: DroneState, airframe: Airframe,

@@ -87,7 +87,7 @@ def _finite_array(v, size: int, name: str, field: str) -> np.ndarray:
     if arr.shape != (size,):
         raise FieldError(f"{name} must have exactly {size} components, got shape {arr.shape}",
                          field)
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise FieldError(f"{name} has non-finite components: {arr.tolist()}", field)
     return arr
 
@@ -174,9 +174,14 @@ def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
 def euler_to_quat(roll: float, pitch: float,
                   yaw: float) -> tuple[float, float, float, float]:
     """:func:`quat_from_euler` as a plain tuple."""
-    cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
-    cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
-    cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
+    return half_angle_quat(math.cos(0.5 * roll), math.sin(0.5 * roll),
+                           math.cos(0.5 * pitch), math.sin(0.5 * pitch),
+                           math.cos(0.5 * yaw), math.sin(0.5 * yaw))
+
+
+def half_angle_quat(cr, sr, cp, sp, cy, sy) -> tuple:
+    """:func:`euler_to_quat` from the cosines and sines of half the roll,
+    pitch and yaw; plain floats or numpy rows alike."""
     return (cy * cp * cr + sy * sp * sr,
             cy * cp * sr - sy * sp * cr,
             cy * sp * cr + sy * cp * sr,

@@ -8,8 +8,11 @@ must give events equal to it with ``==``, in the same order: in whole
 crossing swarms (200 drones at 10 seeds, and 1000 drones), and on
 generated clustered swarms with drones exactly ``min_separation``
 apart, one ulp inside it, on cell borders at negative coordinates,
-stacked in z, and inside or on the faces of obstacle boxes. Hypothesis
-examples are derandomized so that every run checks the same cases.
+stacked in z, and inside or on the faces of obstacle boxes. The
+clustered swarms hold 1 to 20 drones, so they cover both the grid and
+the small swarms below ``_GRID_MIN``, where every pair is measured.
+Hypothesis examples are derandomized so that every run checks the same
+cases.
 """
 
 import math
@@ -118,6 +121,7 @@ def test_thousand_drone_crossing_gives_the_reference_events():
 # --- clustered swarms ---------------------------------------------------------
 
 SEPARATIONS = [0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 1.605311791776961]
+MAX_CLUSTER = 20
 
 
 @st.composite
@@ -131,7 +135,7 @@ def clustered(draw):
     unit = s if s > 0.0 else 1.0
     origin = draw(st.sampled_from([0.0, -3.0 * unit, -1000.0 * unit, 1e5]))
     positions = []
-    for _ in range(draw(st.integers(1, 20))):
+    for _ in range(draw(st.integers(1, MAX_CLUSTER))):
         move = draw(st.sampled_from(["border", "apart", "ulp_inside", "stacked", "near"]))
         if move == "border" or not positions:
             # on a multiple of s (a cell border of a grid of side s), or a few ulps off
@@ -170,6 +174,10 @@ def test_clustered_swarms_give_the_reference_events(case):
     ids, positions, s, conditions = case
     assert (grid_violations(ids, positions, s, conditions, 1.5)
             == reference_instant_violations(ids, positions, s, conditions, 1.5))
+
+
+def test_clustered_swarm_sizes_straddle_the_all_pairs_cutoff():
+    assert 2 < swarm_module._GRID_MIN <= MAX_CLUSTER
 
 
 # --- float edge cases of the hash ---------------------------------------------
