@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -302,6 +303,53 @@ def test_simulate_leaves_caller_objects_unchanged():
         assert all(np.array_equal(sp.target_position, target)
                    for sp, target in zip(drone.route, targets))
 
+
+def _nan_position(state):
+    state.position[1] = math.nan
+
+
+def _non_unit_orientation(state):
+    state.orientation = np.array([1.0, 1.0, 0.0, 0.0])
+
+
+def _short_velocity(state):
+    state.velocity = np.zeros(2)
+
+
+def _flat_angular_velocity(state):
+    state.angular_velocity = np.zeros((1, 3))
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (_nan_position, "position"), (_non_unit_orientation, "orientation"),
+    (_short_velocity, "velocity"), (_flat_angular_velocity, "angular_velocity"),
+])
+def test_a_start_state_broken_after_construction_raises_as_its_constructor(corrupt, field):
+    drone = make_drone("a", (0.0, 0.0, 5.0), route=[(3.0, 0.0, 5.0)])
+    corrupt(drone.state)
+    s = drone.state
+    with pytest.raises(ds.FieldError) as expected:
+        ds.DroneState(0.0, s.position, s.velocity, s.orientation, s.angular_velocity)
+    with pytest.raises(ds.FieldError) as raised:
+        ds.simulate(ds.Swarm([drone]), calm_scenario(), 0.1)
+    assert raised.value.field == expected.value.field == field
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_start_state_of_lists_and_integers_flies_as_float_vectors():
+    plain = make_drone("a", (0.0, 0.0, 5.0), route=[(3.0, 0.0, 5.0)])
+    odd = make_drone("a", (0.0, 0.0, 5.0), route=[(3.0, 0.0, 5.0)])
+    odd.state.position = [0, 0, 5]
+    odd.state.velocity = np.zeros(3, dtype=np.float32)
+    odd.state.orientation = np.array([1, 0, 0, 0])
+    flown = [ds.simulate(ds.Swarm([d]), calm_scenario(max_duration=2.0), 0.1)
+             for d in (plain, odd)]
+    assert flown[1].events == flown[0].events
+    assert [(s.t, s.as_floats()) for s in flown[1].samples["a"]] == \
+        [(s.t, s.as_floats()) for s in flown[0].samples["a"]]
+    first = flown[1].samples["a"][0]
+    assert first.position.dtype == first.orientation.dtype == np.float64
+    assert all(type(v) is float for v in first.as_floats())
 
 def test_allocation_pinv_and_rank_run_once_per_airframe_per_run(monkeypatch):
     calls = {"pinv": 0, "matrix_rank": 0}
