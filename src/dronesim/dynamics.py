@@ -83,8 +83,9 @@ class DroneState:
 
     @classmethod
     def from_checked(cls, t: float, x) -> "DroneState":
-        """Build from 13 floats that :func:`rk4_step` has already checked
-        (finite, unit quaternion), without validating them again."""
+        """Build from 13 floats that are already checked (finite, unit
+        quaternion), such as a recorded or loaded sample, without
+        validating them again."""
         state = cls.__new__(cls)
         state.t = t
         state.position = np.array(x[0:3])

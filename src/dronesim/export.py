@@ -10,25 +10,37 @@ validators.
 CSV rows are grouped by drone id and ordered by time within each drone,
 formatted to 9 significant digits; ``load_csv`` reads the format back
 for round-tripping into analysis code.
+
+Both exporters and the metrics read a trajectory as rows of floats
+through :meth:`Trajectory.rows`, so a trajectory from
+:func:`~dronesim.swarm.simulate` or :func:`load_csv` is written without
+building a single ``DroneState``; a drone whose states a caller has
+read is written from those states. The CSV is formatted one row at a
+time with one ``%.9g`` template, and the GeoJSON tracks are projected a
+whole column at a time with :func:`geo_project_columns`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 from pathlib import Path
 
-from .dynamics import DroneState, check_unit_orientation
-from .frames import FieldError, InertialFrame, geo_project
-from .swarm import SimEvent, Trajectory
+import numpy as np
+
+from .dynamics import check_unit_orientation
+from .frames import FieldError, InertialFrame, geo_project, geo_project_columns
+from .swarm import RecordedSamples, SimEvent, Trajectory
 
 CSV_FIELDS = ("drone_id", "t", "px", "py", "pz", "vx", "vy", "vz",
               "qw", "qx", "qy", "qz", "wx", "wy", "wz")
 
 
 def _require_samples(trajectory: Trajectory) -> None:
-    if not trajectory.samples or all(not s for s in trajectory.samples.values()):
+    if not any(trajectory.rows(drone_id) for drone_id in trajectory.samples):
         raise ValueError("trajectory has no samples to export")
 
 
@@ -41,22 +53,23 @@ def export_geojson(trajectory: Trajectory, frame: InertialFrame, path) -> None:
     _require_samples(trajectory)
     features = []
     for drone_id in trajectory.samples:
-        states = trajectory.samples[drone_id]
-        if not states:
+        rows = trajectory.rows(drone_id)
+        if not rows:
             continue
-        coordinates = []
-        times = []
-        for s in states:
-            lat, lon, alt = geo_project(frame, s.position)
-            coordinates.append([lon, lat, alt])
-            times.append(s.t)
+        times, *positions = itertools.islice(zip(*rows), 4)  # t, east, north, up
+        positions = np.array(positions)
+        finite = np.isfinite(positions).all(axis=0)
+        if not finite.all():  # raise geo_project's error for the first bad one
+            geo_project(frame, positions[:, np.argmin(finite)])
+        lat, lon, alt = geo_project_columns(frame, *positions)
+        coordinates = np.column_stack((lon, lat, alt)).tolist()
         if len(coordinates) >= 2:
             geometry = {"type": "LineString", "coordinates": coordinates}
         else:
             geometry = {"type": "Point", "coordinates": coordinates[0]}
         features.append({
             "type": "Feature",
-            "properties": {"drone_id": drone_id, "times_s": times},
+            "properties": {"drone_id": drone_id, "times_s": list(times)},
             "geometry": geometry,
         })
     for event in trajectory.events:
@@ -85,8 +98,16 @@ def _event_feature(event: SimEvent, frame: InertialFrame) -> dict:
     }
 
 
-def _format(value: float) -> str:
-    return f"{value:.9g}"
+# a row's 14 numbers and csv.writer's line terminator; "%.9g" % v prints
+# what f"{v:.9g}" prints
+_ROW_NUMBERS = ",%.9g" * (len(CSV_FIELDS) - 1) + "\r\n"
+
+
+def _csv_cell(text: str) -> str:
+    # text as csv.writer writes it in the first of several cells, quoted if need be
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, ""))
+    return buffer.getvalue()[:-len(",\r\n")]
 
 
 def export_csv(trajectory: Trajectory, path) -> None:
@@ -94,25 +115,23 @@ def export_csv(trajectory: Trajectory, path) -> None:
     _require_samples(trajectory)
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_FIELDS)
+        csv.writer(handle).writerow(CSV_FIELDS)
         for drone_id in sorted(trajectory.samples):
-            for s in trajectory.samples[drone_id]:
-                writer.writerow(
-                    [drone_id]
-                    + [_format(v) for v in (s.t, *s.position, *s.velocity,
-                                            *s.orientation, *s.angular_velocity)])
+            template = _csv_cell(drone_id).replace("%", "%%") + _ROW_NUMBERS
+            handle.write("".join([template % tuple(row)
+                                  for row in trajectory.rows(drone_id)]))
 
 
 def load_csv(path) -> Trajectory:
-    """Read a trajectory CSV back into states (events are not stored in CSV).
+    """Read a trajectory CSV back (events are not stored in CSV).
 
     Every row must hold the 15 columns of the header, finite numbers and
     a unit quaternion, as :class:`DroneState` requires; otherwise a
     ValueError (a FieldError naming the column for a bad value) gives the
-    CSV line number.
+    CSV line number. The samples are kept as rows of floats, in the
+    order of the file, and become states when they are read.
     """
-    samples: dict[str, list[DroneState]] = {}
+    rows: dict[str, list[list[float]]] = {}
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -126,7 +145,7 @@ def load_csv(path) -> Trajectory:
                 raise ValueError(f"CSV line {line}: expected {len(CSV_FIELDS)} columns, "
                                  f"got {len(row)}")
             try:
-                values = [float(v) for v in row[1:]]
+                values = list(map(float, row[1:]))
             except ValueError as err:
                 raise ValueError(f"CSV line {line}: {err}") from None
             if not all(map(math.isfinite, values)):
@@ -137,5 +156,5 @@ def load_csv(path) -> Trajectory:
                 check_unit_orientation(values[7:11])
             except FieldError as err:
                 raise FieldError(f"CSV line {line}: {err}", err.field) from None
-            samples.setdefault(row[0], []).append(DroneState.from_checked(values[0], values[1:]))
-    return Trajectory(samples=samples, events=[])
+            rows.setdefault(row[0], []).append(values)
+    return Trajectory(samples=RecordedSamples(rows), events=[])

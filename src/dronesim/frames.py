@@ -291,14 +291,29 @@ def geo_project(frame: InertialFrame, p) -> tuple[float, float, float]:
     :func:`geo_unproject`. Intended for local scenes (positions small
     against the Earth radius); undefined at the poles.
     """
-    p = as_vec3(p, "position")
+    east, north, up = as_vec3(p, "position").tolist()
+    return geo_project_columns(frame, east, north, up)
+
+
+# math.degrees(x) and np.degrees(x) are both x times this constant
+_DEGREES_PER_RADIAN = 180.0 / math.pi
+
+
+def geo_project_columns(frame: InertialFrame, east, north, up):
+    """:func:`geo_project` of whole columns of east, north and up (m).
+
+    The columns may be numpy arrays or single floats; returns latitude
+    (deg), longitude (deg) and altitude (m) in the same form. A column
+    goes through the same operations as one position, in the same
+    order, so every element equals :func:`geo_project`'s result.
+    """
     lat0 = math.radians(frame.latitude_deg)
     cos_lat0 = math.cos(lat0)
     if abs(cos_lat0) < 1e-9:
         raise ValueError("projection origin too close to a pole")
-    lat = frame.latitude_deg + math.degrees(p[1] / EARTH_RADIUS_M)
-    lon = frame.longitude_deg + math.degrees(p[0] / (EARTH_RADIUS_M * cos_lat0))
-    alt = frame.altitude_m + p[2]
+    lat = frame.latitude_deg + (north / EARTH_RADIUS_M) * _DEGREES_PER_RADIAN
+    lon = frame.longitude_deg + (east / (EARTH_RADIUS_M * cos_lat0)) * _DEGREES_PER_RADIAN
+    alt = frame.altitude_m + up
     return (lat, lon, alt)
 
 

@@ -11,6 +11,7 @@ vertices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -104,8 +105,11 @@ def compute_rmse(trajectory: Trajectory,
             for drone_id in event.drone_ids:
                 report.waypoint_capture_times_s.setdefault(drone_id, []).append(event.t)
 
-    for drone_id, states in trajectory.samples.items():
-        positions = np.array([s.position for s in states], dtype=float).reshape(-1, 3)
+    for drone_id in trajectory.samples:
+        rows = trajectory.rows(drone_id)
+        # columns 1-3 of the rows, the positions, as one (m, 3) array
+        positions = (np.column_stack(list(itertools.islice(zip(*rows), 1, 4))) if rows
+                     else np.empty((0, 3)))
         steps = np.diff(positions, axis=0)
         report.route_length_flown_m[drone_id] = float(
             np.sqrt(np.einsum("ij,ij->i", steps, steps)).sum())

@@ -46,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ from .airframe import Airframe, AirframeConstants, airframe_constants
 # here for code that looks the per-drone controller up in this module
 from .control import (ControllerGains, Setpoint, command_speeds,  # noqa: F401
                       compute_commands, heading, within_capture)
-from .dynamics import DivergenceError, DroneState, rk4_step
+from .dynamics import DivergenceError, DroneState, check_unit_orientation, rk4_step
 from .frames import FieldError, first_repeat, non_negative
 from .scenario import (FlyingConditions, Scenario, box_bounds, check_recording_interval,
                        inside_any, sample_environment)
@@ -111,15 +112,65 @@ class SimEvent:
     payload: dict = field(default_factory=dict)
 
 
+class RecordedSamples(Mapping):
+    """Samples per drone, in drone order, stored as rows of 14 floats.
+
+    A row is ``t`` followed by the 13 components of
+    :meth:`DroneState.as_floats`. Reading a drone builds its
+    ``list[DroneState]`` the first time, keeps that list and drops the
+    rows, so a caller's edits to the list are what later readers see.
+    """
+
+    def __init__(self, rows: dict[str, list[list[float]]]):
+        self._rows = rows
+        self._states: dict[str, list[DroneState] | None] = dict.fromkeys(rows)
+
+    def __getitem__(self, drone_id: str) -> list[DroneState]:
+        states = self._states[drone_id]
+        if states is None:
+            states = [DroneState.from_checked(row[0], row[1:])
+                      for row in self._rows.pop(drone_id)]
+            self._states[drone_id] = states
+        return states
+
+    def __contains__(self, drone_id) -> bool:
+        return drone_id in self._states
+
+    def __iter__(self):
+        return iter(self._states)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+
 @dataclass
 class Trajectory:
-    """Recorded states per drone plus everything notable that happened."""
+    """Recorded states per drone plus everything notable that happened.
 
-    samples: dict[str, list[DroneState]]
+    ``samples`` maps each drone id, in drone order, to its states in time
+    order. From :func:`simulate` and :func:`~dronesim.export.load_csv`
+    it is a :class:`RecordedSamples`, which stores the samples as rows
+    of floats and builds a drone's states when they are first read; any
+    mapping of ids to ``DroneState`` lists works too.
+    """
+
+    samples: Mapping[str, list[DroneState]]
     events: list[SimEvent]
 
     def drone_ids(self) -> list[str]:
         return list(self.samples.keys())
+
+    def rows(self, drone_id: str) -> list[list[float]]:
+        """The drone's samples as rows: ``t``, then the 13 state components.
+
+        Recorded rows that no one has read as states yet are returned as
+        stored, without building states, and must not be changed;
+        otherwise the rows are made from the drone's current states.
+        """
+        samples = self.samples
+        if type(samples) is RecordedSamples and drone_id in samples._rows:
+            return samples._rows[drone_id]
+        return [[s.t, *s.as_floats()] for s in samples[drone_id]]
 
 
 # The separation test hashes positions to columns of a uniform grid in x
@@ -301,16 +352,31 @@ class _Block:
         self.flying = np.array([r.status == "flying" for r in runs])
 
 
+_START_SHAPES = ((3,), (3,), (4,), (3,))
+
+
+def _start_floats(s: DroneState) -> list[float]:
+    # the caller's state as 13 floats, checked once as DroneState checks it
+    # (the swarm clock starts at t = 0, so s.t is not used); a state changed
+    # in place since it was built goes through DroneState, which converts
+    # it or raises the same FieldError it raises for the same values
+    vectors = (s.position, s.velocity, s.orientation, s.angular_velocity)
+    if all(type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape
+           for v, shape in zip(vectors, _START_SHAPES)):
+        x = s.as_floats()
+        if all(map(math.isfinite, x)):
+            check_unit_orientation(x[6:10])
+            return x
+    return DroneState(0.0, *vectors).as_floats()
+
+
 def _start(index: int, drone: Drone, air_density: float) -> _DroneRun:
-    # validate the caller's state once, on the swarm clock's t = 0
-    s = drone.state
-    start = DroneState(0.0, s.position, s.velocity, s.orientation, s.angular_velocity)
     return _DroneRun(
         index=index, id=drone.id, constants=airframe_constants(drone.airframe, air_density),
         gains=drone.gains,
         targets=[(sp.target_position.tolist(), heading(float(sp.target_yaw)))
                  for sp in drone.route],
-        x=start.as_floats())
+        x=_start_floats(drone.state))
 
 
 def _units(runs: list[_DroneRun]) -> list:
@@ -396,7 +462,9 @@ def simulate(swarm: Swarm, scenario: Scenario,
 
     States are recorded every ``recording_interval``, by default the
     scenario's; it must span at least one and a finite number of
-    reference time steps. Tick k is time ``k * dt`` exactly, so every
+    reference time steps. They are kept as rows of floats and become
+    ``DroneState``s only when ``samples`` is read (see
+    :class:`RecordedSamples`). Tick k is time ``k * dt`` exactly, so every
     sample and event time is an exact tick multiple; every drone starts
     at t = 0 and the ``t`` of its initial state is not used. The
     environment is sampled once per tick. Drones that share an airframe
@@ -421,7 +489,7 @@ def simulate(swarm: Swarm, scenario: Scenario,
     blocks = [u for u in units if type(u) is _Block]
     alone = [u for u in units if type(u) is _DroneRun]
     ids = [run.id for run in runs]
-    samples: dict[str, list[DroneState]] = {run.id: [] for run in runs}
+    rows: dict[str, list[list[float]]] = {run.id: [] for run in runs}
     events: list[SimEvent] = []
     active_violations: set[tuple] = set()
     boxes = [box_bounds(b) for b in scenario.conditions.obstacles]
@@ -463,7 +531,7 @@ def simulate(swarm: Swarm, scenario: Scenario,
         if tick % record_every == 0:
             for run in runs:
                 if run.tick == tick:  # skip drones frozen earlier
-                    samples[run.id].append(DroneState.from_checked(t, run.x))
+                    rows[run.id].append([t, *run.x])
                     run.recorded_tick = tick
 
         if tick == n_ticks or all(r.status != "flying" for r in runs):
@@ -497,6 +565,6 @@ def simulate(swarm: Swarm, scenario: Scenario,
     # flush the last state of drones whose final tick fell between records
     for run in runs:
         if run.recorded_tick < run.tick:
-            samples[run.id].append(DroneState.from_checked(run.tick * dt, run.x))
+            rows[run.id].append([run.tick * dt, *run.x])
 
-    return Trajectory(samples=samples, events=events)
+    return Trajectory(samples=RecordedSamples(rows), events=events)

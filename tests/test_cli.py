@@ -66,6 +66,20 @@ def test_simulate_writes_csv(tmp_path):
     assert sorted(loaded.samples) == ["east", "west"]
 
 
+def test_simulate_exports_and_scores_without_building_states(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(ds.DroneState, "from_checked",
+                        classmethod(lambda cls, t, x: built.append(t)))
+    out = tmp_path / "track.csv"
+    for fmt in ("csv", "geojson"):
+        assert main(["simulate", "--scenario", fixture("two_drone_cross.json"),
+                     "--out", str(out), "--format", fmt,
+                     "--metrics", str(tmp_path / "metrics.json")]) == 0
+        if fmt == "csv":
+            rows = len(out.read_text().strip().splitlines()) - 1
+            assert f"for 2 drone(s) ({rows} samples, " in capsys.readouterr().out
+    assert built == []
+
 def test_simulate_unwritable_output_is_runtime_failure(tmp_path, capsys):
     code = main(["simulate", "--scenario", fixture("hover.json"),
                  "--out", str(tmp_path / "no" / "such" / "dir" / "x.geojson")])

@@ -144,6 +144,24 @@ def test_geo_round_trip():
         assert abs(again[0] - lat) < 1e-9 and abs(again[1] - lon) < 1e-9
 
 
+def test_geo_project_columns_equal_the_one_position_formula():
+    # the reference is the per-position formula with math.degrees
+    from dronesim.frames import geo_project_columns
+
+    rng = np.random.default_rng(23)
+    for frame in (ds.InertialFrame(41.109, 16.879, 10.0), ds.InertialFrame(-33.9, -151.2, 0.0),
+                  ds.InertialFrame(0.0, 0.0, -5.5)):
+        positions = rng.uniform(-3000.0, 3000.0, (2000, 3)) * 10.0 ** rng.integers(-9, 3, (2000, 3))
+        positions[:4] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [5e-324, -5e-324, 1e-310], [1.0, 2.0, 3.0]]
+        lat, lon, alt = geo_project_columns(frame, *positions.T)
+        cos_lat0 = math.cos(math.radians(frame.latitude_deg))
+        for k, (east, north, up) in enumerate(positions.tolist()):
+            expected = (frame.latitude_deg + math.degrees(north / ds.EARTH_RADIUS_M),
+                        frame.longitude_deg + math.degrees(east / (ds.EARTH_RADIUS_M * cos_lat0)),
+                        frame.altitude_m + up)
+            assert (lat[k], lon[k], alt[k]) == expected
+            assert ds.geo_project(frame, [east, north, up]) == expected
+
 def test_geo_project_rejects_polar_origin():
     with pytest.raises(ValueError):
         ds.geo_project(ds.InertialFrame(90.0, 0.0, 0.0), ds.vec3(1.0, 0.0, 0.0))

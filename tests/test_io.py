@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -236,6 +238,33 @@ def test_csv_uses_nine_significant_digits(tmp_path):
     assert row[1] == "0.123456789"
     assert row[2] == "1234.56789"
 
+
+def test_csv_matches_the_csv_module_row_by_row(tmp_path):
+    # the reference is csv.writer fed f"{v:.9g}" strings, as the exporter
+    # once wrote every row; ids that need quoting or hold a % sign included
+    rng = np.random.default_rng(83)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e-5, 123456789.5, -1e300, 0.1 + 0.2]
+    samples = {}
+    for k, drone_id in enumerate(["plain", "a,b", 'say "hi"', "50% done", "line\nbreak", " "]):
+        states = []
+        for i in range(6):
+            position = rng.uniform(-1e4, 1e4, 3) * 10.0 ** rng.integers(-12, 12, 3)
+            position[i % 3] = special[(k + i) % len(special)]
+            states.append(ds.DroneState(t=0.1 * i, position=position,
+                                        velocity=rng.normal(size=3),
+                                        orientation=ds.quat_normalize(rng.normal(size=4)),
+                                        angular_velocity=rng.normal(size=3)))
+        samples[drone_id] = states
+    out = tmp_path / "quoted.csv"
+    ds.export_csv(ds.Trajectory(samples=samples, events=[]), out)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(ds.export.CSV_FIELDS)
+    for drone_id in sorted(samples):
+        for s in samples[drone_id]:
+            writer.writerow([drone_id] + [f"{v:.9g}" for v in [s.t, *s.as_floats()]])
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
+    assert list(ds.load_csv(out).samples) == sorted(samples)
 
 def csv_with_third_row(tmp_path, cells):
     # a valid three-sample file whose third row (CSV line 4) is replaced
