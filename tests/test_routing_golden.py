@@ -5,9 +5,11 @@ mission below, compared with ``==``: routes, lengths to the last bit,
 total length, feasibility and violation messages. The missions are
 about 200 seeded random ones (1-4 drones, 0-30 waypoints, every other
 one on a small integer grid so that distance ties are common, some with
-obstacles and a finite length budget) and the two survey layouts of the
+obstacles and a finite length budget), the two survey layouts of the
 benchmark's ``survey_dense`` workload, rebuilt here from the same
-recipe. A change to the planner that is meant to keep its plans must
+recipe, and six single-drone missions of 40, 60 and 80 waypoints, one
+of each size on an integer grid and one uniform, where the descents
+run longest. A change to the planner that is meant to keep its plans must
 leave this file unchanged; rewrite it only for a change that is meant
 to change plans:
 
@@ -29,6 +31,7 @@ import dronesim as ds
 FIXTURE = Path(__file__).with_name("routing_golden.json")
 RANDOM_MISSIONS = 200
 SURVEY_SEEDS = (1, 104729)
+LARGE_COUNTS = (40, 60, 80)
 
 
 def random_mission(seed: int) -> ds.Mission:
@@ -84,11 +87,30 @@ def survey_mission(seed: int, drones: int, count: int) -> ds.Mission:
     return ds.Mission(waypoints, [[x, y, 0.5] for x, y in corners[:drones]], 10_000.0)
 
 
+def large_mission(count: int, on_grid: bool) -> ds.Mission:
+    """One drone and ``count`` waypoints, on a 13 x 13 x 3 grid or uniform."""
+    rng = random.Random(7919 * count + on_grid)
+
+    def point():
+        if on_grid:
+            return [float(rng.randint(-6, 6)), float(rng.randint(-6, 6)),
+                    float(rng.randint(0, 2))]
+        return [rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0), rng.uniform(0.0, 20.0)]
+
+    labels = list(range(count))
+    rng.shuffle(labels)
+    waypoints = [ds.Waypoint(f"w{label}", point()) for label in labels]
+    return ds.Mission(waypoints, [point()], math.inf)
+
+
 def golden_missions() -> dict[str, ds.Mission]:
     missions = {f"random-{seed:03d}": random_mission(seed) for seed in range(RANDOM_MISSIONS)}
     for seed in SURVEY_SEEDS:
         missions[f"survey_single-{seed}"] = survey_mission(seed, 1, 30)
         missions[f"survey_team-{seed}"] = survey_mission(seed, 4, 96)
+    for count in LARGE_COUNTS:
+        missions[f"large_grid-{count}"] = large_mission(count, True)
+        missions[f"large_uniform-{count}"] = large_mission(count, False)
     return missions
 
 
@@ -107,7 +129,7 @@ def test_plan_matches_the_pinned_plan(name):
 
 def test_fixture_pins_budget_and_obstacle_violations():
     plans = GOLDEN.values()
-    assert len(GOLDEN) == RANDOM_MISSIONS + 2 * len(SURVEY_SEEDS)
+    assert len(GOLDEN) == RANDOM_MISSIONS + 2 * len(SURVEY_SEEDS) + 2 * len(LARGE_COUNTS)
     assert any("budget" in v for plan in plans for v in plan["violations"])
     assert any("obstacle" in v for plan in plans for v in plan["violations"])
     assert sum(plan["feasible"] for plan in plans) > len(GOLDEN) // 2
