@@ -140,12 +140,14 @@ def airframe_constants(airframe: Airframe, air_density: float) -> AirframeConsta
     if not air_density > 0.0:
         raise ValueError(f"air_density must be > 0, got {air_density}")
     body = airframe.body
-    rotors = tuple((thrust_gain(r, air_density), float(r.position_body[0]),
-                    float(r.position_body[1]),
-                    r.spin_direction * r.torque_coefficient * air_density * r.disk_area)
-                   for r in airframe.rotors)
+    # the key is built from plain floats: indexing the numpy arms costs more
+    rotors = []
+    for r in airframe.rotors:
+        x, y, _ = r.position_body.tolist()
+        rotors.append((thrust_gain(r, air_density), x, y,
+                       r.spin_direction * r.torque_coefficient * air_density * r.disk_area))
     return _constants(air_density, body.mass, tuple(body.inertia_diagonal.tolist()),
-                      body.linear_drag, rotors,
+                      body.linear_drag, tuple(rotors),
                       tuple(r.max_speed for r in airframe.rotors))
 
 

@@ -18,6 +18,15 @@ scale:
   The shortest result wins, the lower id sequence breaking length ties.
   Every returned route is locally optimal: no segment reversal and no
   relocation of a block of 1-3 consecutive waypoints shortens it.
+  Two shortcuts return exactly these routes. A round whose Or-opt moves
+  nothing ends the descent without its 2-opt pass: the route entering
+  each round is a 2-opt output, and 2-opt returns its output unchanged
+  (its last pass found no move), so that pass could not move it. And a
+  descent is a pure function of the table and the route it starts from,
+  so each route that entered a round is remembered, for the rest of
+  that ``_order_route`` call, with the route its descent ended on; a
+  later start that reaches it takes that end instead of descending
+  again.
 * feasibility: a plan is flagged infeasible (never repaired) when a
   drone's route exceeds its length budget or a leg crosses an obstacle.
 
@@ -176,59 +185,65 @@ def _two_opt(table: list[list[float]], route: list[int]) -> list[int]:
     while improved:
         improved = False
         for i in range(k - 1):
+            # reversing route[i..j] only swaps the two boundary legs: the leg
+            # into route[i] and the leg out of route[j]
             from_prev = table[0 if i == 0 else route[i - 1]]
-            for j in range(i + 1, k):
-                # reversing route[i..j] only swaps the two boundary legs;
-                # the final leg is absent because the path does not close
-                old = from_prev[route[i]]
-                new = from_prev[route[j]]
-                if j < k - 1:
-                    after = route[j + 1]
-                    old += table[route[j]][after]
-                    new += table[route[i]][after]
-                if new < old - 1e-12:
+            row, leg = table[route[i]], from_prev[route[i]]
+            node = route[i + 1]
+            for j in range(i + 1, k - 1):
+                after = route[j + 1]
+                if from_prev[node] + row[after] < leg + table[node][after] - 1e-12:
                     route[i:j + 1] = reversed(route[i:j + 1])
                     improved = True
+                    row, leg = table[route[i]], from_prev[route[i]]
+                node = after
+            # the path does not close, so the last node has no leg out
+            if from_prev[route[-1]] < leg - 1e-12:
+                route[i:] = reversed(route[i:])
+                improved = True
     return route
+
+
+def _first_relocation(table: list[list[float]], route: list[int]) -> tuple | None:
+    """The first Or-opt move in scan order that shortens the route, or None.
+
+    Blocks of 1, 2 then 3 waypoints, left to right. Each block is tried
+    on every leg of the path before it, then on every leg after it, then
+    at the end. Returns ``(i, size, node)``: move ``route[i:i + size]``
+    to follow ``node`` (0 for the start).
+    """
+    k = len(route)
+    # the legs of the path 0 -> route[0] -> ... as (from, to, length)
+    edges = [(a, b, table[a][b]) for a, b in zip([0] + route, route)]
+    for size in (1, 2, 3):
+        if size >= k:
+            break
+        for i in range(k - size + 1):
+            # the table is symmetric: one row holds the legs to and from a node
+            head, tail = table[route[i]], table[route[i + size - 1]]
+            prev = 0 if i == 0 else route[i - 1]
+            gain = head[prev]
+            if i + size < k:
+                after = route[i + size]
+                gain += tail[after] - table[prev][after]
+            limit = gain - 1e-12
+            for a, b, leg in edges[:i] + edges[i + size + 1:]:
+                if head[a] + (tail[b] - leg) < limit:
+                    return i, size, a
+            if i + size < k and head[route[-1]] < limit:
+                return i, size, route[-1]
+    return None
 
 
 def _or_opt(table: list[list[float]], route: list[int]) -> list[int]:
     """Relocate blocks of 1-3 consecutive waypoints while that shortens."""
     route = list(route)
-    improved = True
-    while improved:
-        improved = False
-        k = len(route)
-        for size in (1, 2, 3):
-            if size >= k:
-                break
-            for i in range(k - size + 1):
-                block = route[i:i + size]
-                rest = route[:i] + route[i + size:]
-                # the table is symmetric: one row holds the legs to and from a node
-                head, tail = table[block[0]], table[block[-1]]
-                prev = 0 if i == 0 else route[i - 1]
-                removal_gain = head[prev]
-                if i + size < k:
-                    after = route[i + size]
-                    removal_gain += tail[after] - table[prev][after]
-                last = len(rest)
-                for j in range(last + 1):
-                    if j == i:
-                        continue
-                    ins_prev = 0 if j == 0 else rest[j - 1]
-                    insertion_cost = head[ins_prev]
-                    if j < last:
-                        nxt = rest[j]
-                        insertion_cost += tail[nxt] - table[ins_prev][nxt]
-                    if insertion_cost < removal_gain - 1e-12:
-                        route = rest[:j] + block + rest[j:]
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
+    while (move := _first_relocation(table, route)) is not None:
+        i, size, node = move
+        block = route[i:i + size]
+        rest = route[:i] + route[i + size:]
+        at = rest.index(node) + 1 if node else 0
+        route = rest[:at] + block + rest[at:]
     return route
 
 
@@ -243,14 +258,26 @@ def _order_route(start, wps: list[Waypoint]) -> list[Waypoint]:
         return list(wps)
     by_id = sorted(wps, key=lambda w: w.id)
     table = _distance_table([start] + [w.position for w in by_id])
+    # every route that entered a round of the descent -> the route it ended on
+    descents: dict[tuple, list[int]] = {}
     best_key: tuple | None = None
     for first in [None, *range(1, len(table))]:
         route = _two_opt(table, _nearest_neighbor(table, first))
-        while True:
-            relocated = _two_opt(table, _or_opt(table, route))
+        entered = []
+        while (key := tuple(route)) not in descents:
+            entered.append(key)
+            # route is a _two_opt output, which _two_opt leaves unchanged
+            relocated = _or_opt(table, route)
             if relocated == route:
                 break
+            relocated = _two_opt(table, relocated)
+            if relocated == route:  # a round that ends where it began
+                break
             route = relocated
+        else:
+            route = descents[key]
+        for key in entered:
+            descents[key] = route
         # summed leg by leg from 0.0, as route_length does: the same float
         length = 0.0
         for a, b in zip([0] + route, route):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dronesim as ds
+from dronesim.airframe import airframe_constants
 
 from conftest import (AIR_DENSITY, GRAVITY, LUMPED_THRUST_CONSTANT,
                       build_reference_craft, reference_hover_speed)
@@ -204,3 +205,18 @@ def test_rotor_invariants():
 def test_hover_speed_helper_matches_closed_form(reference_craft):
     assert ds.hover_speed(reference_craft, GRAVITY, AIR_DENSITY) == pytest.approx(
         math.sqrt(GRAVITY / (4.0 * LUMPED_THRUST_CONSTANT)), rel=1e-12)
+
+
+def test_equal_airframes_share_one_constants_object():
+    # the cache is keyed on values: swarm._units groups drones by the identity
+    # of their constants, so equal airframes must get the same object
+    first, second = build_reference_craft(), build_reference_craft()
+    assert first is not second
+    constants = airframe_constants(first, AIR_DENSITY)
+    assert airframe_constants(second, AIR_DENSITY) is constants
+    assert all(type(v) is float for rotor in constants.rotors for v in rotor)
+    # an edit in place is a new key, never the stale constants
+    second.rotors[0].position_body[1] += 0.01
+    moved = airframe_constants(second, AIR_DENSITY)
+    assert moved is not constants
+    assert moved.rotors[0][2] == constants.rotors[0][2] + 0.01

@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 import dronesim as ds
+from dronesim import routing
 
 
 def make_waypoints(positions, prefix="wp"):
@@ -216,3 +218,119 @@ def test_brute_force_guard_limits():
                                [ds.vec3(0, 0, 0)] * 3, max_route_length=1e9)
     with pytest.raises(ds.InstanceTooLargeError):
         ds.brute_force_optimize(mission_three)
+
+
+# The two descents as first written on the distance table: one loop per
+# candidate move, rebuilding the block and the rest of the route for each
+# Or-opt position. routing._two_opt and routing._or_opt must return
+# exactly what these return, tie for tie.
+
+def reference_two_opt(table, route):
+    route = list(route)
+    k = len(route)
+    if k < 2:
+        return route
+    improved = True
+    while improved:
+        improved = False
+        for i in range(k - 1):
+            from_prev = table[0 if i == 0 else route[i - 1]]
+            for j in range(i + 1, k):
+                old = from_prev[route[i]]
+                new = from_prev[route[j]]
+                if j < k - 1:
+                    after = route[j + 1]
+                    old += table[route[j]][after]
+                    new += table[route[i]][after]
+                if new < old - 1e-12:
+                    route[i:j + 1] = reversed(route[i:j + 1])
+                    improved = True
+    return route
+
+
+def reference_or_opt(table, route):
+    route = list(route)
+    improved = True
+    while improved:
+        improved = False
+        k = len(route)
+        for size in (1, 2, 3):
+            if size >= k:
+                break
+            for i in range(k - size + 1):
+                block = route[i:i + size]
+                rest = route[:i] + route[i + size:]
+                head, tail = table[block[0]], table[block[-1]]
+                prev = 0 if i == 0 else route[i - 1]
+                removal_gain = head[prev]
+                if i + size < k:
+                    after = route[i + size]
+                    removal_gain += tail[after] - table[prev][after]
+                last = len(rest)
+                for j in range(last + 1):
+                    if j == i:
+                        continue
+                    ins_prev = 0 if j == 0 else rest[j - 1]
+                    insertion_cost = head[ins_prev]
+                    if j < last:
+                        nxt = rest[j]
+                        insertion_cost += tail[nxt] - table[ins_prev][nxt]
+                    if insertion_cost < removal_gain - 1e-12:
+                        route = rest[:j] + block + rest[j:]
+                        improved = True
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+    return route
+
+
+def near_tie_table(rng, size):
+    """A symmetric table of small integers, each offset by a step around the
+    1e-12 m move threshold, so that some moves gain about that much."""
+    table = [[0.0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a + 1, size):
+            table[a][b] = table[b][a] = rng.randint(1, 3) + rng.choice(
+                (0.0, 3e-13, 1e-12, 3e-12, 1e-10))
+    return table
+
+
+def descent_cases():
+    """Seeded (table, route) pairs with routes of 0-30 nodes: uniform
+    points, points on a small integer grid (equal distances and repeated
+    points are common) and tables built around the move threshold."""
+    for seed in range(360):
+        rng = random.Random(seed)
+        nodes = rng.randint(0, 3) if seed % 4 == 0 else rng.randint(4, 30)
+        if seed % 3 == 2:
+            table = near_tie_table(rng, nodes + 1)
+        else:
+            if seed % 3:
+                points = [[float(rng.randint(-2, 2)), float(rng.randint(-2, 2)),
+                           float(rng.randint(0, 1))] for _ in range(nodes + 1)]
+            else:
+                points = [[rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
+                           rng.uniform(0.0, 20.0)] for _ in range(nodes + 1)]
+            table = routing._distance_table([np.array(p) for p in points])
+        route = list(range(1, nodes + 1))
+        rng.shuffle(route)
+        yield seed, table, route
+        # the planner's own inputs: a nearest-neighbor route and its 2-opt
+        yield seed, table, routing._nearest_neighbor(table)
+        yield seed, table, reference_two_opt(table, routing._nearest_neighbor(table))
+
+
+def test_descents_match_the_reference_scans():
+    for seed, table, route in descent_cases():
+        assert routing._two_opt(table, route) == reference_two_opt(table, route), seed
+        assert routing._or_opt(table, route) == reference_or_opt(table, route), seed
+
+
+def test_two_opt_leaves_its_own_output_unchanged():
+    # _order_route ends a descent when Or-opt moves nothing, without a
+    # further 2-opt pass: that pass could only move a route 2-opt left
+    for seed, table, route in descent_cases():
+        once = routing._two_opt(table, route)
+        assert routing._two_opt(table, once) == once, seed
