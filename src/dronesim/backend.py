@@ -113,8 +113,9 @@ class FLOATS:
     @staticmethod
     def renormalized(new, t):
         # the state with a unit quaternion; raises if it is non-finite or
-        # its quaternion collapsed
-        if not all(map(math.isfinite, new)):
+        # its quaternion collapsed; a sum with an infinity or a NaN in it
+        # is never finite, so only a non-finite sum needs the full check
+        if not math.isfinite(sum(new)) and not all(map(math.isfinite, new)):
             raise DivergenceError(f"non-finite state at t = {t}", t)
         qw, qx, qy, qz = new[6:10]
         norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)

@@ -31,8 +31,6 @@ from .backend import FLOATS, ROWS, DivergenceError
 from .frames import FieldError, as_quat, as_vec3, quat_identity, quat_norm
 from .scenario import EnvironmentSample
 
-DEFAULT_TIME_STEP = 0.001
-
 # Orientation guard: a loose sanity bound for constructed states. The
 # integrator itself keeps the norm within ~1e-15 of unity per step.
 _ORIENTATION_NORM_TOL = 1e-6
@@ -105,15 +103,24 @@ class Derivative:
     d_angular_velocity: np.ndarray
 
 
-def _rhs(c: AirframeConstants, gravity: float, wind, wrench, x) -> list[float]:
-    # Right-hand side on the 13 state floats. Rotor speeds are held
-    # constant over a step, so the caller evaluates the wrench once.
-    # Non-finite components propagate (rk4_step turns them into a
-    # DivergenceError). The quaternion may be slightly off-unit during
-    # RK4 substeps; the 2/n^2 factor applies the rotation of its
-    # normalized form.
+def _rhs(c: AirframeConstants, gravity: float, wind, wrench, x, h: float = 0.0,
+         k=None) -> list[float]:
+    # Right-hand side at the 13 state floats x or, given the previous RK4
+    # stage k, at the substep x + h * k. No position is read, so only the
+    # ten other substep components are formed, each as x[i] + h * k[i];
+    # the first stage reads x itself, as x + 0.0 * k would turn -0.0 into
+    # 0.0 and an infinity into NaN. Rotor speeds are held constant over a
+    # step, so the caller evaluates the wrench once. Non-finite components
+    # propagate (rk4_step turns them into a DivergenceError). The
+    # quaternion may be slightly off-unit during RK4 substeps; the 2/n^2
+    # factor applies the rotation of its normalized form.
     fz, tx, ty, tz = wrench
     _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
+    if k is not None:
+        _, _, _, kvx, kvy, kvz, kqw, kqx, kqy, kqz, kwx, kwy, kwz = k
+        vx, vy, vz = vx + h * kvx, vy + h * kvy, vz + h * kvz
+        qw, qx, qy, qz = qw + h * kqw, qx + h * kqx, qy + h * kqy, qz + h * kqz
+        wx, wy, wz = wx + h * kwx, wy + h * kwy, wz + h * kwz
     n2 = qw * qw + qx * qx + qy * qy + qz * qz
     s = 2.0 / n2
     # thrust acts along body +z: world direction is the third matrix column
@@ -122,10 +129,10 @@ def _rhs(c: AirframeConstants, gravity: float, wind, wrench, x) -> list[float]:
     ay = s * (qy * qz - qx * qw) * f
     az = (1.0 - s * (qx * qx + qy * qy)) * f - gravity
     if c.linear_drag != 0.0:
-        k = c.linear_drag / c.mass
-        ax -= k * (vx - wind[0])
-        ay -= k * (vy - wind[1])
-        az -= k * (vz - wind[2])
+        kd = c.linear_drag / c.mass
+        ax -= kd * (vx - wind[0])
+        ay -= kd * (vy - wind[1])
+        az -= kd * (vz - wind[2])
 
     ix, iy, iz = c.inertia
     # omega x (I omega) for a diagonal inertia tensor
@@ -155,9 +162,9 @@ def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
     h = 0.5 * dt
     try:
         k1 = _rhs(c, gravity, wind, wrench, x)
-        k2 = _rhs(c, gravity, wind, wrench, [a + h * b for a, b in zip(x, k1)])
-        k3 = _rhs(c, gravity, wind, wrench, [a + h * b for a, b in zip(x, k2)])
-        k4 = _rhs(c, gravity, wind, wrench, [a + dt * b for a, b in zip(x, k3)])
+        k2 = _rhs(c, gravity, wind, wrench, x, h, k1)
+        k3 = _rhs(c, gravity, wind, wrench, x, h, k2)
+        k4 = _rhs(c, gravity, wind, wrench, x, dt, k3)
     except ZeroDivisionError:  # a substep quaternion of zero norm
         raise DivergenceError(f"non-finite state at t = {t_end}", t=t_end) from None
     sixth = dt / 6.0

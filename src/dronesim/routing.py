@@ -261,8 +261,13 @@ def _order_route(start, wps: list[Waypoint]) -> list[Waypoint]:
     # every route that entered a round of the descent -> the route it ended on
     descents: dict[tuple, list[int]] = {}
     best_key: tuple | None = None
+    # anchoring on the unanchored route's first node builds that same route
+    unanchored = _nearest_neighbor(table)
     for first in [None, *range(1, len(table))]:
-        route = _two_opt(table, _nearest_neighbor(table, first))
+        if first == unanchored[0]:
+            continue
+        nearest = unanchored if first is None else _nearest_neighbor(table, first)
+        route = _two_opt(table, nearest)
         entered = []
         while (key := tuple(route)) not in descents:
             entered.append(key)

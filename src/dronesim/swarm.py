@@ -1,20 +1,20 @@
 """Lock-step swarm simulation on one shared clock.
 
-Every tick of the scenario's reference time step, the environment is
-sampled once (it is uniform and constant), each drone computes rotor
-commands toward its current setpoint and takes one dynamics step, and
-setpoints advance when waypoints are captured. Interaction checks
-(pairwise separation, obstacle containment) run once per tick on the
-post-step snapshot, after every drone's model update, and are purely
-observational: violations become events, never evasive maneuvers. The
-separation check hashes drones to columns of a uniform grid in x and y,
-a hair wider than ``min_separation``, and measures only pairs in the
-same or neighbouring columns, so a tick costs O(N) plus the close
-neighbours instead of all N * (N - 1) / 2 pairs; below ``_GRID_MIN``
-drones it measures every pair, which costs less there. It reports the
-same events as testing every pair, computed with the same float
-expression and in (i, j) drone-index order. Obstacle boxes are turned
-into plain float bounds once per run.
+The environment is uniform and constant, so it is sampled once per
+run. Every tick of the scenario's reference time step, each drone
+computes rotor commands toward its current setpoint and takes one
+dynamics step, and setpoints advance when waypoints are captured.
+Interaction checks (pairwise separation, obstacle containment) run
+once per tick on the post-step snapshot, after every drone's model
+update, and are purely observational: violations become events, never
+evasive maneuvers. The separation check hashes drones to columns of a
+uniform grid in x and y, a hair wider than ``min_separation``, and
+measures only pairs in the same or neighbouring columns, so a tick
+costs O(N) plus the close neighbours instead of all N * (N - 1) / 2
+pairs; below ``_GRID_MIN`` drones it measures every pair, which costs
+less there. It reports the same events as testing every pair, computed
+with the same float expression and in (i, j) drone-index order.
+Obstacle boxes are turned into plain float bounds once per run.
 
 Drones that finish their route keep station-holding at their last
 setpoint until the whole swarm is done; drones that hit the ground or
@@ -302,6 +302,7 @@ def _violation_key(event: SimEvent) -> tuple:
 _BLOCK_MIN = 32
 
 # the environment is uniform and constant, so one sample serves every drone
+# and every tick of a run
 _ANYWHERE = (0.0, 0.0, 0.0)
 
 
@@ -467,14 +468,14 @@ def simulate(swarm: Swarm, scenario: Scenario,
     :class:`RecordedSamples`). Tick k is time ``k * dt`` exactly, so every
     sample and event time is an exact tick multiple; every drone starts
     at t = 0 and the ``t`` of its initial state is not used. The
-    environment is sampled once per tick. Drones that share an airframe
-    and gains, at least ``_BLOCK_MIN`` of them, step together as the
-    columns of one (13, n) numpy block; other drones step one after
-    another on plain floats. Both run the same controller and
-    integrator (see :mod:`dronesim.backend`) and give the same bits, so
-    the result is deterministic and independent of the grouping: the
-    same swarm and scenario give a bit-identical trajectory. ``parallel``
-    is accepted and ignored. The swarm and its drones, airframes, states
+    environment, uniform and constant, is sampled once per run. Drones
+    that share an airframe and gains, at least ``_BLOCK_MIN`` of them,
+    step together as the columns of one (13, n) numpy block; other
+    drones step one after another on plain floats. Both run the same
+    controller and integrator (see :mod:`dronesim.backend`) and give the
+    same bits, so the result is deterministic and independent of the
+    grouping: the same swarm and scenario give a bit-identical
+    trajectory. ``parallel`` is accepted and ignored. The swarm and its drones, airframes, states
     and routes are left unchanged.
     """
     dt = scenario.reference_time_step
@@ -493,6 +494,7 @@ def simulate(swarm: Swarm, scenario: Scenario,
     events: list[SimEvent] = []
     active_violations: set[tuple] = set()
     boxes = [box_bounds(b) for b in scenario.conditions.obstacles]
+    env = sample_environment(scenario, _ANYWHERE, 0.0)
 
     for tick in range(n_ticks + 1):
         t = tick * dt
@@ -539,7 +541,6 @@ def simulate(swarm: Swarm, scenario: Scenario,
 
         # model updates: each drone, or block of drones, reads and writes
         # only its own state; drones that leave report in drone order
-        env = sample_environment(scenario, _ANYWHERE, t)
         dropped: list[tuple[int, SimEvent]] = []
         for unit in units:
             if type(unit) is _Block:

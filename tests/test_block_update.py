@@ -12,10 +12,12 @@ diverges and one touches the ground, on drones that capture several
 waypoints in one tick, and on generated tilted, spinning swarms.
 
 The seam's numpy primitives are checked against their ``math`` twins on
-NaN, signed zeros, infinities and values at the clamp limits, and both
-paths must log the same saturation lines.
+NaN, signed zeros, infinities and values at the clamp limits, the float
+finiteness check against a test of every component, and both paths
+must log the same saturation lines.
 """
 
+import itertools
 import logging
 import math
 import sys
@@ -313,7 +315,11 @@ def test_renormalized_fails_the_same_columns_for_the_same_reasons():
               [1.0] * 6 + [1e200, 1e200, 0.0, 0.0] + [0.0] * 3,  # the norm overflows
               [1.0] * 6 + [1e-13, 0.0, 0.0, 0.0] + [0.0] * 3,  # below 1e-12
               [1.0] * 6 + [-0.0, 3.0, 4.0, 0.0] + [-0.0] * 3,
-              [math.inf] * 13]
+              [math.inf] * 13,
+              [1e308, 1e308] + [1.0] * 4 + [0.6, 0.0, 0.8, 0.0] + [1e308] * 3,  # the sum overflows
+              [math.inf, -math.inf] + [1.0] * 4 + [1.0, 0.0, 0.0, 0.0] + [0.0] * 3,
+              [1.0] * 5 + [-math.inf, 1.0, 0.0, 0.0, 0.0] + [0.0] * 3,
+              [-1e308] * 6 + [0.0, 0.6, 0.0, 0.8] + [-1e308] * 3]
     expected = {}
     for k, state in enumerate(states):
         try:
@@ -327,6 +333,28 @@ def test_renormalized_fails_the_same_columns_for_the_same_reasons():
                                  2: "non-finite state at t = 0.5",
                                  3: "orientation collapsed at t = 0.5",
                                  4: "orientation collapsed at t = 0.5",
-                                 6: "non-finite state at t = 0.5"}
-    for k in (0, 5):
+                                 6: "non-finite state at t = 0.5",
+                                 8: "non-finite state at t = 0.5",
+                                 9: "non-finite state at t = 0.5"}
+    for k in (0, 5, 7, 10):
         assert all(map(same, err.value.state[:, k], expected[k]))
+
+
+def test_floats_renormalized_raises_exactly_on_a_non_finite_component():
+    # the sum of the components decides only when it is finite; finite
+    # components whose sum overflows, such as 1e308 twice, must not raise
+    outcomes = set()
+    for i, a, b in itertools.product(range(13), SPECIAL, SPECIAL):
+        state = [1.0] * 6 + [0.6, 0.0, 0.8, 0.0] + [0.0] * 3
+        state[i], state[(i + 5) % 13] = a, b
+        try:
+            FLOATS.renormalized(list(state), 0.5)
+            message = None
+        except DivergenceError as err:
+            message = str(err)
+        if all(map(math.isfinite, state)):
+            assert message in (None, "orientation collapsed at t = 0.5")
+        else:
+            assert message == "non-finite state at t = 0.5"
+        outcomes.add((message, math.isfinite(sum(state))))
+    assert (None, False) in outcomes  # a finite state whose sum overflowed
