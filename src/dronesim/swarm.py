@@ -7,14 +7,17 @@ dynamics step, and setpoints advance when waypoints are captured.
 Interaction checks (pairwise separation, obstacle containment) run
 once per tick on the post-step snapshot, after every drone's model
 update, and are purely observational: violations become events, never
-evasive maneuvers. The separation check hashes drones to columns of a
-uniform grid in x and y, a hair wider than ``min_separation``, and
+evasive maneuvers. The separation check builds cell lists on a (3, N)
+position array: it sorts the drones by the column of a uniform grid in
+x and y, a hair wider than ``min_separation``, that holds them, and
 measures only pairs in the same or neighbouring columns, so a tick
-costs O(N) plus the close neighbours instead of all N * (N - 1) / 2
-pairs; below ``_GRID_MIN`` drones it measures every pair, which costs
-less there. It reports the same events as testing every pair, computed
-with the same float expression and in (i, j) drone-index order.
-Obstacle boxes are turned into plain float bounds once per run.
+costs O(N log N) in numpy plus the close neighbours instead of all
+N * (N - 1) / 2 pairs; below ``_GRID_MIN`` drones it measures every
+pair in Python, which costs less there. It reports the same violations
+as testing every pair, computed with the same float expression and in
+(i, j) drone-index order, and only the close pairs come back to
+Python. Obstacle boxes are turned into plain float bounds once per
+run. An event is built only when a violation episode starts.
 
 Drones that finish their route keep station-holding at their last
 setpoint until the whole swarm is done; drones that hit the ground or
@@ -31,9 +34,11 @@ comparisons and ``math`` trig mapped over the row on blocks), so a drone
 gets the same bits in a block as alone. The sines and cosines of each
 setpoint's yaw are computed once, when the route is read. A block tests
 capture on all its columns at once; only the drones that reached their
-setpoint enter the per-drone route bookkeeping. A drone that diverges
-or touches the ground leaves its block with the event it would have
-alone, and events of drones leaving in one tick come in drone order.
+setpoint enter the per-drone route bookkeeping. A block's states stay
+in the block; a drone's floats are made from it only for that
+bookkeeping, for recording, and when the drone leaves. A drone that
+diverges or touches the ground leaves its block with the event it would
+have alone, and events of drones leaving in one tick come in drone order.
 Airframe constants are built once per run; rotor speeds pass from the
 controller to the integrator as values, and no caller-supplied object
 is changed. Runs are serial and deterministic: the same swarm and
@@ -173,101 +178,126 @@ class Trajectory:
         return [[s.t, *s.as_floats()] for s in samples[drone_id]]
 
 
-# The separation test hashes positions to columns of a uniform grid in x
-# and y, and measures only pairs in the same or neighbouring columns
-# (Teschner et al., "Optimized Spatial Hashing for Collision Detection of
-# Deformable Objects", VMV 2003). Why no close pair is missed, with
-# u = 2**-53: a computed distance below s means |x_i - x_j| < s * (1 + 5u),
-# or else below 2**-499, where dx * dx can underflow to zero. The cell side
-# c is at least s * (1 + 2**-20) and 2**-490, so such x lie less than
-# 1 - 2**-21 cells apart. c is also at least 2**-30 of the largest |x| or
-# |y|, so |x / c| <= 2**30 is rounded by at most 2**-23 and its floor
-# never overflows. The rounded quotients thus differ by less than one, and
-# their floors by at most one; the same holds for y. Below _GRID_MIN drones
-# every pair is a candidate instead: the grid's candidates are a subset of
-# them that holds every close pair, and both are measured with the same
-# expression, so the close list is the same.
+# The separation test sorts the drones by the column of a uniform grid in
+# x and y that holds them, and measures only pairs in the same or
+# neighbouring columns: cell lists built by sorting cell keys (Teschner et
+# al., "Optimized Spatial Hashing for Collision Detection of Deformable
+# Objects", VMV 2003; S. Green, "Particle Simulation using CUDA", NVIDIA
+# 2010). Why no close pair is missed, with u = 2**-53: a computed distance
+# below s means |x_i - x_j| < s * (1 + 5u), or else below 2**-499, where
+# dx * dx can underflow to zero. The cell side c is at least
+# s * (1 + 2**-20) and 2**-490, so such x lie less than 1 - 2**-21 cells
+# apart. c is also at least 2**-30 of the largest |x| or |y|, so
+# |x / c| <= 2**30 is rounded by at most 2**-23, and the int64 keys below,
+# with _RUN_ENDS added, stay under 2**62 + 2**33 in size. The rounded
+# quotients thus differ by less than one, and their floors by at most one;
+# the same holds for y. Below _GRID_MIN drones every pair is a candidate
+# instead: the grid's candidates are a subset of them that holds every
+# close pair, and both are measured with the same expression (IEEE sqrt
+# is correctly rounded in numpy and in math alike), so the close list is
+# the same.
 _CELL_WIDENING = 1.0 + 2.0 ** -20
 _CELL_PER_EXTENT = 2.0 ** -30
 _MIN_CELL = 2.0 ** -490
 _ROW = 1 << 32  # key = floor(x / c) * _ROW + floor(y / c)
-_FORWARD = (1, _ROW - 1, _ROW, _ROW + 1)  # (0, +1), (+1, -1), (+1, 0), (+1, +1)
-# Measured per call on spread drones, the grid costs 5.9 us at 2 drones
-# against 1.3 us for every pair, and the two are even at about 12.
-_GRID_MIN = 12
+# A drone's partners are the drones after it in its own column and those
+# in the forward columns (0, +1), (+1, -1), (+1, 0) and (+1, +1), so a pair
+# of neighbouring columns is met from one side only. Keys are integers,
+# so in the sorted keys these are two runs: from the drone's own place to
+# key + 2, and from key + _ROW - 1 to key + _ROW + 2, both ends excluded.
+_RUN_ENDS = np.array([[2], [_ROW - 1], [_ROW + 2]])
+# Measured per call on spread drones (best of 15 on 2 vCPUs), measuring
+# every pair costs 16-17 us at 12 drones, 45-48 at 20 and 52-64 at 24; the
+# sorted grid costs 42-51, 43-57 and 35-63 there (the high end for lists,
+# which it turns into an array first). The two are even at 20 to 24.
+_GRID_MIN = 24
 
 
-def _close_pairs(positions: list, min_separation: float) -> list[tuple[int, int, float]]:
+def _close_pairs(positions, min_separation: float) -> list[tuple[int, int, float]]:
     # (i, j, distance) for every pair i < j closer than min_separation, in
-    # (i, j) order, with the distance computed as the all-pairs test would
-    if len(positions) < 2 or min_separation == 0.0:  # no distance is below 0
+    # (i, j) order, with the distance computed as the all-pairs test would;
+    # positions: a (3, N) array, or one sequence of 3 floats per drone
+    n = positions.shape[1] if type(positions) is np.ndarray else len(positions)
+    if n < 2 or min_separation == 0.0:  # no distance is below 0
         return []
-    if len(positions) < _GRID_MIN:
-        candidates = itertools.combinations(range(len(positions)), 2)
-    else:
-        candidates = _grid_candidates(positions, min_separation)
-    close = []
-    for i, j in candidates:
-        ax, ay, az = positions[i]
-        bx, by, bz = positions[j]
-        dx, dy, dz = ax - bx, ay - by, az - bz
-        distance = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if distance < min_separation:
-            close.append((i, j, distance))
-    return close
-
-
-def _grid_candidates(positions: list, min_separation: float) -> list[tuple[int, int]]:
-    # the pairs (i, j), i < j, in the same or neighbouring grid columns, sorted
-    xs, ys, _ = zip(*positions)
+    if n < _GRID_MIN:
+        if type(positions) is np.ndarray:
+            positions = positions.T.tolist()
+        close = []
+        for i, j in itertools.combinations(range(n), 2):
+            ax, ay, az = positions[i]
+            bx, by, bz = positions[j]
+            dx, dy, dz = ax - bx, ay - by, az - bz
+            distance = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if distance < min_separation:
+                close.append((i, j, distance))
+        return close
+    if type(positions) is not np.ndarray:
+        positions = np.array(positions, dtype=float).T
     cell = max(min_separation * _CELL_WIDENING,
-               max(map(abs, xs + ys)) * _CELL_PER_EXTENT, _MIN_CELL)
-    floor = math.floor
-    columns: dict[int, list[int]] = {}
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        key = floor(x / cell) * _ROW + floor(y / cell)
-        column = columns.get(key)
-        if column is None:
-            columns[key] = [i]
-        else:
-            column.append(i)
-    # each column meets itself and its four forward neighbours, so every
-    # pair of neighbouring columns is visited once
-    candidates = []
-    for key, column in columns.items():
-        if len(column) > 1:
-            candidates.extend(itertools.combinations(column, 2))
-        for step in _FORWARD:
-            other = columns.get(key + step)
-            if other is not None:
-                for i in column:
-                    for j in other:
-                        candidates.append((i, j) if i < j else (j, i))
-    candidates.sort()
-    return candidates
+               float(np.abs(positions[0:2]).max()) * _CELL_PER_EXTENT, _MIN_CELL)
+    column = np.floor(positions[0:2] / cell).astype(np.int64)
+    keys = column[0] * _ROW + column[1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    ends = np.searchsorted(keys, keys + _RUN_ENDS)
+    starts = np.concatenate((np.arange(1, n + 1), ends[1]))
+    counts = np.concatenate((ends[0], ends[2])) - starts
+    total = int(counts.sum())
+    if not total:
+        return []
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    owner = np.repeat(np.concatenate((order, order)), counts)
+    partner = order.take(shift + np.arange(total))
+    # a - b is exactly -(b - a), so the squares do not depend on the order
+    d = positions.take(owner, axis=1) - positions.take(partner, axis=1)
+    d *= d
+    distance = np.sqrt(d[0] + d[1] + d[2])
+    close = np.flatnonzero(distance < min_separation)
+    if not len(close):
+        return []
+    owner, partner, distance = owner.take(close), partner.take(close), distance.take(close)
+    swap = owner > partner
+    i, j = np.where(swap, partner, owner), np.where(swap, owner, partner)
+    rank = np.argsort(i * n + j, kind="stable")
+    return list(zip(i.take(rank).tolist(), j.take(rank).tolist(), distance.take(rank).tolist()))
 
 
-def _instant_violations(ids: list[str], positions: list, min_separation: float,
-                        boxes: list, t: float) -> list[SimEvent]:
-    # positions: one sequence of 3 plain floats per drone; boxes: the
-    # obstacles as scenario.box_bounds tuples
-    events = []
-    for i, j, distance in _close_pairs(positions, min_separation):
-        ax, ay, az = positions[i]
-        bx, by, bz = positions[j]
-        pair = tuple(sorted((ids[i], ids[j])))
-        events.append(SimEvent(t, SEPARATION_VIOLATION, pair, {
-            "distance_m": distance,
-            "min_separation_m": min_separation,
-            "position": [0.5 * (ax + bx), 0.5 * (ay + by), 0.5 * (az + bz)],
-        }))
-    if boxes:
-        for drone_id, (x, y, z) in zip(ids, positions):
-            if inside_any(boxes, x, y, z):
-                events.append(SimEvent(t, OBSTACLE_COLLISION, (drone_id,), {
-                    "position": [x, y, z],
-                }))
-    return events
+def _instant_violations(positions, min_separation: float, boxes: list) -> list[tuple]:
+    # (i, j, distance) per pair closer than min_separation, in (i, j) order,
+    # then (i,) per drone inside an obstacle, in drone order; positions as
+    # for _close_pairs, boxes as scenario.box_bounds tuples
+    violations = _close_pairs(positions, min_separation)
+    if not boxes:
+        return violations
+    if type(positions) is np.ndarray:
+        # inside_any's inclusive comparisons, on every drone and box at once
+        bounds = np.array(boxes)[:, :, np.newaxis]
+        inside = ((bounds[:, 0:3] <= positions) & (positions <= bounds[:, 3:6])).all(axis=1)
+        violations.extend((i,) for i in np.flatnonzero(inside.any(axis=0)).tolist())
+    else:
+        violations.extend((i,) for i, (x, y, z) in enumerate(positions)
+                          if inside_any(boxes, x, y, z))
+    return violations
+
+
+def _position(positions, i: int) -> list[float]:
+    return positions[:, i].tolist() if type(positions) is np.ndarray else list(positions[i])
+
+
+def _violation_event(violation: tuple, ids: list[str], positions, min_separation: float,
+                     t: float) -> SimEvent:
+    # the event of one entry of _instant_violations
+    a = _position(positions, violation[0])
+    if len(violation) == 1:
+        return SimEvent(t, OBSTACLE_COLLISION, (ids[violation[0]],), {"position": a})
+    i, j, distance = violation
+    (ax, ay, az), (bx, by, bz) = a, _position(positions, j)
+    return SimEvent(t, SEPARATION_VIOLATION, tuple(sorted((ids[i], ids[j]))), {
+        "distance_m": distance,
+        "min_separation_m": min_separation,
+        "position": [0.5 * (ax + bx), 0.5 * (ay + by), 0.5 * (az + bz)],
+    })
 
 
 def check_interactions(swarm: Swarm, conditions: FlyingConditions,
@@ -276,29 +306,29 @@ def check_interactions(swarm: Swarm, conditions: FlyingConditions,
 
     Returns one separation_violation per unordered pair closer than
     min_separation, in the order of the pair's drone indices (i, j), then
-    one obstacle_collision per drone inside a box, in drone order.
-    Candidate pairs come from a uniform grid of columns a hair wider than
-    min_separation, so the cost grows with the number of drones and of
-    close neighbours rather than with all N * (N - 1) / 2 pairs; the
-    events are the same as from testing every pair. Episode
-    deduplication over time is handled by :func:`simulate`.
+    one obstacle_collision per drone inside a box, in drone order. The
+    positions form one (3, N) array; candidate pairs come from cell lists
+    of a uniform grid of columns a hair wider than min_separation, built
+    by sorting the drones' column keys, so the cost grows with the number
+    of drones and of close neighbours rather than with all
+    N * (N - 1) / 2 pairs; the events are the same as from testing every
+    pair. This reports every violation at t; :func:`simulate` reports
+    only those that were not already in violation a tick earlier.
     """
     ids = [d.id for d in swarm.drones]
-    positions = [d.state.position.tolist() for d in swarm.drones]
+    positions = np.array([d.state.position for d in swarm.drones], dtype=float).T
     boxes = [box_bounds(b) for b in conditions.obstacles]
-    return _instant_violations(ids, positions, swarm.min_separation, boxes, t)
-
-
-def _violation_key(event: SimEvent) -> tuple:
-    return (event.kind,) + event.drone_ids
+    return [_violation_event(v, ids, positions, swarm.min_separation, t)
+            for v in _instant_violations(positions, swarm.min_separation, boxes)]
 
 
 # Groups of at least this many drones with one airframe and one set of
 # gains step as a (13, n) block; smaller groups step drone by drone. The
 # block's numpy calls cost a few hundred us a tick whatever n is. On
-# crossing swarms of n drones (12 ticks, median of 7 interleaved runs) a
-# drone-tick cost 1.9 times as much in a block as on floats at n = 16,
-# 1.12 at 24, 0.99 at 28 and 0.92 at 32.
+# crossing swarms of n drones (12 ticks, median of 11 interleaved runs,
+# each the best of 3) a whole run cost 1.82 times as much with the drones
+# in a block as on floats at n = 16, 1.22 at 24, 0.98 at 32, 0.83 at 40
+# and 0.73 at 48.
 _BLOCK_MIN = 32
 
 # the environment is uniform and constant, so one sample serves every drone
@@ -328,13 +358,17 @@ class _Block:
     """Drones of one airframe and one set of gains that step together.
 
     Column k of each array belongs to ``runs[k]``, in drone order; a
-    deactivated drone's column is removed. After every step the runs'
-    own ``x`` and ``tick`` are refreshed from the block.
+    deactivated drone's column is removed. The drones' states live in
+    ``x`` alone: a run's own ``x`` and ``tick`` are set from the block only
+    when the run needs them, that is when it enters route bookkeeping
+    (:meth:`due`), leaves the block, or is recorded (:meth:`refresh`).
     """
 
     index: int  # of its first drone, which orders it among the runs
     runs: list[_DroneRun]
     x: np.ndarray  # (13, n) states
+    columns: np.ndarray  # (n,) the drones' indices in the swarm
+    tick: int = 0  # x holds the states at time tick * dt
     target: np.ndarray | None = None  # (3, n) setpoint positions, set by aim()
     heading: np.ndarray | None = None  # (4, n) setpoint headings
     flying: np.ndarray | None = None  # (n,) still on their routes
@@ -342,9 +376,22 @@ class _Block:
     def due(self) -> list[_DroneRun]:
         # the drones whose setpoint must be set or that reached it
         if self.target is None:
-            return list(self.runs)
+            return self.refresh()
         hit = within_capture(self.x, self.target, self.runs[0].gains.capture_radius)
-        return [self.runs[k] for k in np.flatnonzero(hit & self.flying).tolist()]
+        picked = np.flatnonzero(hit & self.flying).tolist()
+        return self.refresh(picked) if picked else []
+
+    def refresh(self, picked: list[int] | None = None) -> list[_DroneRun]:
+        # the picked columns' runs (all by default), their x and tick set
+        # from the block
+        if picked is None:
+            runs, columns = self.runs, self.x.T.tolist()
+        else:
+            runs, columns = [self.runs[k] for k in picked], self.x[:, picked].T.tolist()
+        for run, column in zip(runs, columns):
+            run.x = column
+            run.tick = self.tick
+        return runs
 
     def aim(self) -> None:
         runs = self.runs
@@ -353,22 +400,21 @@ class _Block:
         self.flying = np.array([r.status == "flying" for r in runs])
 
 
-_START_SHAPES = ((3,), (3,), (4,), (3,))
-
-
 def _start_floats(s: DroneState) -> list[float]:
     # the caller's state as 13 floats, checked once as DroneState checks it
     # (the swarm clock starts at t = 0, so s.t is not used); a state changed
     # in place since it was built goes through DroneState, which converts
     # it or raises the same FieldError it raises for the same values
-    vectors = (s.position, s.velocity, s.orientation, s.angular_velocity)
-    if all(type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape
-           for v, shape in zip(vectors, _START_SHAPES)):
-        x = s.as_floats()
-        if all(map(math.isfinite, x)):
+    p, v, q, w = s.position, s.velocity, s.orientation, s.angular_velocity
+    if (type(p) is type(v) is type(q) is type(w) is np.ndarray
+            and p.dtype == v.dtype == q.dtype == w.dtype == np.float64
+            and p.shape == v.shape == w.shape == (3,) and q.shape == (4,)):
+        x = p.tolist() + v.tolist() + q.tolist() + w.tolist()
+        # a sum with an infinity or a NaN in it is never finite
+        if math.isfinite(sum(x)) or all(map(math.isfinite, x)):
             check_unit_orientation(x[6:10])
             return x
-    return DroneState(0.0, *vectors).as_floats()
+    return DroneState(0.0, p, v, q, w).as_floats()
 
 
 def _start(index: int, drone: Drone, air_density: float) -> _DroneRun:
@@ -393,8 +439,8 @@ def _units(runs: list[_DroneRun]) -> list:
         if len(members) < _BLOCK_MIN:
             units.extend(members)
             continue
-        units.append(_Block(members[0].index, members,
-                            np.array([r.x for r in members]).T.copy()))
+        units.append(_Block(members[0].index, members, np.array([r.x for r in members]).T.copy(),
+                            np.array([r.index for r in members])))
     units.sort(key=lambda unit: unit.index)
     return units
 
@@ -415,8 +461,10 @@ def _step_run(run: _DroneRun, env, dt: float, tick: int, dropped: list) -> None:
         _deactivate(run, GROUND_CONTACT, t_next, dropped)
 
 
-def _step_block(block: _Block, env, dt: float, tick: int, dropped: list) -> None:
-    # as _step_run for every column; a failed or grounded column leaves the block
+def _step_block(block: _Block, env, dt: float, dropped: list) -> None:
+    # as _step_run for every column; a failed or grounded column leaves the
+    # block with its state before or after the step, as a drone alone would
+    tick = block.tick
     t_next = (tick + 1) * dt
     runs = block.runs
     lead = runs[0]
@@ -428,23 +476,21 @@ def _step_block(block: _Block, env, dt: float, tick: int, dropped: list) -> None
             x = rk4_step(lead.constants, env, speeds, block.x, dt, t_next)
         except DivergenceError as err:
             x, failed = err.state, err.columns
-    left = False
-    for k, (run, column) in enumerate(zip(runs, x.T.tolist())):
-        if k in failed:
-            _deactivate(run, DIVERGENCE, t_next, dropped, detail=failed[k])
-            left = True
-            continue
-        run.x = column
-        run.tick = tick + 1
-        if column[2] < 0.0:
-            _deactivate(run, GROUND_CONTACT, t_next, dropped)
-            left = True
-    if left:
+        grounded = [k for k in np.flatnonzero(x[2] < 0.0).tolist() if k not in failed]
+    block.tick = tick + 1
+    if failed or grounded:
+        for k, detail in failed.items():
+            runs[k].x, runs[k].tick = block.x[:, k].tolist(), tick
+            _deactivate(runs[k], DIVERGENCE, t_next, dropped, detail=detail)
+        for k in grounded:
+            runs[k].x, runs[k].tick = x[:, k].tolist(), tick + 1
+            _deactivate(runs[k], GROUND_CONTACT, t_next, dropped)
         keep = [k for k, run in enumerate(runs) if run.status != "deactivated"]
         block.runs = [runs[k] for k in keep]
+        block.columns = block.columns[keep]
         x = x[:, keep]
     block.x = x
-    if left and block.runs:
+    if (failed or grounded) and block.runs:
         block.aim()
 
 
@@ -453,7 +499,7 @@ def _deactivate(run: _DroneRun, kind: str, t: float, dropped: list, **payload) -
     # step, after one that touched the ground
     run.status = "deactivated"
     payload["position"] = run.x[0:3]
-    dropped.append((run.index, SimEvent(t, kind, (run.id,), payload)))
+    dropped.append((run, SimEvent(t, kind, (run.id,), payload)))
 
 
 def simulate(swarm: Swarm, scenario: Scenario,
@@ -492,7 +538,11 @@ def simulate(swarm: Swarm, scenario: Scenario,
     ids = [run.id for run in runs]
     rows: dict[str, list[list[float]]] = {run.id: [] for run in runs}
     events: list[SimEvent] = []
-    active_violations: set[tuple] = set()
+    # a pair (i, j) or a drone (i,) in violation after the last tick
+    active: set[tuple] = set()
+    # with a block, the interaction check reads one (3, N) array of the
+    # drones' positions, which keeps a deactivated drone's last position
+    array = np.array([run.x[0:3] for run in runs]).T.copy() if blocks else None
     boxes = [box_bounds(b) for b in scenario.conditions.obstacles]
     env = sample_environment(scenario, _ANYWHERE, 0.0)
 
@@ -531,6 +581,8 @@ def simulate(swarm: Swarm, scenario: Scenario,
             block.aim()
 
         if tick % record_every == 0:
+            for block in blocks:
+                block.refresh()
             for run in runs:
                 if run.tick == tick:  # skip drones frozen earlier
                     rows[run.id].append([t, *run.x])
@@ -541,29 +593,41 @@ def simulate(swarm: Swarm, scenario: Scenario,
 
         # model updates: each drone, or block of drones, reads and writes
         # only its own state; drones that leave report in drone order
-        dropped: list[tuple[int, SimEvent]] = []
+        dropped: list[tuple[_DroneRun, SimEvent]] = []
         for unit in units:
             if type(unit) is _Block:
-                _step_block(unit, env, dt, tick, dropped)
+                _step_block(unit, env, dt, dropped)
             elif unit.status != "deactivated":
                 _step_run(unit, env, dt, tick, dropped)
         if dropped:
-            dropped.sort(key=lambda entry: entry[0])
+            dropped.sort(key=lambda entry: entry[0].index)
             events.extend(event for _, event in dropped)
             units = [u for u in units if type(u) is _DroneRun or u.runs]
             blocks = [u for u in units if type(u) is _Block]
 
         # interaction checks follow every model update for this tick
-        t_next = (tick + 1) * dt
-        instant = _instant_violations(ids, [r.x[0:3] for r in runs],
-                                      swarm.min_separation, boxes, t_next)
-        current_keys = {_violation_key(e) for e in instant}
-        for event in instant:
-            if _violation_key(event) not in active_violations:
-                events.append(event)
-        active_violations = current_keys
+        if array is None:
+            positions = [r.x[0:3] for r in runs]
+        else:
+            positions = array
+            for unit in units:
+                if type(unit) is _Block:
+                    positions[:, unit.columns] = unit.x[0:3]
+                else:
+                    positions[:, unit.index] = unit.x[0:3]
+            for run, _ in dropped:  # a drone that left its block this tick
+                positions[:, run.index] = run.x[0:3]
+        instant = _instant_violations(positions, swarm.min_separation, boxes)
+        if instant or active:
+            current = {v[0:2] for v in instant}
+            t_next = (tick + 1) * dt
+            events.extend(_violation_event(v, ids, positions, swarm.min_separation, t_next)
+                          for v in instant if v[0:2] not in active)
+            active = current
 
     # flush the last state of drones whose final tick fell between records
+    for block in blocks:
+        block.refresh()
     for run in runs:
         if run.recorded_tick < run.tick:
             rows[run.id].append([run.tick * dt, *run.x])

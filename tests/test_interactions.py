@@ -1,22 +1,28 @@
-"""The grid-hashed interaction check gives the all-pairs events.
+"""The sort-based interaction check gives the all-pairs events.
 
 ``reference_instant_violations`` is the all-pairs check the grid
 replaced: it measures every pair with the same float expression, then
 tests every drone against every box with numpy comparisons. The grid
 must give events equal to it with ``==``, in the same order: in whole
-``simulate`` runs on the bundled scenarios and on the benchmark's
-crossing swarms (200 drones at 10 seeds, and 1000 drones), and on
+``simulate`` runs on the bundled scenarios, on the benchmark's crossing
+swarms (200 drones at 10 seeds, and 1000 drones), on a swarm of one
+block and lone drones interleaved in drone order, and on a block drone
+that touched the ground and still counts for separation; and on
 generated clustered swarms with drones exactly ``min_separation``
 apart, one ulp inside it, on cell borders at negative coordinates,
-stacked in z, and inside or on the faces of obstacle boxes. The
-clustered swarms hold 1 to 20 drones, so they cover both the grid and
-the small swarms below ``_GRID_MIN``, where every pair is measured.
-Hypothesis examples are derandomized so that every run checks the same
-cases.
+stacked in z, and inside or on the faces of obstacle boxes, given both
+as lists of floats and as (3, N) position arrays. The clustered lists
+hold 1 to ``MAX_CLUSTER`` drones, so they cover both the grid and the
+small swarms below ``_GRID_MIN``, where every pair is measured; the
+arrays hold 12 to 300. ``simulate`` keys violation episodes on drone
+indices; a run in which episodes end and restart must report what
+keying them on drone ids reports. Hypothesis examples are derandomized
+so that every run checks the same cases.
 """
 
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +67,28 @@ def reference_instant_violations(ids, positions, min_separation, conditions, t):
 
 def grid_violations(ids, positions, min_separation, conditions, t):
     boxes = [ds.scenario.box_bounds(b) for b in conditions.obstacles]
-    return swarm_module._instant_violations(ids, positions, min_separation, boxes, t)
+    return [swarm_module._violation_event(v, ids, positions, min_separation, t)
+            for v in swarm_module._instant_violations(positions, min_separation, boxes)]
+
+
+def as_lists(positions):
+    # one list of 3 floats per drone, from a (3, N) array or from lists
+    if isinstance(positions, np.ndarray):
+        return positions.T.tolist()
+    return [list(p) for p in positions]
+
+
+def reference_hook(conditions):
+    """``_instant_violations`` made from the all-pairs reference."""
+    def instant(positions, min_separation, boxes):
+        positions = as_lists(positions)
+        # with the drone indices as ids, a pair's sorted ids are (i, j)
+        events = reference_instant_violations(range(len(positions)), positions,
+                                              min_separation, conditions, 0.0)
+        return [(*e.drone_ids, e.payload["distance_m"])
+                if e.kind == swarm_module.SEPARATION_VIOLATION else e.drone_ids
+                for e in events]
+    return instant
 
 
 def flat(trajectory):
@@ -74,10 +101,7 @@ def assert_simulate_matches_reference(swarm, scenario):
     returns the grid run's events once they and the samples are equal."""
     trajectory = ds.simulate(swarm, scenario)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(swarm_module, "_instant_violations",
-                      lambda ids, positions, min_separation, boxes, t:
-                      reference_instant_violations(ids, positions, min_separation,
-                                                   scenario.conditions, t))
+        patch.setattr(swarm_module, "_instant_violations", reference_hook(scenario.conditions))
         reference = ds.simulate(swarm, scenario)
     assert trajectory.events == reference.events
     assert flat(trajectory) == flat(reference)
@@ -118,14 +142,132 @@ def test_thousand_drone_crossing_gives_the_reference_events():
     assert sorted(e.drone_ids for e in events) == sorted(designed)
 
 
+def scenario_of(ticks, obstacles=(), dt=0.01):
+    return ds.Scenario(physics=ds.Physics(),
+                       conditions=ds.FlyingConditions(obstacles=list(obstacles)),
+                       inertial_frame=ds.InertialFrame(41.1, 16.9, 10.0),
+                       reference_time_step=dt, max_duration=ticks * dt,
+                       recording_interval=3 * dt)
+
+
+def heavier_craft():
+    craft = build_reference_craft()
+    craft.body = ds.Body(mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025))
+    return craft
+
+
+def units_of(swarm):
+    units = swarm_module._units([swarm_module._start(i, d, 1.225)
+                                 for i, d in enumerate(swarm.drones)])
+    return ([u.columns.tolist() for u in units if isinstance(u, swarm_module._Block)],
+            [u.index for u in units if isinstance(u, swarm_module._DroneRun)])
+
+
+def test_block_and_lone_drones_interleaved_give_the_reference_events():
+    # 32 drones of one airframe form a block, and 10 heavier drones, one in
+    # every four, fly alone; neighbours on the line fly through each
+    # other, so pairs of block and lone drones meet, and some pass
+    # through an obstacle slab
+    n = swarm_module._BLOCK_MIN + 10
+    lone = list(range(1, 40, 4))
+    drones = []
+    for i in range(n):
+        x, step = 3.0 * i, (1.6 if i % 2 == 0 else -1.6)
+        drones.append(ds.Drone(
+            id=f"m{n - i:02d}", airframe=heavier_craft() if i in lone else build_reference_craft(),
+            state=level_state(x, 0.0, 5.0), route=[ds.Setpoint(ds.vec3(x + step, 0.3, 5.0))]))
+    swarm = ds.Swarm(drones)
+    assert units_of(swarm) == ([[i for i in range(n) if i not in lone]], lone)
+    slab = ds.Box(ds.vec3(2.0, -5.0, 0.0), ds.vec3(2.2, 5.0, 10.0))
+    events = assert_simulate_matches_reference(swarm, scenario_of(150, [slab]))
+    pairs = {e.drone_ids for e in events if e.kind == swarm_module.SEPARATION_VIOLATION}
+    ids = [d.id for d in drones]
+    assert tuple(sorted((ids[0], ids[1]))) in pairs  # a block drone and a lone one
+    assert tuple(sorted((ids[2], ids[3]))) in pairs  # two block drones
+    assert {e.drone_ids for e in events if e.kind == swarm_module.OBSTACLE_COLLISION}
+
+
+@pytest.mark.parametrize("threshold", [None, math.inf])
+def test_a_grounded_block_drone_still_counts_for_separation(threshold):
+    # drone 0 touches the ground in the first tick; drone 1 then flies to
+    # within 2 m of where it lies, so the pair's one episode starts later
+    n = swarm_module._BLOCK_MIN
+    drones = [ds.Drone(id="g00", airframe=build_reference_craft(),
+                       state=ds.DroneState(0.0, ds.vec3(0.0, 0.0, 0.01),
+                                           velocity=ds.vec3(0.0, 0.0, -5.0)),
+                       route=[ds.Setpoint(ds.vec3(0.0, 0.0, 1.0))]),
+              ds.Drone(id="g01", airframe=build_reference_craft(),
+                       state=level_state(4.0, 0.0, 1.0),
+                       route=[ds.Setpoint(ds.vec3(1.0, 0.0, 0.8))])]
+    drones += [ds.Drone(id=f"g{i:02d}", airframe=build_reference_craft(),
+                        state=level_state(10.0 * i, 10.0, 5.0),
+                        route=[ds.Setpoint(ds.vec3(10.0 * i, 10.0, 5.0))]) for i in range(2, n)]
+    swarm = ds.Swarm(drones)
+    with pytest.MonkeyPatch.context() as patch:
+        if threshold is not None:
+            patch.setattr(swarm_module, "_BLOCK_MIN", threshold)
+        assert len(units_of(swarm)[0]) == (threshold is None)
+        events = assert_simulate_matches_reference(swarm, scenario_of(200))
+    left = [(e.kind, e.drone_ids, e.t) for e in events
+            if e.kind in (swarm_module.GROUND_CONTACT, swarm_module.SEPARATION_VIOLATION)]
+    assert [entry[0:2] for entry in left] == [(swarm_module.GROUND_CONTACT, ("g00",)),
+                                             (swarm_module.SEPARATION_VIOLATION, ("g00", "g01"))]
+    assert left[0][2] == 0.01 and left[1][2] > 0.1
+
+
+@pytest.mark.parametrize("threshold", [1, math.inf])
+def test_episodes_that_end_and_restart_are_keyed_as_by_drone_ids(threshold):
+    # in each pair, drone b starts 1.5 m from drone a, flying away at
+    # 2 m/s: it leaves the separation, then settles back 1.9 m away; on
+    # the way it crosses an obstacle slab and comes back into it. Drone
+    # ids run opposite to drone indices
+    pairs = 16
+    gains = ds.ControllerGains(capture_radius=1e-3)  # b flies until it settles
+    drones = []
+    for k in range(pairs):
+        y = 10.0 * k
+        for name, x, vx in (("a", 0.0, 0.0), ("b", 1.5, 2.0)):
+            drones.append(ds.Drone(
+                id=f"e{2 * pairs - len(drones):02d}{name}", airframe=build_reference_craft(),
+                state=ds.DroneState(0.0, ds.vec3(x, y, 5.0), velocity=ds.vec3(vx, 0.0, 0.0)),
+                gains=gains, route=[ds.Setpoint(ds.vec3(0.0 if name == "a" else 1.9, y, 5.0))]))
+    swarm = ds.Swarm(drones)
+    slab = ds.Box(ds.vec3(1.85, -5.0, 0.0), ds.vec3(1.95, 200.0, 10.0))
+    scenario = scenario_of(300, [slab])
+    calls = []
+    check = swarm_module._instant_violations
+
+    def recording(positions, min_separation, boxes):
+        calls.append(as_lists(positions))
+        return check(positions, min_separation, boxes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(swarm_module, "_BLOCK_MIN", threshold)
+        patch.setattr(swarm_module, "_instant_violations", recording)
+        trajectory = ds.simulate(swarm, scenario)
+    # the check after tick k runs at time (k + 1) * dt; an event is new
+    # when its kind and sorted ids were not in violation at the check before
+    ids = [d.id for d in drones]
+    expected, active = [], set()
+    for k, positions in enumerate(calls):
+        instant = reference_instant_violations(ids, positions, swarm.min_separation,
+                                               scenario.conditions, (k + 1) * 0.01)
+        expected += [e for e in instant if (e.kind, *e.drone_ids) not in active]
+        active = {(e.kind, *e.drone_ids) for e in instant}
+    assert [e for e in trajectory.events if e.kind in (
+        swarm_module.SEPARATION_VIOLATION, swarm_module.OBSTACLE_COLLISION)] == expected
+    episodes = Counter((e.kind, e.drone_ids) for e in expected)
+    assert len(episodes) == 2 * pairs and set(episodes.values()) == {2}
+
+
 # --- clustered swarms ---------------------------------------------------------
 
 SEPARATIONS = [0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 1.605311791776961]
-MAX_CLUSTER = 20
+MAX_CLUSTER = 40
 
 
 @st.composite
-def clustered(draw):
+def clustered(draw, sizes=(1, MAX_CLUSTER)):
     """Drones on and near the multiples of min_separation around a
     (possibly negative) origin, each placed relative to an earlier one:
     exactly min_separation away along an axis, one ulp inside it, stacked
@@ -135,7 +277,7 @@ def clustered(draw):
     unit = s if s > 0.0 else 1.0
     origin = draw(st.sampled_from([0.0, -3.0 * unit, -1000.0 * unit, 1e5]))
     positions = []
-    for _ in range(draw(st.integers(1, MAX_CLUSTER))):
+    for _ in range(draw(st.integers(*sizes))):
         move = draw(st.sampled_from(["border", "apart", "ulp_inside", "stacked", "near"]))
         if move == "border" or not positions:
             # on a multiple of s (a cell border of a grid of side s), or a few ulps off
@@ -176,6 +318,17 @@ def test_clustered_swarms_give_the_reference_events(case):
             == reference_instant_violations(ids, positions, s, conditions, 1.5))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(clustered(sizes=(12, 300)))
+def test_clustered_position_arrays_give_the_reference_events(case):
+    ids, positions, s, conditions = case
+    array = np.array(positions).T.copy()
+    assert array.shape == (3, len(ids))
+    assert (grid_violations(ids, array, s, conditions, 1.5)
+            == reference_instant_violations(ids, positions, s, conditions, 1.5))
+
+
 def test_clustered_swarm_sizes_straddle_the_all_pairs_cutoff():
     assert 2 < swarm_module._GRID_MIN <= MAX_CLUSTER
 
@@ -186,13 +339,19 @@ def assert_checks_match(positions, min_separation, expected_pairs):
     swarm = ds.Swarm([ds.Drone(id=f"d{i}", airframe=build_reference_craft(),
                                state=level_state(*p)) for i, p in enumerate(positions)],
                      min_separation=min_separation)
-    events = ds.check_interactions(swarm, ds.FlyingConditions(), 0.0)
     ids = [d.id for d in swarm.drones]
     reference = reference_instant_violations(
         ids, [list(map(float, p)) for p in positions], min_separation,
         ds.FlyingConditions(), 0.0)
-    assert events == reference
-    assert [e.drone_ids for e in events] == expected_pairs
+    assert [e.drone_ids for e in reference] == expected_pairs
+    assert ds.check_interactions(swarm, ds.FlyingConditions(), 0.0) == reference
+    # the same (3, N) array through the sorted grid, which a few drones
+    # would otherwise not reach
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(swarm_module, "_GRID_MIN", 2)
+        assert ds.check_interactions(swarm, ds.FlyingConditions(), 0.0) == reference
+        array = np.array(positions, dtype=float).T.copy()
+        assert grid_violations(ids, array, min_separation, ds.FlyingConditions(), 0.0) == reference
 
 
 def test_pair_whose_quotients_round_apart_is_reported():
