@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dronesim as ds
+from dronesim.frames import geo_project, geo_project_columns
 
 from conftest import assert_strict_geojson, level_state
 
@@ -188,6 +192,117 @@ def test_empty_trajectory_export_refuses_and_creates_nothing(tmp_path):
     assert not (tmp_path / "nothing.csv").exists()
 
 
+def test_export_errors_create_no_file(tmp_path):
+    frame = ds.InertialFrame(0.0, 0.0, 0.0)
+    out = tmp_path / "bad.geojson"
+    trajectory = stationary_trajectory(n=3)
+    trajectory.samples["alpha"][1].position[2] = math.inf
+    with pytest.raises(ds.FieldError, match="position"):
+        ds.export_geojson(trajectory, frame, out)
+    assert not out.exists()
+    trajectory = stationary_trajectory(n=3)
+    trajectory.events.append(ds.SimEvent(0.1, "note", ("alpha",), {"value": object()}))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        ds.export_geojson(trajectory, frame, out)
+    assert not out.exists()
+
+
+def reference_export_geojson(trajectory, frame, path):
+    # the exporter as it was before tracks were spliced into the skeleton:
+    # the whole document through json.dumps(indent=2)
+    features = []
+    for drone_id in trajectory.samples:
+        rows = trajectory.rows(drone_id)
+        if not rows:
+            continue
+        times = [row[0] for row in rows]
+        positions = np.array([row[1:4] for row in rows]).T
+        lat, lon, alt = geo_project_columns(frame, *positions)
+        coordinates = np.column_stack((lon, lat, alt)).tolist()
+        if len(coordinates) >= 2:
+            geometry = {"type": "LineString", "coordinates": coordinates}
+        else:
+            geometry = {"type": "Point", "coordinates": coordinates[0]}
+        features.append({"type": "Feature",
+                         "properties": {"drone_id": drone_id, "times_s": times},
+                         "geometry": geometry})
+    for event in trajectory.events:
+        payload = dict(event.payload)
+        position = payload.pop("position", None)
+        geometry = None
+        if position is not None:
+            lat, lon, alt = geo_project(frame, position)
+            geometry = {"type": "Point", "coordinates": [lon, lat, alt]}
+        features.append({"type": "Feature",
+                         "properties": {"event": event.kind, "t_s": event.t,
+                                        "drone_ids": list(event.drone_ids), **payload},
+                         "geometry": geometry})
+    document = {"type": "FeatureCollection", "features": features}
+    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+
+
+# text that needs escaping, and the placeholders the exporter tries first,
+# alone and after a quote, where a JSON string's text ends with their
+# encoded form
+TEXT = st.lists(st.sampled_from(['"', "\\", "\x00", "\x01", "\x1f", "\n", "\x7f", "é",
+                                 "\u2708", "\U0001f681", "a", " ", "0", "1", "\x000",
+                                 "\x001", '"\x000', '"\x001']),
+                max_size=5).map("".join)
+NUMBERS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     1e-300, 1e300, -1e300]),
+                    st.floats(-1e6, 1e6))
+TIMES = st.one_of(NUMBERS, st.integers(-10**6, 10**6), NUMBERS.map(np.float64))
+
+
+@st.composite
+def trajectories(draw):
+    samples = {}
+    for drone_id in draw(st.lists(TEXT, min_size=1, max_size=3, unique=True)):
+        samples[drone_id] = [ds.DroneState(t=draw(TIMES), position=draw(st.tuples(*[NUMBERS] * 3)))
+                             for _ in range(draw(st.integers(1, 3)))]
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        payload = draw(st.dictionaries(TEXT, st.one_of(TEXT, st.integers(), NUMBERS),
+                                       max_size=2))
+        if draw(st.booleans()):
+            payload["position"] = list(draw(st.tuples(*[NUMBERS] * 3)))
+        events.append(ds.SimEvent(draw(TIMES), draw(TEXT),
+                                  tuple(draw(st.lists(TEXT, max_size=2))), payload))
+    return ds.Trajectory(samples=samples, events=events)
+
+
+# -0.0 + -0.0 is the only sum that keeps a -0.0 coordinate, and a 1e300
+# climb above the largest float is an infinite altitude, which json writes
+# as Infinity
+FRAMES = st.builds(ds.InertialFrame, st.sampled_from([-0.0, 0.0, 37.5]),
+                   st.sampled_from([-0.0, 0.0, -122.25, 180.0]),
+                   st.sampled_from([-0.0, 0.0, 1e300, sys.float_info.max]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trajectories(), FRAMES)
+def test_geojson_bytes_equal_the_indenting_encoder(tmp_path, trajectory, frame):
+    with np.errstate(over="ignore"):
+        ds.export_geojson(trajectory, frame, tmp_path / "spliced.geojson")
+        reference_export_geojson(trajectory, frame, tmp_path / "reference.geojson")
+    assert ((tmp_path / "spliced.geojson").read_bytes()
+            == (tmp_path / "reference.geojson").read_bytes())
+
+
+@pytest.mark.parametrize("text", ["\x000", '"\x000', "\x000\x001\x002", '"\x000"\x001'])
+def test_geojson_ids_and_payloads_equal_to_the_placeholder(tmp_path, text):
+    trajectory = ds.Trajectory(
+        samples={text: [level_state(t=0.0), level_state(1.0, t=1.0)],
+                 "b" + text: [level_state(2.0, t=0.5)]},
+        events=[ds.SimEvent(0.5, text, (text,), {text: text, "note": text})])
+    frame = ds.InertialFrame(0.0, 0.0, 0.0)
+    ds.export_geojson(trajectory, frame, tmp_path / "spliced.geojson")
+    reference_export_geojson(trajectory, frame, tmp_path / "reference.geojson")
+    assert ((tmp_path / "spliced.geojson").read_bytes()
+            == (tmp_path / "reference.geojson").read_bytes())
+
+
 # --- CSV export -------------------------------------------------------------
 
 def test_csv_has_header_plus_row_per_sample(tmp_path):
@@ -291,6 +406,40 @@ GOOD_ROW = ["alpha", "0.2", "1", "2", "3", "0", "0", "0", "1", "0", "0", "0", "0
 def test_load_csv_rejects_a_bad_row_naming_its_line(tmp_path, cells, error, message):
     with pytest.raises(error, match=message):
         ds.load_csv(csv_with_third_row(tmp_path, cells))
+
+
+def with_cells(index, *cells):
+    row = list(GOOD_ROW)
+    row[index:index + len(cells)] = cells
+    return row
+
+
+NAN_PZ = with_cells(4, "nan")
+QUATERNION_OF_TWO = with_cells(8, "2")
+
+
+@pytest.mark.parametrize("rows, message, field", [
+    ((NAN_PZ, with_cells(6, "fast")), "CSV line 4: pz must be finite", "pz"),
+    ((NAN_PZ, GOOD_ROW[:13]), "CSV line 4: pz must be finite", "pz"),
+    ((QUATERNION_OF_TWO, with_cells(1, "inf")),
+     "CSV line 4: orientation must be a unit quaternion, norm is 2.0", "orientation"),
+    ((GOOD_ROW, with_cells(4, "nan", "1", "-inf")), "CSV line 5: pz must be finite", "pz"),
+    ((with_cells(8, "2", "0", "0", "0", "inf"), GOOD_ROW), "CSV line 4: wx must be finite", "wx"),
+    ((with_cells(8, "nan"), GOOD_ROW), "CSV line 4: qw must be finite", "qw"),
+    ((with_cells(2, "1e308", "1e308"), QUATERNION_OF_TWO),
+     "CSV line 5: orientation must be a unit quaternion", "orientation"),
+])
+def test_load_csv_reports_the_first_bad_row_and_column(tmp_path, rows, message, field):
+    # rows replace CSV lines 4 and 5; every row is parsed and checked before
+    # the next is read, finiteness before the quaternion
+    out = tmp_path / "bad.csv"
+    ds.export_csv(stationary_trajectory(n=4), out)
+    lines = out.read_text().splitlines()
+    lines[3:5] = [",".join(row) for row in rows]
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ds.FieldError, match=message) as raised:
+        ds.load_csv(out)
+    assert raised.value.field == field
 
 
 def test_load_csv_accepts_a_quaternion_within_the_state_tolerance(tmp_path):
