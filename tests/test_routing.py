@@ -334,3 +334,70 @@ def test_two_opt_leaves_its_own_output_unchanged():
     for seed, table, route in descent_cases():
         once = routing._two_opt(table, route)
         assert routing._two_opt(table, once) == once, seed
+
+
+# The ordering search as it was before the planner used a fixed set of
+# starts: one nearest-neighbor run from the start plus one anchored on
+# every waypoint, each fully descended with the first-improvement scans.
+# It is the reference that the plans' quality is measured against.
+
+def reference_order_route(start, wps):
+    if len(wps) < 2:
+        return list(wps)
+    by_id = sorted(wps, key=lambda w: w.id)
+    table = routing._distance_table([start] + [w.position for w in by_id])
+    descents = {}
+    best_key = None
+    unanchored = routing._nearest_neighbor(table)
+    for first in [None, *range(1, len(table))]:
+        if first == unanchored[0]:
+            continue
+        nearest = unanchored if first is None else routing._nearest_neighbor(table, first)
+        route = routing._two_opt(table, nearest)
+        entered = []
+        while (key := tuple(route)) not in descents:
+            entered.append(key)
+            relocated = routing._or_opt(table, route)
+            if relocated == route:
+                break
+            relocated = routing._two_opt(table, relocated)
+            if relocated == route:
+                break
+            route = relocated
+        else:
+            route = descents[key]
+        for key in entered:
+            descents[key] = route
+        length = 0.0
+        for a, b in zip([0] + route, route):
+            length += table[a][b]
+        if best_key is None or (length, route) < best_key:
+            best_key = (length, route)
+    return [by_id[node - 1] for node in best_key[1]]
+
+
+def reference_plan_length(mission):
+    """Total length of the plan the reference search orders on optimize's
+    own partition."""
+    if not mission.waypoints:
+        return 0.0
+    return sum(ds.route_length(start, reference_order_route(start, wps))
+               for start, wps in zip(mission.start_positions,
+                                     routing._sweep_partition(mission)))
+
+
+def quality_missions():
+    """The pinned missions and the survey layouts at seed 3 besides."""
+    from test_routing_golden import golden_missions, survey_mission
+    missions = golden_missions()
+    missions["survey_single-3"] = survey_mission(3, 1, 30)
+    missions["survey_team-3"] = survey_mission(3, 4, 96)
+    return missions
+
+
+def test_plans_are_at_most_one_percent_longer_than_the_reference():
+    planned = reference = 0.0
+    for mission in quality_missions().values():
+        planned += ds.optimize(mission).total_length
+        reference += reference_plan_length(mission)
+    assert planned <= 1.01 * reference
