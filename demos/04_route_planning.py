@@ -1,9 +1,11 @@
 """Waypoint routing: sweep assignment, local search, and the exact oracle.
 
 Builds a two-drone mission over a scatter of survey points, plans it
-with the heuristic (angular-sweep partition, then nearest-neighbor plus
-2-opt/relocation descent), and cross-checks a small single-drone
-instance against exhaustive enumeration.
+with the heuristic (angular-sweep partition, then nearest-neighbor runs
+from a fixed set of starts, each descended with 2-opt and relocation
+moves to a few nearest neighbours, and the best one finished with full
+2-opt/relocation scans), and cross-checks a small single-drone instance
+against exhaustive enumeration.
 """
 
 import numpy as np

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -401,3 +402,44 @@ def test_plans_are_at_most_one_percent_longer_than_the_reference():
         planned += ds.optimize(mission).total_length
         reference += reference_plan_length(mission)
     assert planned <= 1.01 * reference
+
+
+def wide_mission(seed, count, on_grid, drones=1):
+    """``count`` waypoints, uniform or on a 13 x 13 x 3 integer grid where
+    equal distances and repeated points are common."""
+    rng = random.Random(seed)
+
+    def point():
+        if on_grid:
+            return [float(rng.randint(-6, 6)), float(rng.randint(-6, 6)),
+                    float(rng.randint(0, 2))]
+        return [rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0), rng.uniform(0.0, 20.0)]
+
+    waypoints = [ds.Waypoint(f"w{i}", point()) for i in range(count)]
+    return ds.Mission(waypoints, [point() for _ in range(drones)], math.inf)
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_routes_beyond_the_fixtures_are_locally_optimal(on_grid):
+    # the full scans, as first written, find no move in what optimize returns
+    mission = wide_mission(200 + on_grid, 200, on_grid)
+    route = ds.optimize(mission).routes[0]
+    by_id = sorted(mission.waypoints, key=lambda w: w.id)
+    node = {w.id: i for i, w in enumerate(by_id, 1)}
+    table = routing._distance_table([mission.start_positions[0]] + [w.position for w in by_id])
+    nodes = [node[i] for i in route]
+    assert sorted(nodes) == list(range(1, 201))
+    assert reference_two_opt(table, nodes) == nodes
+    assert reference_or_opt(table, nodes) == nodes
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+@pytest.mark.parametrize("drones", [1, 3])
+def test_waypoint_list_order_does_not_change_the_plan(on_grid, drones):
+    mission = wide_mission(300 + drones + on_grid, 60, on_grid, drones)
+    plan = dataclasses.asdict(ds.optimize(mission))
+    for seed in range(3):
+        shuffled = list(mission.waypoints)
+        random.Random(seed).shuffle(shuffled)
+        again = ds.Mission(shuffled, mission.start_positions, mission.max_route_length)
+        assert dataclasses.asdict(ds.optimize(again)) == plan
