@@ -150,10 +150,10 @@ def _sweep_partition(mission: Mission) -> list[list[Waypoint]]:
 # order. Over the 210 pinned missions and the two survey layouts at seed 3
 # (2 vCPUs, Python 3.11, 10 neighbours), the total length was 0.25% above
 # that of one start per waypoint with 6 starts, 0.15% with 8, 0.14% with
-# 10 and 0.10% with 12, and the 95th percentile of the per-mission ratio
-# 1.3%, 0.5%, 0.0% and 0.0%: 10 is the fewest at which 95% of the missions
-# plan no longer. Planning the survey missions at three seeds cost 22, 26,
-# 28 and 29 ms (medians of 7 interleaved runs).
+# 10 and 0.10% with 12, and 19, 13, 11 and 10 of the 212 missions planned
+# longer. Planning the survey missions at three seeds cost 22, 26, 28 and
+# 29 ms (medians of 7 interleaved runs). Each start more costs time and
+# saves length, so the middle of the measured range is taken.
 _STARTS = 10
 
 # Neighbour-list moves join a node to one of its this many nearest nodes.
@@ -321,7 +321,7 @@ def _neighbour_descent(table: list[list[float]], near: list[list[int]],
                 if sc is not None:
                     gain += table[c][sc] - table[s][sc]
                 if gain > 1e-12:
-                    reverse(*((pa + 1, pc) if pc > pa else (pc + 1, pa)))
+                    reverse(min(pa, pc) + 1, max(pa, pc))
                     return a, s, c, sc
         if pa > 0:
             # drop p -> a and q -> c, then join a - c and p - q
@@ -335,7 +335,7 @@ def _neighbour_descent(table: list[list[float]], near: list[list[int]],
                     continue
                 q = path[pc - 1]
                 if leg - row[c] + table[q][c] - table[p][q] > 1e-12:
-                    reverse(*((pc, pa - 1) if pc < pa else (pa, pc - 1)))
+                    reverse(min(pa, pc), max(pa, pc) - 1)
                     return a, p, c, q
         return None
 

@@ -443,3 +443,13 @@ def test_waypoint_list_order_does_not_change_the_plan(on_grid, drones):
         random.Random(seed).shuffle(shuffled)
         again = ds.Mission(shuffled, mission.start_positions, mission.max_route_length)
         assert dataclasses.asdict(ds.optimize(again)) == plan
+
+
+def test_distance_table_equals_the_distance_of_numpy_vectors():
+    # the table reads the points as floats; the values must not change
+    rng = np.random.default_rng(67)
+    for scale in (1e-3, 1.0, 50.0, 1e6):
+        points = list(rng.uniform(-scale, scale, (40, 3))) + \
+            list(np.floor(rng.uniform(-4.0, 4.0, (20, 3))))
+        assert routing._distance_table(points) == \
+            [[routing._dist(a, b) for b in points] for a in points]
