@@ -169,8 +169,22 @@ def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
         raise DivergenceError(f"non-finite state at t = {t_end}", t=t_end) from None
     sixth = dt / 6.0
     B = ROWS if isinstance(x, ndarray) else FLOATS
-    return B.renormalized([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)], t_end)
+    # x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]), written out
+    # per component: on floats a comprehension over zip costs 1.7 times as much
+    return B.renormalized([
+        x[0] + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        x[1] + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        x[2] + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+        x[3] + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
+        x[4] + sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4]),
+        x[5] + sixth * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5]),
+        x[6] + sixth * (k1[6] + 2.0 * k2[6] + 2.0 * k3[6] + k4[6]),
+        x[7] + sixth * (k1[7] + 2.0 * k2[7] + 2.0 * k3[7] + k4[7]),
+        x[8] + sixth * (k1[8] + 2.0 * k2[8] + 2.0 * k3[8] + k4[8]),
+        x[9] + sixth * (k1[9] + 2.0 * k2[9] + 2.0 * k3[9] + k4[9]),
+        x[10] + sixth * (k1[10] + 2.0 * k2[10] + 2.0 * k3[10] + k4[10]),
+        x[11] + sixth * (k1[11] + 2.0 * k2[11] + 2.0 * k3[11] + k4[11]),
+        x[12] + sixth * (k1[12] + 2.0 * k2[12] + 2.0 * k3[12] + k4[12])], t_end)
 
 
 def state_derivative(state: DroneState, airframe: Airframe,

@@ -17,7 +17,9 @@ pair in Python, which costs less there. It reports the same violations
 as testing every pair, computed with the same float expression and in
 (i, j) drone-index order, and only the close pairs come back to
 Python. Obstacle boxes are turned into plain float bounds once per
-run. An event is built only when a violation episode starts.
+run. An event is built only when a violation episode starts. A run in
+which no event is possible, one without obstacle boxes whose swarm has
+one drone or a ``min_separation`` of 0, skips the check.
 
 Drones that finish their route keep station-holding at their last
 setpoint until the whole swarm is done; drones that hit the ground or
@@ -326,9 +328,10 @@ def check_interactions(swarm: Swarm, conditions: FlyingConditions,
 # gains step as a (13, n) block; smaller groups step drone by drone. The
 # block's numpy calls cost a few hundred us a tick whatever n is. On
 # crossing swarms of n drones (12 ticks, median of 11 interleaved runs,
-# each the best of 3) a whole run cost 1.82 times as much with the drones
-# in a block as on floats at n = 16, 1.22 at 24, 0.98 at 32, 0.83 at 40
-# and 0.73 at 48.
+# each the best of 3, 2 vCPUs) a whole run cost 1.20-1.22 times as much
+# with the drones in a block as on floats at n = 24, 0.96-0.98 at 32,
+# 0.82-0.85 at 40, 0.72 at 48 and 0.57 at 64; over 60 ticks, 1.13, 0.93,
+# 0.77, 0.68 and 0.53.
 _BLOCK_MIN = 32
 
 # the environment is uniform and constant, so one sample serves every drone
@@ -445,8 +448,8 @@ def _units(runs: list[_DroneRun]) -> list:
     return units
 
 
-def _step_run(run: _DroneRun, env, dt: float, tick: int, dropped: list) -> None:
-    t_next = (tick + 1) * dt
+def _step_run(run: _DroneRun, env, dt: float, t_next: float, dropped: list) -> None:
+    # one tick of a drone that steps alone, from time run.tick * dt to t_next
     x = run.x
     target, yaw_trig = run.setpoint
     try:
@@ -456,7 +459,7 @@ def _step_run(run: _DroneRun, env, dt: float, tick: int, dropped: list) -> None:
         _deactivate(run, DIVERGENCE, t_next, dropped, detail=str(err))
         return
     run.x = x
-    run.tick = tick + 1
+    run.tick += 1
     if x[2] < 0.0:
         _deactivate(run, GROUND_CONTACT, t_next, dropped)
 
@@ -521,8 +524,10 @@ def simulate(swarm: Swarm, scenario: Scenario,
     controller and integrator (see :mod:`dronesim.backend`) and give the
     same bits, so the result is deterministic and independent of the
     grouping: the same swarm and scenario give a bit-identical
-    trajectory. ``parallel`` is accepted and ignored. The swarm and its drones, airframes, states
-    and routes are left unchanged.
+    trajectory. The interaction check is skipped in a run where no event
+    is possible: without obstacle boxes, when the swarm has one drone or
+    ``min_separation`` is 0. ``parallel`` is accepted and ignored. The
+    swarm and its drones, airframes, states and routes are left unchanged.
     """
     dt = scenario.reference_time_step
     if recording_interval is None:
@@ -534,7 +539,7 @@ def simulate(swarm: Swarm, scenario: Scenario,
     runs = [_start(i, d, scenario.physics.air_density) for i, d in enumerate(swarm.drones)]
     units = _units(runs)
     blocks = [u for u in units if type(u) is _Block]
-    alone = [u for u in units if type(u) is _DroneRun]
+    alone = [u for u in units if type(u) is _DroneRun]  # those still flying
     ids = [run.id for run in runs]
     rows: dict[str, list[list[float]]] = {run.id: [] for run in runs}
     events: list[SimEvent] = []
@@ -545,21 +550,27 @@ def simulate(swarm: Swarm, scenario: Scenario,
     array = np.array([run.x[0:3] for run in runs]).T.copy() if blocks else None
     boxes = [box_bounds(b) for b in scenario.conditions.obstacles]
     env = sample_environment(scenario, _ANYWHERE, 0.0)
+    # without boxes, no event is possible if no pair can be closer than
+    # min_separation; finished and deactivated drones still count for it
+    check = bool(boxes) or (len(runs) > 1 and swarm.min_separation != 0.0)
+    flying = len(runs)
+    next_record = 0
 
     for tick in range(n_ticks + 1):
         t = tick * dt
 
         # capture waypoints and retire finished routes at the tick boundary;
         # a block's drones enter only if they reached their setpoint
-        due = [run for run in alone if run.status == "flying"]
+        due = alone
         aimed = []
         for block in blocks:
             picked = block.due()
             if picked:
-                due.extend(picked)
+                due = due + picked
                 aimed.append(block)
         if aimed:
             due.sort(key=lambda run: run.index)
+        done = 0
         for run in due:
             targets = run.targets
             while (run.route_index < len(targets) and within_capture(
@@ -573,14 +584,19 @@ def simulate(swarm: Swarm, scenario: Scenario,
                 run.setpoint = targets[run.route_index]
             else:
                 run.status = "complete"
+                done += 1
                 run.setpoint = targets[-1] if targets else (run.x[0:3], heading(0.0))
                 events.append(SimEvent(t, MISSION_COMPLETE, (run.id,), {
                     "position": run.x[0:3],
                 }))
+        if done:
+            flying -= done
+            alone = [run for run in alone if run.status == "flying"]
         for block in aimed:
             block.aim()
 
-        if tick % record_every == 0:
+        if tick == next_record:
+            next_record += record_every
             for block in blocks:
                 block.refresh()
             for run in runs:
@@ -588,24 +604,29 @@ def simulate(swarm: Swarm, scenario: Scenario,
                     rows[run.id].append([t, *run.x])
                     run.recorded_tick = tick
 
-        if tick == n_ticks or all(r.status != "flying" for r in runs):
+        if tick == n_ticks or not flying:
             break
 
         # model updates: each drone, or block of drones, reads and writes
         # only its own state; drones that leave report in drone order
+        t_next = (tick + 1) * dt
         dropped: list[tuple[_DroneRun, SimEvent]] = []
         for unit in units:
             if type(unit) is _Block:
                 _step_block(unit, env, dt, dropped)
             elif unit.status != "deactivated":
-                _step_run(unit, env, dt, tick, dropped)
+                _step_run(unit, env, dt, t_next, dropped)
         if dropped:
             dropped.sort(key=lambda entry: entry[0].index)
             events.extend(event for _, event in dropped)
             units = [u for u in units if type(u) is _DroneRun or u.runs]
             blocks = [u for u in units if type(u) is _Block]
+            alone = [run for run in alone if run.status == "flying"]
+            flying = sum(run.status == "flying" for run in runs)
 
         # interaction checks follow every model update for this tick
+        if not check:
+            continue
         if array is None:
             positions = [r.x[0:3] for r in runs]
         else:
@@ -620,7 +641,6 @@ def simulate(swarm: Swarm, scenario: Scenario,
         instant = _instant_violations(positions, swarm.min_separation, boxes)
         if instant or active:
             current = {v[0:2] for v in instant}
-            t_next = (tick + 1) * dt
             events.extend(_violation_event(v, ids, positions, swarm.min_separation, t_next)
                           for v in instant if v[0:2] not in active)
             active = current

@@ -260,6 +260,86 @@ def test_episodes_that_end_and_restart_are_keyed_as_by_drone_ids(threshold):
     assert len(episodes) == 2 * pairs and set(episodes.values()) == {2}
 
 
+# --- runs in which no event is possible skip the check ------------------------
+
+def checks_per_tick(swarm, scenario):
+    """The number of ``_instant_violations`` calls in a ``simulate`` run,
+    and the number of ticks the run stepped; the run's samples and events
+    must equal those of a run checked with the all-pairs reference."""
+    calls = []
+    check = swarm_module._instant_violations
+
+    def counting(positions, min_separation, boxes):
+        calls.append(min_separation)
+        return check(positions, min_separation, boxes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(swarm_module, "_instant_violations", counting)
+        trajectory = ds.simulate(swarm, scenario)
+    assert trajectory.events == assert_simulate_matches_reference(swarm, scenario)
+    # every drone that is not deactivated is recorded at the run's last tick
+    last = max(states[-1].t for states in trajectory.samples.values())
+    return len(calls), round(last / scenario.reference_time_step), trajectory.events
+
+
+def kinds(events):
+    return [(e.kind, e.drone_ids) for e in events if e.kind not in (
+        swarm_module.WAYPOINT_REACHED, swarm_module.MISSION_COMPLETE)]
+
+
+def test_one_drone_without_boxes_is_never_checked():
+    drone = ds.Drone(id="solo", airframe=build_reference_craft(), state=level_state(0.0, 0.0, 5.0),
+                     route=[ds.Setpoint(ds.vec3(2.0, 0.0, 5.0))])
+    calls, ticks, events = checks_per_tick(ds.Swarm([drone]), scenario_of(300))
+    assert (calls, kinds(events)) == (0, []) and ticks > 50
+
+
+def test_zero_separation_without_boxes_is_never_checked():
+    # two drones fly through each other, which 2 m of separation reports
+    drones = [ds.Drone(id=name, airframe=build_reference_craft(), state=level_state(x, 0.0, 5.0),
+                       route=[ds.Setpoint(ds.vec3(-x, 0.3, 5.0))])
+              for name, x in (("a", -1.5), ("b", 1.5))]
+    calls, ticks, events = checks_per_tick(ds.Swarm(drones, min_separation=0.0), scenario_of(300))
+    assert (calls, kinds(events)) == (0, []) and ticks > 50
+    calls, ticks, events = checks_per_tick(ds.Swarm(drones), scenario_of(300))
+    assert calls == ticks and kinds(events) == [(swarm_module.SEPARATION_VIOLATION, ("a", "b"))]
+
+
+def test_one_drone_flying_through_a_box_is_checked_every_tick():
+    drone = ds.Drone(id="solo", airframe=build_reference_craft(), state=level_state(0.0, 0.0, 5.0),
+                     route=[ds.Setpoint(ds.vec3(3.0, 0.0, 5.0))])
+    slab = ds.Box(ds.vec3(1.4, -5.0, 0.0), ds.vec3(1.6, 5.0, 10.0))
+    calls, ticks, events = checks_per_tick(ds.Swarm([drone]), scenario_of(300, [slab]))
+    assert calls == ticks > 50
+    assert kinds(events) == [(swarm_module.OBSTACLE_COLLISION, ("solo",))]
+
+
+def test_a_finished_drone_is_checked_while_another_flies_into_it():
+    # "idle" starts on its only waypoint, completes at t = 0 and holds station
+    drones = [ds.Drone(id="idle", airframe=build_reference_craft(),
+                       state=level_state(0.0, 0.0, 5.0), route=[ds.Setpoint(ds.vec3(0.0, 0.0, 5.0))]),
+              ds.Drone(id="busy", airframe=build_reference_craft(),
+                       state=level_state(5.0, 0.0, 5.0), route=[ds.Setpoint(ds.vec3(1.5, 0.0, 5.0))])]
+    calls, ticks, events = checks_per_tick(ds.Swarm(drones), scenario_of(300))
+    assert calls == ticks > 50
+    assert [(e.kind, e.drone_ids) for e in events if e.t == 0.0][-1] == \
+        (swarm_module.MISSION_COMPLETE, ("idle",))
+    assert kinds(events) == [(swarm_module.SEPARATION_VIOLATION, ("busy", "idle"))]
+
+
+def test_a_grounded_drone_is_checked_while_another_passes_it():
+    drones = [ds.Drone(id="g0", airframe=build_reference_craft(),
+                       state=ds.DroneState(0.0, ds.vec3(0.0, 0.0, 0.01),
+                                           velocity=ds.vec3(0.0, 0.0, -5.0)),
+                       route=[ds.Setpoint(ds.vec3(0.0, 0.0, 1.0))]),
+              ds.Drone(id="g1", airframe=build_reference_craft(), state=level_state(4.0, 0.0, 1.0),
+                       route=[ds.Setpoint(ds.vec3(-3.0, 0.0, 1.0))])]
+    calls, ticks, events = checks_per_tick(ds.Swarm(drones), scenario_of(400))
+    assert calls == ticks > 50
+    assert kinds(events) == [(swarm_module.GROUND_CONTACT, ("g0",)),
+                             (swarm_module.SEPARATION_VIOLATION, ("g0", "g1"))]
+
+
 # --- clustered swarms ---------------------------------------------------------
 
 SEPARATIONS = [0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 1.605311791776961]
