@@ -16,8 +16,12 @@ hold 1 to ``MAX_CLUSTER`` drones, so they cover both the grid and the
 small swarms below ``_GRID_MIN``, where every pair is measured; the
 arrays hold 12 to 300. ``simulate`` keys violation episodes on drone
 indices; a run in which episodes end and restart must report what
-keying them on drone ids reports. Hypothesis examples are derandomized
-so that every run checks the same cases.
+keying them on drone ids reports. A run in which no event is possible
+(one drone, or ``min_separation`` 0, without boxes) must not call the
+check at all; one in which an event is possible, also through a box, a
+finished drone or a grounded one, must call it after every tick.
+Hypothesis examples are derandomized so that every run checks the same
+cases.
 """
 
 import math
@@ -316,10 +320,9 @@ def test_one_drone_flying_through_a_box_is_checked_every_tick():
 
 def test_a_finished_drone_is_checked_while_another_flies_into_it():
     # "idle" starts on its only waypoint, completes at t = 0 and holds station
-    drones = [ds.Drone(id="idle", airframe=build_reference_craft(),
-                       state=level_state(0.0, 0.0, 5.0), route=[ds.Setpoint(ds.vec3(0.0, 0.0, 5.0))]),
-              ds.Drone(id="busy", airframe=build_reference_craft(),
-                       state=level_state(5.0, 0.0, 5.0), route=[ds.Setpoint(ds.vec3(1.5, 0.0, 5.0))])]
+    drones = [ds.Drone(id=name, airframe=build_reference_craft(), state=level_state(x, 0.0, 5.0),
+                       route=[ds.Setpoint(ds.vec3(goal, 0.0, 5.0))])
+              for name, x, goal in (("idle", 0.0, 0.0), ("busy", 5.0, 1.5))]
     calls, ticks, events = checks_per_tick(ds.Swarm(drones), scenario_of(300))
     assert calls == ticks > 50
     assert [(e.kind, e.drone_ids) for e in events if e.t == 0.0][-1] == \
