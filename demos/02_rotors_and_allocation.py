@@ -17,20 +17,16 @@ g = scenario.physics.gravity
 rotor = craft.rotors[0]
 print("thrust vs speed (quadratic):")
 for speed in (0.0, 250.0, 500.0, 1000.0):
-    rotor.current_speed = speed
-    print(f"  {speed:7.1f} rad/s -> {ds.rotor_thrust(rotor, rho):8.4f} N")
-rotor.current_speed = 0.0
+    print(f"  {speed:7.1f} rad/s -> {ds.rotor_thrust(rotor, rho, speed):8.4f} N")
 
 # Equal speeds on a symmetric X layout: pure vertical force, zero torque.
-ds.set_rotor_speeds(craft, [500.0] * 4)
-force, torque = ds.net_wrench(craft, rho)
+force, torque = ds.net_wrench(craft, rho, [500.0] * 4)
 print("\nequal speeds:   force", force.round(6), " torque", torque.round(12))
 
 # Slowing the front pair pitches the craft: thrust differential across
 # the arms becomes a torque about the y axis.
 speeds = [450.0 if r.position_body[0] > 0 else 550.0 for r in craft.rotors]
-ds.set_rotor_speeds(craft, speeds)
-force, torque = ds.net_wrench(craft, rho)
+force, torque = ds.net_wrench(craft, rho, speeds)
 print("front pair slow: force", force.round(4), " torque", torque.round(6))
 
 # The inverse problem: what speeds realize hover? The answer matches the
@@ -47,7 +43,6 @@ print("1 MN demand saturates at:", absurd, "rad/s")
 # Round trip: allocate the wrench produced by arbitrary speeds and the
 # same speeds come back.
 target = np.array([480.0, 510.0, 520.0, 470.0])
-ds.set_rotor_speeds(craft, target)
-force, torque = ds.net_wrench(craft, rho)
+force, torque = ds.net_wrench(craft, rho, target)
 recovered = ds.allocate(craft, float(force[2]), torque, rho)
 print("round-trip max error:", float(np.max(np.abs(recovered - target))), "rad/s")

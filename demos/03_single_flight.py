@@ -26,8 +26,7 @@ while t < 30.0:
     env = ds.sample_environment(scenario, state.position, t)
     commands = ds.compute_commands(state, target, craft, gains, env.gravity,
                                    env.air_density)
-    ds.set_rotor_speeds(craft, commands)
-    state = ds.step(state, craft, env, dt)
+    state = ds.step(state, craft, env, dt, commands)
     t = state.t
 
     log_t.append(t)

@@ -11,7 +11,7 @@ from .airframe import (Airframe, Body, ConfigurationError, Rotor, allocate,
                        set_rotor_speeds)
 from .control import (ControllerGains, Setpoint, compute_commands,
                       thrust_and_attitude, waypoint_reached)
-from .dynamics import Derivative, DivergenceError, DroneState, state_derivative, step
+from .dynamics import DivergenceError, DroneState, state_derivative, step
 from .export import export_csv, export_geojson, load_csv
 from .frames import (EARTH_RADIUS_M, FieldError, InertialFrame, geo_project,
                      geo_unproject, integrate_orientation, quat_from_axis_angle,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Airframe", "Body", "Box", "ConfigurationError", "ControllerGains",
-    "Derivative", "DivergenceError", "Drone",
+    "DivergenceError", "Drone",
     "DroneState", "EARTH_RADIUS_M", "EnvironmentSample", "FieldError",
     "FlyingConditions",
     "InertialFrame", "InstanceTooLargeError", "MetricsReport", "Mission",

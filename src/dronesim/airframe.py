@@ -5,7 +5,8 @@ standard quadratic law f = c_T * rho * A * s^2 (s in rad/s). Each rotor
 also transmits a reaction torque about body z whose sign follows its
 spin direction. The inverse problem (which speeds realize a demanded
 thrust and torque) is solved least-squares in s^2 through the
-pseudo-inverse of the allocation matrix.
+pseudo-inverse of the allocation matrix. Rotor speeds are values passed
+in; no function here writes onto a rotor or an airframe.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from numpy import ndarray
 
 from .backend import FLOATS, ROWS
-from .frames import FieldError, as_float, as_vec3, non_negative, positive
+from .frames import FieldError, as_vec3, non_negative, positive
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +34,7 @@ class ConfigurationError(Exception):
 
 @dataclass
 class Rotor:
-    """One rotor: geometry, aerodynamic coefficients, and its current speed.
+    """One rotor: geometry, aerodynamic coefficients and speed ceiling.
 
     ``spin_direction`` is +1 for counter-clockwise, -1 for clockwise
     (seen from above); it sets the sign of the reaction torque the rotor
@@ -46,7 +47,6 @@ class Rotor:
     thrust_coefficient: float
     torque_coefficient: float
     max_speed: float
-    current_speed: float = 0.0
 
     def __post_init__(self):
         self.position_body = as_vec3(self.position_body, "rotor position", "position_body")
@@ -58,11 +58,6 @@ class Rotor:
         self.thrust_coefficient = positive(self.thrust_coefficient, "thrust_coefficient")
         self.torque_coefficient = non_negative(self.torque_coefficient, "torque_coefficient")
         self.max_speed = positive(self.max_speed, "max_speed")
-        self.current_speed = as_float(self.current_speed, "current_speed")
-        if not 0.0 <= self.current_speed <= self.max_speed:
-            raise FieldError(
-                f"current_speed must be in [0, {self.max_speed}], got {self.current_speed}",
-                "current_speed")
 
 
 @dataclass
@@ -102,11 +97,11 @@ def thrust_gain(rotor: Rotor, air_density: float) -> float:
     return rotor.thrust_coefficient * air_density * rotor.disk_area
 
 
-def rotor_thrust(rotor: Rotor, air_density: float) -> float:
-    """Thrust of one rotor in N, along body +z: c_T * rho * A * s^2."""
+def rotor_thrust(rotor: Rotor, air_density: float, speed: float) -> float:
+    """Thrust of one rotor in N, along body +z: c_T * rho * A * s^2, s clamped."""
     if not air_density > 0.0:
         raise ValueError(f"air_density must be > 0, got {air_density}")
-    s = rotor.current_speed
+    s = _clamped(float(speed), rotor.max_speed, "speed")
     return thrust_gain(rotor, air_density) * (s * s)
 
 
@@ -209,10 +204,10 @@ def allocate_speeds(constants: AirframeConstants, thrust, torque_x, torque_y,
     return speeds
 
 
-def net_wrench(airframe: Airframe, air_density: float) -> tuple[np.ndarray, np.ndarray]:
-    """Total (force, torque) on the body from all rotors at their current speeds."""
+def net_wrench(airframe: Airframe, air_density: float, speeds) -> tuple[np.ndarray, np.ndarray]:
+    """Total (force, torque) on the body at the speeds :func:`set_rotor_speeds` returns."""
     fz, tx, ty, tz = rotor_wrench(airframe_constants(airframe, air_density),
-                                  [r.current_speed for r in airframe.rotors])
+                                  set_rotor_speeds(airframe, speeds))
     return np.array([0.0, 0.0, fz]), np.array([tx, ty, tz])
 
 
@@ -239,14 +234,21 @@ def allocate(airframe: Airframe, desired_thrust: float, desired_torque,
     return np.array(allocate_speeds(constants, thrust, tx, ty, tz))
 
 
-def set_rotor_speeds(airframe: Airframe, speeds) -> None:
-    """Write commanded speeds onto the rotors, clamping to [0, max_speed]."""
+def set_rotor_speeds(airframe: Airframe, speeds) -> tuple[float, ...]:
+    """The one check of a speed command: one speed per rotor, each clamped to
+    [0, max_speed] (a NaN raises ValueError). Writes nothing."""
     speeds = np.asarray(speeds, dtype=float)
     if speeds.shape != (len(airframe.rotors),):
         raise ValueError(
             f"expected {len(airframe.rotors)} speeds, got shape {speeds.shape}")
-    for r, s in zip(airframe.rotors, speeds):
-        r.current_speed = min(max(float(s), 0.0), r.max_speed)
+    return tuple(_clamped(s, r.max_speed, f"rotor {i} speed")
+                 for i, (r, s) in enumerate(zip(airframe.rotors, speeds.tolist())))
+
+
+def _clamped(speed: float, max_speed: float, name: str) -> float:
+    if math.isnan(speed):
+        raise ValueError(f"{name} must be a number, got nan")
+    return min(max(speed, 0.0), max_speed)
 
 
 def hover_speed(airframe: Airframe, gravity: float, air_density: float) -> float:

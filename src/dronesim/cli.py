@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--format", choices=("geojson", "csv"), default="geojson")
     p_sim.add_argument("--metrics", help="also write a JSON metrics report here")
     p_sim.add_argument("--parallel", action="store_true",
-                       help="accepted for compatibility, no effect: runs are serial "
+                       help="deprecated, no effect, to be removed: runs are serial "
                             "and deterministic")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -16,7 +16,7 @@ block of drones with one airframe (:func:`rk4_step`, its branches
 through :mod:`dronesim.backend`), with the airframe's constants built
 once (:func:`airframe_constants`);
 :func:`step` and :func:`state_derivative` wrap it for DroneState
-values and rotors' ``current_speed``.
+values and rotor speeds passed in.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy import ndarray
 
-from .airframe import Airframe, AirframeConstants, airframe_constants, rotor_wrench
+from .airframe import (Airframe, AirframeConstants, airframe_constants, rotor_wrench,
+                       set_rotor_speeds)
 from .backend import FLOATS, ROWS, DivergenceError
 from .frames import FieldError, as_quat, as_vec3, quat_identity, quat_norm
 from .scenario import EnvironmentSample
@@ -91,16 +92,6 @@ class DroneState:
         state.orientation = np.array(x[6:10])
         state.angular_velocity = np.array(x[10:13])
         return state
-
-
-@dataclass
-class Derivative:
-    """Time derivative of a DroneState (integrator intermediate)."""
-
-    d_position: np.ndarray
-    d_velocity: np.ndarray
-    d_orientation: np.ndarray
-    d_angular_velocity: np.ndarray
 
 
 def _rhs(c: AirframeConstants, gravity: float, wind, wrench, x, h: float = 0.0,
@@ -187,28 +178,29 @@ def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
         x[12] + sixth * (k1[12] + 2.0 * k2[12] + 2.0 * k3[12] + k4[12])], t_end)
 
 
-def state_derivative(state: DroneState, airframe: Airframe,
-                     env: EnvironmentSample) -> Derivative:
-    """Evaluate the equations of motion at the given state."""
+def state_derivative(state: DroneState, airframe: Airframe, env: EnvironmentSample,
+                     speeds) -> tuple[ndarray, ndarray, ndarray, ndarray]:
+    """Evaluate the equations of motion at the given state and rotor speeds
+    (checked by :func:`set_rotor_speeds`): the time derivatives of
+    position, velocity, orientation and angular velocity."""
     c = airframe_constants(airframe, env.air_density)
     d = _rhs(c, float(env.gravity), env.wind_velocity.tolist(),
-             rotor_wrench(c, [r.current_speed for r in airframe.rotors]), state.as_floats())
-    return Derivative(np.array(d[0:3]), np.array(d[3:6]), np.array(d[6:10]),
-                      np.array(d[10:13]))
+             rotor_wrench(c, set_rotor_speeds(airframe, speeds)), state.as_floats())
+    return np.array(d[0:3]), np.array(d[3:6]), np.array(d[6:10]), np.array(d[10:13])
 
 
 def step(state: DroneState, airframe: Airframe, env: EnvironmentSample,
-         dt: float) -> DroneState:
+         dt: float, speeds) -> DroneState:
     """Advance one classical RK4 step of size dt and renormalize orientation.
 
-    Rotor speeds are the rotors' ``current_speed``, held constant across
-    the step (zero-order hold). Deterministic: identical inputs produce
-    bit-identical outputs. Raises DivergenceError (with the end-of-step
-    time) if any component of the result is non-finite.
+    The rotor ``speeds``, checked by :func:`set_rotor_speeds`, are held
+    constant across the step (zero-order hold). Deterministic: identical
+    inputs produce bit-identical outputs. Raises DivergenceError (with
+    the end-of-step time) if any component of the result is non-finite.
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
     t_end = state.t + dt
     x = rk4_step(airframe_constants(airframe, env.air_density), env,
-                 [r.current_speed for r in airframe.rotors], state.as_floats(), dt, t_end)
+                 set_rotor_speeds(airframe, speeds), state.as_floats(), dt, t_end)
     return DroneState.from_checked(t_end, x)

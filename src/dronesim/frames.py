@@ -127,14 +127,10 @@ def quat_normalize(q) -> np.ndarray:
     return q / n
 
 
-def quat_conjugate(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([w, -x, -y, -z])
-
-
 def quat_inverse(q) -> np.ndarray:
     """Inverse rotation; for the unit quaternions used here, the conjugate."""
-    return quat_conjugate(quat_normalize(q))
+    w, x, y, z = quat_normalize(q)
+    return np.array([w, -x, -y, -z])
 
 
 def quat_multiply(q1, q2) -> np.ndarray:
@@ -168,20 +164,14 @@ def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
     Angles compose in ZYX order: q = q_yaw ⊗ q_pitch ⊗ q_roll.
     """
-    return np.array(euler_to_quat(roll, pitch, yaw))
-
-
-def euler_to_quat(roll: float, pitch: float,
-                  yaw: float) -> tuple[float, float, float, float]:
-    """:func:`quat_from_euler` as a plain tuple."""
-    return half_angle_quat(math.cos(0.5 * roll), math.sin(0.5 * roll),
-                           math.cos(0.5 * pitch), math.sin(0.5 * pitch),
-                           math.cos(0.5 * yaw), math.sin(0.5 * yaw))
+    return np.array(half_angle_quat(math.cos(0.5 * roll), math.sin(0.5 * roll),
+                                    math.cos(0.5 * pitch), math.sin(0.5 * pitch),
+                                    math.cos(0.5 * yaw), math.sin(0.5 * yaw)))
 
 
 def half_angle_quat(cr, sr, cp, sp, cy, sy) -> tuple:
-    """:func:`euler_to_quat` from the cosines and sines of half the roll,
-    pitch and yaw; plain floats or numpy rows alike."""
+    """:func:`quat_from_euler`, as a tuple, from the cosines and sines of
+    half the roll, pitch and yaw; plain floats or numpy rows alike."""
     return (cy * cp * cr + sy * sp * sr,
             cy * cp * sr - sy * sp * cr,
             cy * sp * cr + sy * cp * sr,

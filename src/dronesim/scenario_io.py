@@ -39,6 +39,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -67,6 +68,9 @@ _DOCUMENT_KEYS = {
 
 # Constructor fields a document does not hold
 _UNWRITTEN = {InertialFrame: ("axes",), DroneState: ("t",)}
+# A rotor key no constructor takes: save_scenario wrote it on every rotor until
+# rotors stopped holding a speed, so a document's rotors drop it with a warning
+_IGNORED = "current_speed"
 
 
 class ScenarioError(Exception):
@@ -245,7 +249,12 @@ def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
             f"must equal dt ({scenario.reference_time_step}) — the swarm runs on one "
             f"global clock, got {tick}", path="simulation.reference_time_step")
 
-    drones = [_build_drone(d, i) for i, d in enumerate(data["drones"])]
+    documents = data["drones"]
+    if any(_IGNORED in r for d in documents for r in d["rotors"]):
+        warnings.warn(f"rotor key {_IGNORED!r} has no effect and is ignored", FutureWarning)
+        documents = [d | {"rotors": [{k: v for k, v in r.items() if k != _IGNORED}
+                                     for r in d["rotors"]]} for d in documents]
+    drones = [_build_drone(d, i) for i, d in enumerate(documents)]
     swarm = _build(Swarm, "", spacing, drones=drones)
 
     section = data.get("mission", {"waypoints": [], "max_route_length": math.inf})

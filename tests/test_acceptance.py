@@ -26,12 +26,12 @@ def report(line: str) -> None:
 def test_criterion_01_hover_equilibrium_holds_position():
     craft = build_reference_craft()
     env = calm_environment()
-    ds.set_rotor_speeds(craft, [reference_hover_speed()] * 4)
+    hover = [reference_hover_speed()] * 4
     state = level_state(z=5.0)
     started = time.perf_counter()
     drift = 0.0
     for _ in range(10_000):  # 10 s at dt = 0.001
-        state = ds.step(state, craft, env, 0.001)
+        state = ds.step(state, craft, env, 0.001, hover)
         drift = max(drift, float(np.linalg.norm(state.position - [0.0, 0.0, 5.0])))
     elapsed = time.perf_counter() - started
     assert drift < 1e-6
@@ -45,7 +45,7 @@ def test_criterion_02_ballistic_oracle_and_integrator_order():
 
     state = level_state(z=10.0)
     for _ in range(100):
-        state = ds.step(state, craft, env, 0.01)
+        state = ds.step(state, craft, env, 0.01, [0.0] * 4)
     drop_error = abs(float(state.position[2]) - (10.0 - 0.5 * GRAVITY))
     assert drop_error < 1e-6
 
@@ -57,7 +57,7 @@ def test_criterion_02_ballistic_oracle_and_integrator_order():
         craft_d.body.linear_drag = drag
         s = level_state(z=10.0)
         for _ in range(round(1.0 / dt)):
-            s = ds.step(s, craft_d, env, dt)
+            s = ds.step(s, craft_d, env, dt, [0.0] * 4)
         m, g, c = craft_d.body.mass, GRAVITY, drag
         z_exact = 10.0 - (g * m / c) + (m / c) * (g * m / c) * (1.0 - math.exp(-c / m))
         return abs(float(s.position[2]) - z_exact)
@@ -81,7 +81,7 @@ def test_criterion_03_energy_conservation():
     reference = energy(state)
     worst = 0.0
     for _ in range(5_000):  # 5 s at dt = 0.001
-        state = ds.step(state, craft, env, 0.001)
+        state = ds.step(state, craft, env, 0.001, [0.0] * 4)
         worst = max(worst, abs(energy(state) - reference) / abs(reference))
     assert worst < 1e-8
     report(f"criterion 3 energy conservation (relative drift {worst:.2e})")
@@ -93,11 +93,10 @@ def test_criterion_04_allocation_round_trip():
     worst = 0.0
     for _ in range(1_000):
         speeds = rng.uniform(0.0, 950.0, 4)
-        ds.set_rotor_speeds(craft, speeds)
-        force, torque = ds.net_wrench(craft, AIR_DENSITY)
+        force, torque = ds.net_wrench(craft, AIR_DENSITY, speeds)
         demand = np.array([force[2], torque[0], torque[1], torque[2]])
-        ds.set_rotor_speeds(craft, ds.allocate(craft, demand[0], demand[1:], AIR_DENSITY))
-        force2, torque2 = ds.net_wrench(craft, AIR_DENSITY)
+        force2, torque2 = ds.net_wrench(
+            craft, AIR_DENSITY, ds.allocate(craft, demand[0], demand[1:], AIR_DENSITY))
         produced = np.array([force2[2], torque2[0], torque2[1], torque2[2]])
         error = float(np.linalg.norm(produced - demand))
         scale = max(1.0, float(np.linalg.norm(demand)))
@@ -184,8 +183,7 @@ def test_criterion_07_closed_loop_vertical_step_capture():
     while t < 30.0:
         commands = ds.compute_commands(state, target, craft, gains, GRAVITY, AIR_DENSITY)
         assert np.all(commands >= 0.0) and np.all(commands <= max_speed)
-        ds.set_rotor_speeds(craft, commands)
-        state = ds.step(state, craft, env, 0.001)
+        state = ds.step(state, craft, env, 0.001, commands)
         t += 0.001
         if ds.waypoint_reached(state, target, gains):
             captured_at = t

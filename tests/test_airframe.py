@@ -1,26 +1,29 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dronesim as ds
-from dronesim.airframe import airframe_constants
+from dronesim.airframe import airframe_constants, allocate_speeds, rotor_wrench
 
 from conftest import (AIR_DENSITY, GRAVITY, LUMPED_THRUST_CONSTANT,
                       build_reference_craft, reference_hover_speed)
 
 
 def test_rotor_thrust_zero_speed(reference_craft):
-    assert ds.rotor_thrust(reference_craft.rotors[0], AIR_DENSITY) == 0.0
+    assert ds.rotor_thrust(reference_craft.rotors[0], AIR_DENSITY, 0.0) == 0.0
 
 
 def test_rotor_thrust_quarter_of_hover_weight(reference_craft):
     # at the closed-form hover speed each of the four rotors carries mg/4
     rotor = reference_craft.rotors[0]
-    rotor.current_speed = reference_hover_speed()
-    assert ds.rotor_thrust(rotor, AIR_DENSITY) == pytest.approx(GRAVITY / 4.0, rel=1e-12)
-    rotor.current_speed = 495.23  # the rounded figure lands within 1e-4 N
-    assert ds.rotor_thrust(rotor, AIR_DENSITY) == pytest.approx(2.4525, abs=1e-4)
+    assert ds.rotor_thrust(rotor, AIR_DENSITY, reference_hover_speed()) == pytest.approx(
+        GRAVITY / 4.0, rel=1e-12)
+    # the rounded figure lands within 1e-4 N
+    assert ds.rotor_thrust(rotor, AIR_DENSITY, 495.23) == pytest.approx(2.4525, abs=1e-4)
 
 
 def test_rotor_thrust_is_quadratic_in_speed():
@@ -31,22 +34,21 @@ def test_rotor_thrust_is_quadratic_in_speed():
                          disk_area=float(rng.uniform(0.01, 0.5)),
                          thrust_coefficient=float(rng.uniform(1e-5, 1e-2)),
                          torque_coefficient=float(rng.uniform(0.0, 1e-3)),
-                         max_speed=2000.0,
-                         current_speed=float(rng.uniform(1.0, 900.0)))
-        f1 = ds.rotor_thrust(rotor, AIR_DENSITY)
-        rotor.current_speed *= 2.0
-        assert ds.rotor_thrust(rotor, AIR_DENSITY) == pytest.approx(4.0 * f1, rel=1e-12)
+                         max_speed=2000.0)
+        speed = float(rng.uniform(1.0, 900.0))
+        f1 = ds.rotor_thrust(rotor, AIR_DENSITY, speed)
+        f2 = ds.rotor_thrust(rotor, AIR_DENSITY, 2.0 * speed)
+        assert f2 == pytest.approx(4.0 * f1, rel=1e-12)
 
 
 def test_rotor_thrust_rejects_non_positive_density(reference_craft):
     with pytest.raises(ValueError):
-        ds.rotor_thrust(reference_craft.rotors[0], -1.0)
+        ds.rotor_thrust(reference_craft.rotors[0], -1.0, 0.0)
 
 
 def test_net_wrench_symmetric_hover_has_no_torque(reference_craft):
     speed = reference_hover_speed()
-    ds.set_rotor_speeds(reference_craft, [speed] * 4)
-    force, torque = ds.net_wrench(reference_craft, AIR_DENSITY)
+    force, torque = ds.net_wrench(reference_craft, AIR_DENSITY, [speed] * 4)
     f_single = LUMPED_THRUST_CONSTANT * speed * speed
     assert force[0] == 0.0 and force[1] == 0.0
     assert force[2] == pytest.approx(4.0 * f_single, rel=1e-12)
@@ -59,14 +61,13 @@ def test_net_wrench_front_rear_split_gives_pure_pitch(reference_craft):
     speeds = []
     for rotor in reference_craft.rotors:
         speeds.append(front if rotor.position_body[0] > 0 else rear)
-    ds.set_rotor_speeds(reference_craft, speeds)
-    _, torque = ds.net_wrench(reference_craft, AIR_DENSITY)
+    _, torque = ds.net_wrench(reference_craft, AIR_DENSITY, speeds)
     assert torque[0] == 0.0 and torque[2] == 0.0
     assert torque[1] != 0.0
 
 
 def test_net_wrench_all_stopped(reference_craft):
-    force, torque = ds.net_wrench(reference_craft, AIR_DENSITY)
+    force, torque = ds.net_wrench(reference_craft, AIR_DENSITY, [0.0] * 4)
     assert np.all(force == 0.0) and np.all(torque == 0.0)
 
 
@@ -76,17 +77,14 @@ def test_net_wrench_quadratic_homogeneity():
         craft = build_reference_craft()
         speeds = rng.uniform(50.0, 400.0, 4)
         scale = float(rng.uniform(1.1, 2.2))
-        ds.set_rotor_speeds(craft, speeds)
-        f1, t1 = ds.net_wrench(craft, AIR_DENSITY)
-        ds.set_rotor_speeds(craft, speeds * scale)
-        f2, t2 = ds.net_wrench(craft, AIR_DENSITY)
+        f1, t1 = ds.net_wrench(craft, AIR_DENSITY, speeds)
+        f2, t2 = ds.net_wrench(craft, AIR_DENSITY, speeds * scale)
         assert np.allclose(f2, scale * scale * f1, rtol=1e-12, atol=1e-15)
         assert np.allclose(t2, scale * scale * t1, rtol=1e-12, atol=1e-15)
 
 
 def test_opposite_spin_pairs_cancel_yaw(reference_craft):
-    ds.set_rotor_speeds(reference_craft, [321.0] * 4)
-    _, torque = ds.net_wrench(reference_craft, AIR_DENSITY)
+    _, torque = ds.net_wrench(reference_craft, AIR_DENSITY, [321.0] * 4)
     assert torque[2] == 0.0
 
 
@@ -128,8 +126,7 @@ def test_wrench_allocate_round_trip_on_speeds():
     craft = build_reference_craft()
     for _ in range(200):
         speeds = rng.uniform(0.0, 900.0, 4)
-        ds.set_rotor_speeds(craft, speeds)
-        force, torque = ds.net_wrench(craft, AIR_DENSITY)
+        force, torque = ds.net_wrench(craft, AIR_DENSITY, speeds)
         recovered = ds.allocate(craft, float(force[2]), torque, AIR_DENSITY)
         assert np.max(np.abs(recovered - speeds)) < 1e-9 * max(1.0, float(np.max(speeds)))
 
@@ -139,11 +136,10 @@ def test_allocate_wrench_round_trip_on_demands():
     craft = build_reference_craft()
     for _ in range(200):
         speeds = rng.uniform(0.0, 900.0, 4)
-        ds.set_rotor_speeds(craft, speeds)
-        force, torque = ds.net_wrench(craft, AIR_DENSITY)
+        force, torque = ds.net_wrench(craft, AIR_DENSITY, speeds)
         demand = np.array([force[2], torque[0], torque[1], torque[2]])
-        ds.set_rotor_speeds(craft, ds.allocate(craft, demand[0], demand[1:], AIR_DENSITY))
-        force2, torque2 = ds.net_wrench(craft, AIR_DENSITY)
+        force2, torque2 = ds.net_wrench(
+            craft, AIR_DENSITY, ds.allocate(craft, demand[0], demand[1:], AIR_DENSITY))
         produced = np.array([force2[2], torque2[0], torque2[1], torque2[2]])
         assert np.max(np.abs(produced - demand)) <= 1e-9 * max(1.0, float(np.linalg.norm(demand)))
 
@@ -163,8 +159,7 @@ def test_allocation_matrix_maps_squared_speeds_to_the_wrench():
         matrix = ds.allocation_matrix(craft, AIR_DENSITY)
         for _ in range(100):
             speeds = rng.uniform(0.0, 1000.0, len(craft.rotors))
-            ds.set_rotor_speeds(craft, speeds)
-            force, torque = ds.net_wrench(craft, AIR_DENSITY)
+            force, torque = ds.net_wrench(craft, AIR_DENSITY, speeds)
             wrench = np.array([force[2], *torque])
             error = np.linalg.norm(matrix @ speeds**2 - wrench)
             assert error <= 1e-9 * np.linalg.norm(wrench)
@@ -198,8 +193,40 @@ def test_rotor_invariants():
         ds.Rotor(**{**good, "thrust_coefficient": 0.0})
     with pytest.raises(ValueError):
         ds.Rotor(**{**good, "torque_coefficient": -1e-9})
-    with pytest.raises(ValueError):
-        ds.Rotor(**{**good, "current_speed": 1200.0})
+    with pytest.raises(TypeError):  # speeds are passed to step, not held
+        ds.Rotor(**{**good, "current_speed": 0.0})
+
+
+def test_set_rotor_speeds_clamps_and_writes_nothing(reference_craft):
+    before = [dataclasses.asdict(r) for r in reference_craft.rotors]
+    speeds = ds.set_rotor_speeds(reference_craft, np.array([-5.0, 250.0, 1e4, math.inf]))
+    assert speeds == (0.0, 250.0, 1000.0, 1000.0)
+    assert all(type(s) is float for s in speeds)
+    after = [dataclasses.asdict(r) for r in reference_craft.rotors]
+    assert all(a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+               for a, b in zip(before, after))
+
+
+def test_set_rotor_speeds_rejects_nan_and_wrong_count(reference_craft):
+    with pytest.raises(ValueError, match="rotor 2 speed"):
+        ds.set_rotor_speeds(reference_craft, [500.0, 500.0, math.nan, 500.0])
+    with pytest.raises(ValueError, match="expected 4 speeds"):
+        ds.set_rotor_speeds(reference_craft, [500.0] * 3)
+    for call in (lambda: ds.net_wrench(reference_craft, AIR_DENSITY, [math.nan] * 4),
+                 lambda: ds.rotor_thrust(reference_craft.rotors[0], AIR_DENSITY, math.nan)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_speed_taking_functions_clamp_like_set_rotor_speeds(reference_craft):
+    command = [-1.0, 300.0, 2000.0, math.inf]
+    clamped = ds.set_rotor_speeds(reference_craft, command)
+    force, torque = ds.net_wrench(reference_craft, AIR_DENSITY, command)
+    expected = ds.net_wrench(reference_craft, AIR_DENSITY, clamped)
+    assert np.array_equal(force, expected[0]) and np.array_equal(torque, expected[1])
+    for rotor, speed, s in zip(reference_craft.rotors, command, clamped):
+        thrust = ds.rotor_thrust(rotor, AIR_DENSITY, speed)
+        assert thrust == ds.rotor_thrust(rotor, AIR_DENSITY, s)
 
 
 def test_hover_speed_helper_matches_closed_form(reference_craft):
@@ -220,3 +247,44 @@ def test_equal_airframes_share_one_constants_object():
     moved = airframe_constants(second, AIR_DENSITY)
     assert moved is not constants
     assert moved.rotors[0][2] == constants.rotors[0][2] + 0.01
+
+
+@st.composite
+def airframes(draw):
+    """3 to 8 rotors of one size with arms on a 5 cm grid, random spins,
+    reaction torque coefficients and speed ceilings."""
+    arm = st.integers(-8, 8).map(lambda i: 0.05 * i)
+    disk_area, thrust_coefficient = draw(st.floats(0.01, 0.2)), draw(st.floats(1e-5, 1e-3))
+    rotors = [ds.Rotor(position_body=[draw(arm), draw(arm), 0.0],
+                       spin_direction=draw(st.sampled_from([-1, 1])),
+                       disk_area=disk_area, thrust_coefficient=thrust_coefficient,
+                       torque_coefficient=draw(st.floats(1e-7, 1e-5)),
+                       max_speed=draw(st.floats(100.0, 2000.0)))
+              for _ in range(draw(st.integers(3, 8)))]
+    return ds.Airframe(body=ds.Body(1.0, ds.vec3(0.01, 0.01, 0.02)), rotors=rotors)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(airframes(), st.data())
+def test_allocation_realizes_every_reachable_wrench(craft, data):
+    constants = airframe_constants(craft, AIR_DENSITY)
+    matrix = ds.allocation_matrix(craft, AIR_DENSITY)
+    rank = np.linalg.matrix_rank(matrix)
+    assert rank < 4 or len(craft.rotors) > 3
+    if rank < 4:
+        with pytest.raises(ds.ConfigurationError):
+            allocate_speeds(constants, 1.0, 0.0, 0.0, 0.0)
+        return
+    # speeds in a band [low, high] within [0, max_speed]: a narrow band
+    # flies near hover, the full band anywhere
+    low = data.draw(st.floats(0.0, min(r.max_speed for r in craft.rotors)))
+    high = data.draw(st.floats(low, max(r.max_speed for r in craft.rotors)))
+    speeds = [data.draw(st.floats(low, min(high, r.max_speed))) for r in craft.rotors]
+    wrench = rotor_wrench(constants, speeds)
+    # with more than four rotors the pseudo-inverse gives the minimum-norm
+    # squared speeds, which may leave [0, max_speed^2] for a reachable wrench
+    s_squared = np.linalg.pinv(matrix) @ wrench
+    assume(all(0.0 <= s2 <= r.max_speed ** 2 for s2, r in zip(s_squared, craft.rotors)))
+    produced = rotor_wrench(constants, allocate_speeds(constants, *wrench))
+    error = float(np.linalg.norm(np.subtract(produced, wrench)))
+    assert error <= 1e-9 * float(np.linalg.norm(wrench))

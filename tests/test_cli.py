@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -122,3 +123,15 @@ def test_simulate_parallel_flag(tmp_path):
     assert main(["simulate", "--scenario", fixture("two_drone_cross.json"),
                  "--out", str(threaded), "--format", "csv", "--parallel"]) == 0
     assert serial.read_text() == threaded.read_text()
+
+
+def test_parallel_flag_warns_once_and_the_default_is_silent(tmp_path):
+    args = ["simulate", "--scenario", fixture("hover.json"),
+            "--out", str(tmp_path / "hover.csv"), "--format", "csv"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 0
+    assert not caught
+    with pytest.warns(FutureWarning, match="parallel has no effect") as record:
+        assert main(args + ["--parallel"]) == 0
+    assert len(record) == 1

@@ -73,8 +73,7 @@ def test_closed_loop_hover_holds_position(reference_craft):
     for _ in range(10_000):
         commands = ds.compute_commands(state, target, reference_craft, gains,
                                        GRAVITY, AIR_DENSITY)
-        ds.set_rotor_speeds(reference_craft, commands)
-        state = ds.step(state, reference_craft, env, 0.001)
+        state = ds.step(state, reference_craft, env, 0.001, commands)
         worst = max(worst, float(np.linalg.norm(state.position - target.target_position)))
     assert worst < 1e-3
 
@@ -91,8 +90,7 @@ def test_vertical_step_is_captured_quickly(reference_craft):
                                        GRAVITY, AIR_DENSITY)
         assert np.all(commands >= 0.0)
         assert np.all(commands <= reference_craft.rotors[0].max_speed)
-        ds.set_rotor_speeds(reference_craft, commands)
-        state = ds.step(state, reference_craft, env, 0.001)
+        state = ds.step(state, reference_craft, env, 0.001, commands)
         t += 0.001
         if ds.waypoint_reached(state, target, gains):
             captured_at = t

@@ -12,31 +12,34 @@ from dronesim.dynamics import rk4_step
 from conftest import (AIR_DENSITY, GRAVITY, build_reference_craft,
                       calm_environment, level_state, reference_hover_speed)
 
+STOPPED = [0.0] * 4
+
 
 def test_free_fall_acceleration(reference_craft, calm_env):
-    derivative = ds.state_derivative(level_state(z=10.0), reference_craft, calm_env)
-    assert np.allclose(derivative.d_velocity, [0.0, 0.0, -GRAVITY], atol=1e-15)
-    assert np.all(derivative.d_position == 0.0)
+    d_position, d_velocity, _, _ = ds.state_derivative(level_state(z=10.0), reference_craft,
+                                                       calm_env, STOPPED)
+    assert np.allclose(d_velocity, [0.0, 0.0, -GRAVITY], atol=1e-15)
+    assert np.all(d_position == 0.0)
 
 
 def test_hover_acceleration_is_zero(reference_craft, calm_env):
-    ds.set_rotor_speeds(reference_craft, [reference_hover_speed()] * 4)
-    derivative = ds.state_derivative(level_state(z=5.0), reference_craft, calm_env)
-    assert np.max(np.abs(derivative.d_velocity)) < 1e-9
+    _, d_velocity, _, _ = ds.state_derivative(level_state(z=5.0), reference_craft, calm_env,
+                                              [reference_hover_speed()] * 4)
+    assert np.max(np.abs(d_velocity)) < 1e-9
 
 
 def test_gyroscopic_term_vanishes_on_principal_axis(reference_craft, calm_env):
     # omega parallel to a principal axis: omega x (I omega) = 0
     state = ds.DroneState(0.0, np.zeros(3), np.zeros(3), ds.quat_identity(),
                           ds.vec3(0.0, 0.0, 1.0))
-    derivative = ds.state_derivative(state, reference_craft, calm_env)
-    assert np.all(derivative.d_angular_velocity == 0.0)
+    *_, d_angular_velocity = ds.state_derivative(state, reference_craft, calm_env, STOPPED)
+    assert np.all(d_angular_velocity == 0.0)
 
 
 def test_ballistic_drop_matches_closed_form(reference_craft, calm_env):
     state = level_state(z=10.0)
     for _ in range(100):
-        state = ds.step(state, reference_craft, calm_env, 0.01)
+        state = ds.step(state, reference_craft, calm_env, 0.01, STOPPED)
     expected = 10.0 - 0.5 * GRAVITY * 1.0 ** 2
     assert abs(state.position[2] - expected) < 1e-6
     assert state.t == pytest.approx(1.0, abs=1e-12)
@@ -48,7 +51,7 @@ def _drag_drop_error(drag: float, dt: float) -> float:
     env = calm_environment()
     state = level_state(z=10.0)
     for _ in range(round(1.0 / dt)):
-        state = ds.step(state, craft, env, dt)
+        state = ds.step(state, craft, env, dt, STOPPED)
     # closed form for m vdot = -m g - c v from rest:
     # z(t) = z0 - (g m / c) t + (m / c) (v0 + g m / c) (1 - exp(-c t / m))
     m, g, c, t = craft.body.mass, GRAVITY, drag, 1.0
@@ -72,15 +75,14 @@ def test_constant_yaw_torque_spins_up_linearly(reference_craft, calm_env):
     speed = math.sqrt(torque_z / (2.0 * q_const))
     speeds = [speed if rotor.spin_direction == 1 else 0.0
               for rotor in reference_craft.rotors]
-    ds.set_rotor_speeds(reference_craft, speeds)
 
     state = level_state(z=0.0)
-    derivative = ds.state_derivative(state, reference_craft, calm_env)
+    *_, d_angular_velocity = ds.state_derivative(state, reference_craft, calm_env, speeds)
     izz = reference_craft.body.inertia_diagonal[2]
-    assert derivative.d_angular_velocity[2] == pytest.approx(torque_z / izz, rel=1e-9)
+    assert d_angular_velocity[2] == pytest.approx(torque_z / izz, rel=1e-9)
 
     for _ in range(1000):
-        state = ds.step(state, reference_craft, calm_env, 0.001)
+        state = ds.step(state, reference_craft, calm_env, 0.001, speeds)
     assert abs(state.angular_velocity[2] - torque_z * 1.0 / izz) < 1e-6
 
 
@@ -95,18 +97,18 @@ def test_energy_conserved_without_drag_or_thrust(reference_craft, calm_env):
     initial = energy(state)
     worst = 0.0
     for _ in range(5000):
-        state = ds.step(state, reference_craft, calm_env, 0.001)
+        state = ds.step(state, reference_craft, calm_env, 0.001, STOPPED)
         worst = max(worst, abs(energy(state) - initial) / abs(initial))
     assert worst < 1e-8
 
 
 def test_step_is_bit_deterministic(reference_craft, calm_env):
-    ds.set_rotor_speeds(reference_craft, [480.0, 470.0, 480.0, 490.0])
+    speeds = [480.0, 470.0, 480.0, 490.0]
     state = ds.DroneState(0.0, ds.vec3(1.0, -2.0, 7.0), ds.vec3(0.2, 0.1, -0.3),
                           ds.quat_from_axis_angle([1.0, 2.0, 0.5], 0.2),
                           ds.vec3(0.1, -0.2, 0.05))
-    a = ds.step(state, reference_craft, calm_env, 0.001)
-    b = ds.step(state, reference_craft, calm_env, 0.001)
+    a = ds.step(state, reference_craft, calm_env, 0.001, speeds)
+    b = ds.step(state, reference_craft, calm_env, 0.001, speeds)
     assert np.array_equal(a.position, b.position)
     assert np.array_equal(a.velocity, b.velocity)
     assert np.array_equal(a.orientation, b.orientation)
@@ -117,15 +119,15 @@ def test_divergence_raises_with_time(reference_craft, calm_env):
     state = ds.DroneState(2.5, np.zeros(3), np.zeros(3), ds.quat_identity(),
                           ds.vec3(0.0, 0.0, 1e200))
     with pytest.raises(ds.DivergenceError) as excinfo:
-        ds.step(state, reference_craft, calm_env, 0.001)
+        ds.step(state, reference_craft, calm_env, 0.001, STOPPED)
     assert excinfo.value.t == pytest.approx(2.501)
 
 
 def test_orientation_norm_stays_tight_over_many_steps(reference_craft, calm_env):
-    ds.set_rotor_speeds(reference_craft, [480.0, 500.0, 510.0, 470.0])
+    speeds = [480.0, 500.0, 510.0, 470.0]
     state = level_state(z=50.0)
     for _ in range(20_000):
-        state = ds.step(state, reference_craft, calm_env, 0.001)
+        state = ds.step(state, reference_craft, calm_env, 0.001, speeds)
         if state.position[2] < 1.0:
             break
     assert abs(float(np.linalg.norm(state.orientation)) - 1.0) < 1e-9
@@ -133,7 +135,7 @@ def test_orientation_norm_stays_tight_over_many_steps(reference_craft, calm_env)
 
 def test_step_rejects_non_positive_dt(reference_craft, calm_env):
     with pytest.raises(ValueError):
-        ds.step(level_state(), reference_craft, calm_env, 0.0)
+        ds.step(level_state(), reference_craft, calm_env, 0.0, STOPPED)
 
 
 def test_drone_state_validates():

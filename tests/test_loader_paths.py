@@ -9,6 +9,7 @@ the constructors behind the loader raise FieldError naming the field.
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -73,8 +74,6 @@ PINNED = [
     case("drones[0].rotors[2].thrust_coefficient", -1e-4),
     case("drones[1].rotors[0].torque_coefficient", -1e-6),
     case("drones[0].rotors[3].max_speed", 0.0),
-    case("drones[0].rotors[0].current_speed", -1.0),
-    case("drones[1].rotors[1].current_speed", 1000.5),
     case("drones[0].gains.position_kp", -1.0),
     case("drones[0].gains.position_kd", -1.0),
     case("drones[1].gains.attitude_kp", -1.0),
@@ -121,7 +120,6 @@ CLOSED = [
     case("drones[1].gains.attitude_kp", NAN),
     case("drones[1].gains.attitude_kd", NAN),
     case("simulation.min_separation", NAN),
-    case("drones[0].rotors[0].current_speed", NAN),
     case("physics.gravity", INF),
     case("drones[0].body.mass", INF),
     case("drones[0].body.linear_drag", INF),
@@ -138,7 +136,6 @@ CLOSED = [
     case("simulation.min_separation", INF),
     case("drones[0].body.mass", HUGE),
     case("drones[0].body.inertia", [0.01, HUGE, 0.02]),
-    case("drones[1].rotors[2].current_speed", HUGE),
     case("inertial_frame.latitude_deg", HUGE),
     case("inertial_frame.altitude_m", -HUGE),
     case("simulation.max_duration", HUGE),
@@ -158,6 +155,26 @@ def test_invalid_value_is_reported_at_its_path(field, value, expected):
         ds.scenario_from_dict(data)
     assert excinfo.value.path == expected
     assert str(excinfo.value).startswith(f"{expected}: ")
+
+
+def test_current_speed_is_accepted_ignored_and_warned_about_once():
+    # every document save_scenario wrote while rotors held a speed has the key
+    plain = fixture_dict()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = ds.scenario_to_dict(*ds.scenario_from_dict(plain))
+    for value in (0.0, 500.0, -1.0, 1e6, NAN, HUGE):
+        data = fixture_dict()
+        for drone in data["drones"]:
+            for rotor in drone["rotors"]:
+                rotor["current_speed"] = value
+        with pytest.warns(FutureWarning, match="current_speed") as record:
+            swarm, scenario, mission = ds.scenario_from_dict(data)
+        assert len(record) == 1
+        assert all("current_speed" in r for d in data["drones"] for r in d["rotors"])
+        assert not any(hasattr(r, "current_speed") for d in swarm.drones
+                       for r in d.airframe.rotors)
+        assert ds.scenario_to_dict(swarm, scenario, mission) == expected
 
 
 def test_infinite_route_budget_stays_legal():
@@ -231,6 +248,5 @@ def test_constructors_store_floats():
     rotor = ds.Rotor(position_body=[0, 1, 0], spin_direction=1, disk_area=1,
                      thrust_coefficient=1, torque_coefficient=0, max_speed=1000)
     assert all(type(getattr(rotor, name)) is float for name in
-               ("disk_area", "thrust_coefficient", "torque_coefficient", "max_speed",
-                "current_speed"))
+               ("disk_area", "thrust_coefficient", "torque_coefficient", "max_speed"))
     assert type(ds.InertialFrame(45, 9).latitude_deg) is float

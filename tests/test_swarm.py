@@ -284,17 +284,25 @@ def test_shared_airframe_flies_like_separate_airframes(parallel):
     _assert_bit_identical(separate, shared)
 
 
+def test_parallel_flag_is_deprecated():
+    swarm = ds.Swarm([make_drone("solo", (0.0, 0.0, 5.0), route=[(1.0, 0.0, 5.0)])])
+    with pytest.warns(FutureWarning, match="parallel has no effect") as record:
+        ds.simulate(swarm, calm_scenario(max_duration=0.1), 0.1, parallel=True)
+    assert len(record) == 1
+
+
 def test_simulate_leaves_caller_objects_unchanged():
     east = make_drone("east", (-5.0, 0.0, 5.0), route=[(5.0, 0.0, 5.0)])
     west = make_drone("west", (5.0, 0.5, 5.0), route=[(-5.0, 0.5, 5.0)])
-    west.airframe.rotors[0].current_speed = 123.0
-    before = [(d.state.copy(), [r.current_speed for r in d.airframe.rotors],
+    before = [(d.state.copy(), [dataclasses.asdict(r) for r in d.airframe.rotors],
                [sp.target_position.copy() for sp in d.route]) for d in (east, west)]
     trajectory = ds.simulate(ds.Swarm([east, west], min_separation=2.0),
                              calm_scenario(max_duration=15.0), 0.1)
     assert events_of(trajectory, "mission_complete")
-    for drone, (state, speeds, targets) in zip((east, west), before):
-        assert [r.current_speed for r in drone.airframe.rotors] == speeds
+    for drone, (state, rotors, targets) in zip((east, west), before):
+        for rotor, fields in zip(drone.airframe.rotors, rotors):
+            assert all(np.array_equal(v, fields[k])
+                       for k, v in dataclasses.asdict(rotor).items())
         assert drone.state.t == state.t
         assert np.array_equal(drone.state.position, state.position)
         assert np.array_equal(drone.state.velocity, state.velocity)
