@@ -99,10 +99,8 @@ def thrust_gain(rotor: Rotor, air_density: float) -> float:
 
 def rotor_thrust(rotor: Rotor, air_density: float, speed: float) -> float:
     """Thrust of one rotor in N, along body +z: c_T * rho * A * s^2, s clamped."""
-    if not air_density > 0.0:
-        raise ValueError(f"air_density must be > 0, got {air_density}")
     s = _clamped(float(speed), rotor.max_speed, "speed")
-    return thrust_gain(rotor, air_density) * (s * s)
+    return thrust_gain(rotor, positive(air_density, "air_density")) * (s * s)
 
 
 @dataclass(frozen=True)
@@ -132,8 +130,7 @@ def airframe_constants(airframe: Airframe, air_density: float) -> AirframeConsta
     airframes share one pseudo-inverse and rank check, and changing an
     airframe in place can never serve stale constants.
     """
-    if not air_density > 0.0:
-        raise ValueError(f"air_density must be > 0, got {air_density}")
+    air_density = positive(air_density, "air_density")
     body = airframe.body
     # the key is built from plain floats: indexing the numpy arms costs more
     rotors = []
@@ -228,9 +225,7 @@ def allocate(airframe: Airframe, desired_thrust: float, desired_torque,
     """
     tx, ty, tz = as_vec3(desired_torque, "desired_torque").tolist()
     constants = airframe_constants(airframe, air_density)
-    thrust = float(desired_thrust)
-    if thrust < 0.0:
-        raise ValueError(f"desired_thrust must be >= 0, got {thrust}")
+    thrust = non_negative(desired_thrust, "desired_thrust")
     return np.array(allocate_speeds(constants, thrust, tx, ty, tz))
 
 
@@ -253,5 +248,5 @@ def _clamped(speed: float, max_speed: float, name: str) -> float:
 
 def hover_speed(airframe: Airframe, gravity: float, air_density: float) -> float:
     """Closed-form equal-speed hover for a symmetric craft: sqrt(mg / (n k))."""
-    k = sum(thrust_gain(r, air_density) for r in airframe.rotors)
-    return math.sqrt(airframe.body.mass * gravity / k)
+    k = sum(gain for gain, _, _, _ in airframe_constants(airframe, air_density).rotors)
+    return math.sqrt(airframe.body.mass * positive(gravity, "gravity") / k)

@@ -27,8 +27,8 @@ from numpy import ndarray
 from .airframe import Airframe, AirframeConstants, airframe_constants, allocate_speeds
 from .backend import FLOATS, ROWS
 from .dynamics import DroneState
-from .frames import (FieldError, as_float, as_vec3, half_angle_quat, hamilton_product,
-                     non_negative, positive)
+from .frames import (FieldError, as_float, as_vec3, finite, half_angle_quat,
+                     hamilton_product, non_negative, positive)
 
 DEFAULT_POSITION_KP = 2.0
 DEFAULT_POSITION_KD = 2.8
@@ -66,8 +66,7 @@ class Setpoint:
     def __post_init__(self):
         self.target_position = as_vec3(self.target_position, "target position",
                                        "target_position")
-        if not math.isfinite(self.target_yaw):
-            raise FieldError("target_yaw must be finite", "target_yaw")
+        self.target_yaw = finite(self.target_yaw, "target_yaw")
 
 
 def heading(yaw: float) -> tuple[float, float, float, float]:
@@ -108,11 +107,11 @@ def thrust_and_attitude(state: DroneState, setpoint: Setpoint, airframe: Airfram
     thrust, and its direction is inverted at small angles for the tilt
     setpoint, clamped to +-max_tilt.
     """
-    yaw = float(setpoint.target_yaw)
+    yaw = setpoint.target_yaw
     cos_y, sin_y, _, _ = heading(yaw)
-    return (*_thrust_and_attitude(FLOATS, float(airframe.body.mass), gains, float(gravity),
-                                  state.as_floats(), setpoint.target_position.tolist(),
-                                  cos_y, sin_y), yaw)
+    return (*_thrust_and_attitude(FLOATS, float(airframe.body.mass), gains,
+                                  positive(gravity, "gravity"), state.as_floats(),
+                                  setpoint.target_position.tolist(), cos_y, sin_y), yaw)
 
 
 def command_speeds(c: AirframeConstants, gains: ControllerGains, gravity: float,
@@ -153,9 +152,9 @@ def compute_commands(state: DroneState, setpoint: Setpoint, airframe: Airframe,
     ConfigurationError out of the allocation step.
     """
     return np.array(command_speeds(
-        airframe_constants(airframe, air_density), gains, float(gravity),
+        airframe_constants(airframe, air_density), gains, positive(gravity, "gravity"),
         state.as_floats(), setpoint.target_position.tolist(),
-        heading(float(setpoint.target_yaw))))
+        heading(setpoint.target_yaw)))
 
 
 def within_capture(position, target, capture_radius: float) -> bool:

@@ -29,7 +29,7 @@ from numpy import ndarray
 from .airframe import (Airframe, AirframeConstants, airframe_constants, rotor_wrench,
                        set_rotor_speeds)
 from .backend import FLOATS, ROWS, DivergenceError
-from .frames import FieldError, as_quat, as_vec3, quat_identity, quat_norm
+from .frames import FieldError, as_quat, as_vec3, finite, positive, quat_identity, quat_norm
 from .scenario import EnvironmentSample
 
 # Orientation guard: a loose sanity bound for constructed states. The
@@ -66,8 +66,7 @@ class DroneState:
         self.orientation = as_quat(self.orientation, "orientation", "orientation")
         self.angular_velocity = as_vec3(self.angular_velocity, "angular_velocity",
                                         "angular_velocity")
-        if not np.isfinite(self.t):
-            raise FieldError("t must be finite", "t")
+        self.t = finite(self.t, "t")
         check_unit_orientation(self.orientation)
 
     def copy(self) -> "DroneState":
@@ -198,8 +197,7 @@ def step(state: DroneState, airframe: Airframe, env: EnvironmentSample,
     inputs produce bit-identical outputs. Raises DivergenceError (with
     the end-of-step time) if any component of the result is non-finite.
     """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be > 0, got {dt}")
+    dt = positive(dt, "dt")
     t_end = state.t + dt
     x = rk4_step(airframe_constants(airframe, env.air_density), env,
                  set_rotor_speeds(airframe, speeds), state.as_floats(), dt, t_end)

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import _ORIENTATION_NORM_TOL
+from .dynamics import check_unit_orientation
 from .frames import FieldError, InertialFrame, geo_project, geo_project_columns
 from .swarm import RecordedSamples, SimEvent, Trajectory
 
@@ -202,10 +202,9 @@ def load_csv(path) -> Trajectory:
                 name, value = next((n, v) for n, v in zip(CSV_FIELDS[1:], values)
                                    if not math.isfinite(v))
                 raise FieldError(f"CSV line {line}: {name} must be finite, got {value}", name)
-            qw, qx, qy, qz = values[7:11]
-            norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)  # quat_norm
-            if abs(norm - 1.0) > _ORIENTATION_NORM_TOL:  # check_unit_orientation
-                raise FieldError(f"CSV line {line}: orientation must be a unit quaternion, "
-                                 f"norm is {norm}", "orientation")
+            try:
+                check_unit_orientation(values[7:11])
+            except FieldError as err:
+                raise FieldError(f"CSV line {line}: {err}", err.field) from None
             rows.setdefault(row[0], []).append(values)
     return Trajectory(samples=RecordedSamples(rows), events=[])

@@ -45,14 +45,14 @@ class FieldError(ValueError):
         self.field = field
 
 
-def first_repeat(items: list) -> int | None:
-    """Index of the first item equal to an earlier one, or None."""
+def check_unique_ids(ids: list, kind: str, path: str) -> None:
+    """Raise FieldError at ``{path}[i].id``, i the first repeated id, unless ids are unique."""
     seen = set()
-    for i, item in enumerate(items):
+    for i, item in enumerate(ids):
         if item in seen:
-            return i
+            dup = sorted({x for x in ids if ids.count(x) > 1})
+            raise FieldError(f"{kind} ids must be unique, duplicated: {dup}", f"{path}[{i}].id")
         seen.add(item)
-    return None
 
 
 def as_float(value, field: str) -> float:
@@ -61,6 +61,14 @@ def as_float(value, field: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise FieldError(f"{field} must be a number in float range", field) from None
+
+
+def finite(value, field: str) -> float:
+    """``value`` as a float that must be finite."""
+    x = as_float(value, field)
+    if not math.isfinite(x):
+        raise FieldError(f"{field} must be finite, got {x}", field)
+    return x
 
 
 def positive(value, field: str) -> float:
@@ -121,7 +129,9 @@ def quat_normalize(q) -> np.ndarray:
     rotation can be recovered.
     """
     q = as_quat(q)
-    n = quat_norm(q)
+    n = quat_norm(q.tolist())  # floats: squares overflow to inf without a numpy warning
+    if n == math.inf:  # then normalize the same rotation over its largest |component|
+        return quat_normalize(q / np.abs(q).max())
     if n < 1e-12:
         raise ValueError("cannot normalize a near-zero quaternion")
     return q / n
@@ -151,10 +161,13 @@ def hamilton_product(q1, q2) -> tuple[float, float, float, float]:
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Unit quaternion for a rotation of ``angle`` radians about ``axis``."""
     axis = as_vec3(axis, "axis")
-    n = math.sqrt(axis[0] ** 2 + axis[1] ** 2 + axis[2] ** 2)
+    with np.errstate(over="ignore"):
+        n = math.sqrt(axis[0] ** 2 + axis[1] ** 2 + axis[2] ** 2)
+    if n == math.inf:  # the squares overflow: the same axis over its largest |component|
+        return quat_from_axis_angle(axis / np.abs(axis).max(), angle)
     if n < 1e-12:
         raise ValueError("rotation axis must be non-zero")
-    half = 0.5 * float(angle)
+    half = 0.5 * finite(angle, "angle")
     s = math.sin(half) / n
     return np.array([math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
 
@@ -164,9 +177,10 @@ def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
     Angles compose in ZYX order: q = q_yaw ⊗ q_pitch ⊗ q_roll.
     """
-    return np.array(half_angle_quat(math.cos(0.5 * roll), math.sin(0.5 * roll),
-                                    math.cos(0.5 * pitch), math.sin(0.5 * pitch),
-                                    math.cos(0.5 * yaw), math.sin(0.5 * yaw)))
+    r, p = 0.5 * finite(roll, "roll"), 0.5 * finite(pitch, "pitch")
+    y = 0.5 * finite(yaw, "yaw")
+    return np.array(half_angle_quat(math.cos(r), math.sin(r), math.cos(p), math.sin(p),
+                                    math.cos(y), math.sin(y)))
 
 
 def half_angle_quat(cr, sr, cp, sp, cy, sy) -> tuple:
@@ -217,13 +231,12 @@ def integrate_orientation(q, omega_body, dt: float) -> np.ndarray:
 
     ``omega_body`` is the angular velocity in the body frame (rad/s).
     The normalized explicit step is second-order accurate in the rotation
-    angle for constant ω. dt must be strictly positive.
+    angle for constant ω. dt must be finite and strictly positive.
 
-    Scalar math throughout: this sits on the hot path of long
-    propagations (millions of calls).
+    Scalar math throughout: the simulator integrates attitude inside
+    ``rk4_step``; acceptance criterion 5 calls this 10^6 times.
     """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be > 0, got {dt}")
+    dt = positive(dt, "dt")
     try:
         qw, qx, qy, qz = (float(c) for c in q)
         ox, oy, oz = (float(c) for c in omega_body)
@@ -239,8 +252,8 @@ def integrate_orientation(q, omega_body, dt: float) -> np.ndarray:
     ny = qy + half * (qw * oy - qx * oz + qz * ox)
     nz = qz + half * (qw * oz + qx * oy - qy * ox)
     norm = math.sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
-    if norm < 1e-12:
-        raise ValueError("integration collapsed the quaternion to zero norm")
+    if not 1e-12 <= norm < math.inf:  # zero, or squares that overflow
+        return quat_normalize((nw, nx, ny, nz))
     return np.array([nw / norm, nx / norm, ny / norm, nz / norm])
 
 
@@ -260,13 +273,11 @@ class InertialFrame:
     def __post_init__(self):
         lat = as_float(self.latitude_deg, "latitude_deg")
         lon = as_float(self.longitude_deg, "longitude_deg")
-        alt = as_float(self.altitude_m, "altitude_m")
+        alt = finite(self.altitude_m, "altitude_m")
         if not (-90.0 <= lat <= 90.0):
             raise FieldError(f"latitude must be in [-90, 90], got {lat}", "latitude_deg")
         if not (-180.0 <= lon <= 180.0):
             raise FieldError(f"longitude must be in [-180, 180], got {lon}", "longitude_deg")
-        if not math.isfinite(alt):
-            raise FieldError("altitude must be finite", "altitude_m")
         if self.axes != "ENU":
             raise FieldError(f"unsupported axes convention {self.axes!r}, only 'ENU'", "axes")
         object.__setattr__(self, "latitude_deg", lat)
@@ -285,6 +296,13 @@ def geo_project(frame: InertialFrame, p) -> tuple[float, float, float]:
     return geo_project_columns(frame, east, north, up)
 
 
+def _cos_origin_latitude(frame: InertialFrame) -> float:
+    cos_lat0 = math.cos(math.radians(frame.latitude_deg))
+    if abs(cos_lat0) < 1e-9:
+        raise ValueError("projection origin too close to a pole")
+    return cos_lat0
+
+
 # math.degrees(x) and np.degrees(x) are both x times this constant
 _DEGREES_PER_RADIAN = 180.0 / math.pi
 
@@ -297,10 +315,7 @@ def geo_project_columns(frame: InertialFrame, east, north, up):
     goes through the same operations as one position, in the same
     order, so every element equals :func:`geo_project`'s result.
     """
-    lat0 = math.radians(frame.latitude_deg)
-    cos_lat0 = math.cos(lat0)
-    if abs(cos_lat0) < 1e-9:
-        raise ValueError("projection origin too close to a pole")
+    cos_lat0 = _cos_origin_latitude(frame)
     lat = frame.latitude_deg + (north / EARTH_RADIUS_M) * _DEGREES_PER_RADIAN
     lon = frame.longitude_deg + (east / (EARTH_RADIUS_M * cos_lat0)) * _DEGREES_PER_RADIAN
     alt = frame.altitude_m + up
@@ -310,10 +325,7 @@ def geo_project_columns(frame: InertialFrame, east, north, up):
 def geo_unproject(frame: InertialFrame, latitude_deg: float, longitude_deg: float,
                   altitude_m: float) -> np.ndarray:
     """Inverse of :func:`geo_project`: geodetic coordinates to local ENU meters."""
-    lat0 = math.radians(frame.latitude_deg)
-    cos_lat0 = math.cos(lat0)
-    if abs(cos_lat0) < 1e-9:
-        raise ValueError("projection origin too close to a pole")
+    cos_lat0 = _cos_origin_latitude(frame)
     east = math.radians(longitude_deg - frame.longitude_deg) * EARTH_RADIUS_M * cos_lat0
     north = math.radians(latitude_deg - frame.latitude_deg) * EARTH_RADIUS_M
     up = altitude_m - frame.altitude_m

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airframe import ConfigurationError
-from .frames import FieldError, as_float, as_vec3, first_repeat
+from .frames import FieldError, as_float, as_vec3, check_unique_ids
 from .scenario import Box, segment_hits_box
 
 
@@ -77,12 +77,7 @@ class Mission:
     obstacles: list[Box] = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [w.id for w in self.waypoints]
-        repeat = first_repeat(ids)
-        if repeat is not None:
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise FieldError(f"waypoint ids must be unique, duplicated: {dup}",
-                             f"waypoints[{repeat}].id")
+        check_unique_ids([w.id for w in self.waypoints], "waypoint", "waypoints")
         self.start_positions = [as_vec3(p, "start position", f"start_positions[{i}]")
                                 for i, p in enumerate(self.start_positions)]
         # infinite is allowed: no length budget
@@ -108,8 +103,7 @@ def route_length(start, ordered: list[Waypoint]) -> float:
     prev = as_vec3(start, "start")
     total = 0.0
     for w in ordered:
-        d = w.position - prev
-        total += math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+        total += _dist(prev, w.position)
         prev = w.position
     return total
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import FieldError, InertialFrame, as_vec3, positive
+from .frames import FieldError, InertialFrame, as_vec3, non_negative, positive
 
 DEFAULT_GRAVITY = 9.81
 DEFAULT_AIR_DENSITY = 1.225
@@ -113,11 +113,15 @@ class EnvironmentSample:
     air_density: float
     wind_velocity: np.ndarray
 
+    def __post_init__(self):
+        self.gravity = positive(self.gravity, "gravity")
+        self.air_density = positive(self.air_density, "air_density")
+        self.wind_velocity = as_vec3(self.wind_velocity, "wind velocity", "wind_velocity")
+
 
 def sample_environment(scenario: Scenario, position, t: float) -> EnvironmentSample:
     """Environment at a point and time; uniform and constant in this release."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    non_negative(t, "t")
     return EnvironmentSample(
         gravity=scenario.physics.gravity,
         air_density=scenario.physics.air_density,

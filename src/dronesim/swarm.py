@@ -65,7 +65,7 @@ from .airframe import Airframe, AirframeConstants, airframe_constants
 from .control import (ControllerGains, Setpoint, command_speeds,  # noqa: F401
                       compute_commands, heading, within_capture)
 from .dynamics import DivergenceError, DroneState, check_unit_orientation, rk4_step
-from .frames import FieldError, first_repeat, non_negative
+from .frames import FieldError, check_unique_ids, non_negative
 from .scenario import (FlyingConditions, Scenario, box_bounds, check_recording_interval,
                        inside_any, sample_environment)
 
@@ -103,12 +103,7 @@ class Swarm:
     def __post_init__(self):
         if not self.drones:
             raise FieldError("a swarm needs at least one drone", "drones")
-        ids = [d.id for d in self.drones]
-        repeat = first_repeat(ids)
-        if repeat is not None:
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise FieldError(f"drone ids must be unique, duplicated: {dup}",
-                             f"drones[{repeat}].id")
+        check_unique_ids([d.id for d in self.drones], "drone", "drones")
         self.min_separation = non_negative(self.min_separation, "min_separation")
 
 
@@ -425,7 +420,7 @@ def _start(index: int, drone: Drone, air_density: float) -> _DroneRun:
     return _DroneRun(
         index=index, id=drone.id, constants=airframe_constants(drone.airframe, air_density),
         gains=drone.gains,
-        targets=[(sp.target_position.tolist(), heading(float(sp.target_yaw)))
+        targets=[(sp.target_position.tolist(), heading(sp.target_yaw))
                  for sp in drone.route],
         x=_start_floats(drone.state))
 

@@ -67,6 +67,16 @@ def test_rk4_fourth_order_on_drag_ballistic():
     assert e_coarse / e_fine == pytest.approx(16.0, abs=4.0)
 
 
+def test_a_wind_given_as_a_list_steps_like_an_array(reference_craft):
+    reference_craft.body.linear_drag = 0.1
+    speeds = [reference_hover_speed()] * 4
+    stepped = [ds.step(level_state(z=5.0), reference_craft,
+                       ds.EnvironmentSample(GRAVITY, AIR_DENSITY, wind), 0.01, speeds)
+               for wind in ([3, -1, 0.5], np.array([3.0, -1.0, 0.5]))]
+    assert stepped[0].as_floats() == stepped[1].as_floats()
+    assert stepped[0].velocity[0] > 0.0  # the wind pushed it
+
+
 def test_constant_yaw_torque_spins_up_linearly(reference_craft, calm_env):
     # spin only the counter-clockwise diagonal: pure yaw torque 2 q s^2
     torque_z = 0.02

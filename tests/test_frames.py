@@ -67,6 +67,26 @@ def test_quat_normalize_rejects_zero():
         ds.quat_normalize([0.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", [1e308, 1e200])
+def test_quaternion_helpers_stay_unit_when_the_squares_overflow(big):
+    # the sum of squares overflows, without a warning; the result is that
+    # of the unit direction
+    q, unit = [big, big, 0.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0]
+    assert np.allclose(ds.quat_normalize(q), unit, rtol=0.0, atol=1e-15)
+    assert np.allclose(ds.quat_inverse(q), ds.quat_inverse(unit), rtol=0.0, atol=1e-15)
+    assert np.allclose(ds.quat_to_matrix(q), ds.quat_to_matrix(unit), rtol=0.0, atol=1e-15)
+    assert np.allclose(ds.rotate(q, [1.0, 2.0, 3.0]), ds.rotate(unit, [1.0, 2.0, 3.0]),
+                       rtol=0.0, atol=1e-14)
+    stepped = ds.integrate_orientation(q, [0.1, 0.2, 0.3], 0.01)
+    assert abs(float(np.linalg.norm(stepped)) - 1.0) <= 1e-15
+    assert np.allclose(stepped, ds.integrate_orientation(unit, [0.1, 0.2, 0.3], 0.01),
+                       rtol=0.0, atol=1e-15)
+    half = ds.quat_from_axis_angle([big, 0.0, big], 1.0)
+    assert np.allclose(half, ds.quat_from_axis_angle([1.0, 0.0, 1.0], 1.0), rtol=0.0, atol=1e-15)
+    assert abs(float(np.linalg.norm(half)) - 1.0) <= 1e-15
+
+
 def test_integrate_orientation_zero_rate_leaves_quaternion():
     q = ds.quat_from_axis_angle([1.0, 1.0, 0.0], 0.3)
     out = ds.integrate_orientation(q, np.zeros(3), 0.01)
@@ -165,6 +185,8 @@ def test_geo_project_columns_equal_the_one_position_formula():
 def test_geo_project_rejects_polar_origin():
     with pytest.raises(ValueError):
         ds.geo_project(ds.InertialFrame(90.0, 0.0, 0.0), ds.vec3(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="too close to a pole"):
+        ds.geo_unproject(ds.InertialFrame(-90.0, 0.0, 0.0), 0.0, 0.0, 0.0)
 
 
 def test_inertial_frame_validates_ranges():
