@@ -37,7 +37,7 @@ print(f"wrote {geojson_path} ({len(document['features'])} features; "
 
 csv_path = out_dir / "square_route.csv"
 ds.export_csv(trajectory, csv_path)
-print(f"wrote {csv_path} ({sum(1 for _ in open(csv_path)) - 1} rows)")
+print(f"wrote {csv_path} ({len(csv_path.read_text().splitlines()) - 1} rows)")
 
 reference = {drone.id: [ds.Setpoint(drone.state.position.copy())] + drone.route}
 report = ds.compute_rmse(trajectory, reference)

@@ -85,7 +85,7 @@ def _cmd_simulate(args) -> int:
         if drone.route:
             reference[drone.id] = [Setpoint(drone.state.position.copy())] + drone.route
 
-    trajectory = simulate(swarm, scenario, parallel=args.parallel)
+    trajectory = simulate(swarm, scenario)
 
     if args.format == "geojson":
         export_geojson(trajectory, scenario.inertial_frame, args.out)
@@ -114,9 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output trajectory path")
     p_sim.add_argument("--format", choices=("geojson", "csv"), default="geojson")
     p_sim.add_argument("--metrics", help="also write a JSON metrics report here")
-    p_sim.add_argument("--parallel", action="store_true",
-                       help="deprecated, no effect, to be removed: runs are serial "
-                            "and deterministic")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_plan = sub.add_parser("plan-route", help="run the waypoint planner only")

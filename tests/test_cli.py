@@ -115,23 +115,13 @@ def test_plan_route_oracle_guard_is_invalid_input(tmp_path, capsys):
     assert "exhaustive search" in capsys.readouterr().err
 
 
-def test_simulate_parallel_flag(tmp_path):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert main(["simulate", "--scenario", fixture("two_drone_cross.json"),
-                 "--out", str(serial), "--format", "csv"]) == 0
-    assert main(["simulate", "--scenario", fixture("two_drone_cross.json"),
-                 "--out", str(threaded), "--format", "csv", "--parallel"]) == 0
-    assert serial.read_text() == threaded.read_text()
-
-
-def test_parallel_flag_warns_once_and_the_default_is_silent(tmp_path):
+def test_parallel_flag_is_a_usage_error_and_a_plain_run_is_silent(tmp_path, capsys):
     args = ["simulate", "--scenario", fixture("hover.json"),
             "--out", str(tmp_path / "hover.csv"), "--format", "csv"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(args) == 0
     assert not caught
-    with pytest.warns(FutureWarning, match="parallel has no effect") as record:
-        assert main(args + ["--parallel"]) == 0
-    assert len(record) == 1
+    capsys.readouterr()
+    assert main(args + ["--parallel"]) == 1
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err

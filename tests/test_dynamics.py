@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,14 @@ def test_drone_state_validates():
                       ds.quat_identity(), np.zeros(3))
     with pytest.raises(ValueError):
         ds.DroneState(0.0, np.zeros(3), np.zeros(3), [1.0, 1.0, 0.0, 0.0], np.zeros(3))
+
+
+@pytest.mark.parametrize("orientation", [[1e200, 0.0, 0.0, 0.0], [1e155] * 4])
+def test_drone_state_rejects_an_overflowing_orientation_without_a_numpy_warning(orientation):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ds.FieldError, match="norm is inf"):
+            ds.DroneState(0.0, np.zeros(3), orientation=orientation)
 
 
 # --- rk4_step against the integrator with list-built substeps ---------------

@@ -177,6 +177,18 @@ def test_current_speed_is_accepted_ignored_and_warned_about_once():
         assert ds.scenario_to_dict(swarm, scenario, mission) == expected
 
 
+@pytest.mark.parametrize("orientation", [[1e200, 0.0, 0.0, 0.0], [1e155] * 4])
+def test_overflowing_start_orientation_is_a_scenario_error_without_a_numpy_warning(
+        orientation):
+    data = fixture_dict()
+    data["drones"][0]["start"]["orientation"] = orientation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ds.ScenarioInvariantError, match="norm is inf") as excinfo:
+            ds.scenario_from_dict(data)
+    assert excinfo.value.path == "drones[0].start.orientation"
+
+
 def test_infinite_route_budget_stays_legal():
     data = fixture_dict()
     data["mission"]["max_route_length"] = INF

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -123,15 +122,15 @@ def test_violation_episode_emits_single_event():
     assert len(trajectory.samples["b"]) > 10  # genuinely flew for a while
 
 
-def test_simulation_is_deterministic_and_parallel_matches_serial():
-    def run(parallel):
+def test_simulation_is_deterministic():
+    def run():
         east = make_drone("east", (-5.0, 0.0, 5.0), route=[(5.0, 0.0, 5.0)])
         west = make_drone("west", (5.0, 0.5, 5.0), route=[(-5.0, 0.5, 5.0)])
         return ds.simulate(ds.Swarm([east, west], min_separation=2.0),
-                           calm_scenario(max_duration=15.0), 0.1, parallel=parallel)
+                           calm_scenario(max_duration=15.0), 0.1)
 
-    first, second, threaded = run(False), run(False), run(True)
-    for reference, candidate in ((first, second), (first, threaded)):
+    first, second, third = run(), run(), run()
+    for reference, candidate in ((first, second), (first, third)):
         assert [ (e.t, e.kind, e.drone_ids) for e in reference.events ] == \
                [ (e.t, e.kind, e.drone_ids) for e in candidate.events ]
         for drone_id in reference.samples:
@@ -228,14 +227,13 @@ def test_swarm_validation():
 
 # --- clock, isolation and per-run constants -----------------------------------
 
-def _bundled_run(name, parallel=False, share_airframe=False):
+def _bundled_run(name, share_airframe=False):
     swarm, scenario, mission = ds.load_scenario(ds.bundled_scenario_path(name))
     routes_from_plan(swarm, mission, ds.optimize(mission))
     if share_airframe:
         for drone in swarm.drones[1:]:
             drone.airframe = swarm.drones[0].airframe
-    return swarm, scenario, ds.simulate(swarm, scenario, scenario.recording_interval,
-                                        parallel=parallel)
+    return swarm, scenario, ds.simulate(swarm, scenario, scenario.recording_interval)
 
 
 def test_square_route_times_are_exact_tick_multiples():
@@ -268,27 +266,18 @@ def _assert_bit_identical(a, b):
             assert np.array_equal(sa.angular_velocity, sb.angular_velocity)
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_shared_airframe_flies_like_separate_airframes(parallel):
-    # a short thread switch interval makes any cross-drone race show up
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        swarm, _, separate = _bundled_run("two_drone_cross.json", parallel=parallel)
-        assert swarm.drones[0].airframe is not swarm.drones[1].airframe
-        swarm, _, shared = _bundled_run("two_drone_cross.json", parallel=parallel,
-                                        share_airframe=True)
-        assert swarm.drones[0].airframe is swarm.drones[1].airframe
-    finally:
-        sys.setswitchinterval(interval)
+def test_shared_airframe_flies_like_separate_airframes():
+    swarm, _, separate = _bundled_run("two_drone_cross.json")
+    assert swarm.drones[0].airframe is not swarm.drones[1].airframe
+    swarm, _, shared = _bundled_run("two_drone_cross.json", share_airframe=True)
+    assert swarm.drones[0].airframe is swarm.drones[1].airframe
     _assert_bit_identical(separate, shared)
 
 
-def test_parallel_flag_is_deprecated():
+def test_parallel_keyword_is_rejected():
     swarm = ds.Swarm([make_drone("solo", (0.0, 0.0, 5.0), route=[(1.0, 0.0, 5.0)])])
-    with pytest.warns(FutureWarning, match="parallel has no effect") as record:
+    with pytest.raises(TypeError, match="parallel"):
         ds.simulate(swarm, calm_scenario(max_duration=0.1), 0.1, parallel=True)
-    assert len(record) == 1
 
 
 def test_simulate_leaves_caller_objects_unchanged():
