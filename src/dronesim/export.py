@@ -16,12 +16,13 @@ through :meth:`Trajectory.rows`, so a trajectory from
 :func:`~dronesim.swarm.simulate` or :func:`load_csv` is written without
 building a single ``DroneState``; a drone whose states a caller has
 read is written from those states. The CSV is formatted one row at a
-time with one ``%.9g`` template. The GeoJSON tracks are projected a
-whole column at a time with :func:`geo_project_columns`, and the file
-holds the bytes ``json.dumps(document, indent=2)`` would write: only the
-skeleton (features, ids, events) goes through that slow, pure-Python
-encoder, and each track's times and coordinates, rendered by json's C
-encoder with the separators of their depth, are spliced into it.
+time with one ``%.9g`` template. The GeoJSON file holds the bytes
+``json.dumps(document, indent=2)`` would write, without that slow,
+pure-Python encoder: the positions of all tracks are projected in one
+:func:`geo_project_columns` call, json's C encoder renders every number,
+id and scalar with the separators of its depth, and each feature is
+written from a template. Only an event value that nests deeper than an
+array of scalars goes through the indenting encoder.
 """
 
 from __future__ import annotations
@@ -37,113 +38,125 @@ import numpy as np
 
 from .dynamics import check_unit_orientation
 from .frames import FieldError, InertialFrame, geo_project, geo_project_columns
-from .swarm import RecordedSamples, SimEvent, Trajectory
+from .swarm import RecordedSamples, Trajectory
 
 CSV_FIELDS = ("drone_id", "t", "px", "py", "pz", "vx", "vy", "vz",
               "qw", "qx", "qy", "qz", "wx", "wy", "wz")
 
 
-def _require_samples(trajectory: Trajectory) -> None:
-    if not any(trajectory.rows(drone_id) for drone_id in trajectory.samples):
+def _rows(trajectory: Trajectory) -> dict[str, list[list[float]]]:
+    """Each drone's rows, built once; ValueError when no drone has any."""
+    rows = {drone_id: trajectory.rows(drone_id) for drone_id in trajectory.samples}
+    if not any(rows.values()):
         raise ValueError("trajectory has no samples to export")
+    return rows
 
 
 def export_geojson(trajectory: Trajectory, frame: InertialFrame, path) -> None:
     """Write a FeatureCollection of per-drone tracks and event markers.
 
-    The bytes are those of ``json.dumps(document, indent=2)``: the
-    skeleton is dumped with a placeholder for each track's ``times_s`` and
-    ``coordinates``, which are rendered apart and spliced in.
+    The bytes are those of ``json.dumps(document, indent=2)``. Every
+    track and event becomes the text of its feature through a template,
+    with the numbers of all tracks and event positions rendered by two
+    calls of json's C encoder.
 
     Raises ValueError on an empty trajectory or a non-finite position and
     TypeError on a value json cannot serialize, both before creating the
     file, and OSError if the path is not writable.
     """
-    _require_samples(trajectory)
-    features, tracks = [], []
-    for drone_id in trajectory.samples:
-        rows = trajectory.rows(drone_id)
-        if not rows:
-            continue
-        times, *positions = itertools.islice(zip(*rows), 4)  # t, east, north, up
-        positions = np.array(positions)
-        finite = np.isfinite(positions).all(axis=0)
-        if not finite.all():  # raise geo_project's error for the first bad one
-            geo_project(frame, positions[:, np.argmin(finite)])
-        lat, lon, alt = geo_project_columns(frame, *positions)
-        coordinates = np.column_stack((lon, lat, alt)).tolist()
-        properties = {"drone_id": drone_id, "times_s": None}
-        geometry = {"type": "LineString" if len(coordinates) >= 2 else "Point",
-                    "coordinates": None}
-        features.append({"type": "Feature", "properties": properties, "geometry": geometry})
-        tracks.append((properties, geometry, times, coordinates))
+    tracks = [(drone_id, rows) for drone_id, rows in _rows(trajectory).items() if rows]
+    times, *positions = itertools.islice(
+        zip(*itertools.chain.from_iterable(rows for _, rows in tracks)), 4)
+    positions = np.array(positions)  # east, north, up of every sample
+    finite = np.isfinite(positions).all(axis=0)
+    if not finite.all():  # raise geo_project's error for the first bad one
+        geo_project(frame, positions[:, np.argmin(finite)])
+    lat, lon, alt = geo_project_columns(frame, *positions)
+    coordinates = np.column_stack((lon, lat, alt)).tolist()
+    events = []
     for event in trajectory.events:
-        features.append(_event_feature(event, frame))
+        payload = dict(event.payload)
+        position = payload.pop("position", None)
+        if position is not None:
+            lat, lon, alt = geo_project(frame, position)
+            coordinates.append([lon, lat, alt])
+        events.append(({"event": event.kind, "t_s": event.t,
+                        "drone_ids": list(event.drone_ids), **payload}, position is not None))
     # rendered once every position is checked and every event projected,
-    # as the document was encoded after them
-    arrays = []
-    for _, _, times, coordinates in tracks:
-        arrays.append(_numbers_text(times))
-        arrays.append(_numbers_text(coordinates[0]) if len(coordinates) == 1
-                      else _positions_text(coordinates))
-    document = {"type": "FeatureCollection", "features": features}
-    # the skeleton holds the placeholder's encoded form once per array
-    # unless an id or payload holds it too, which makes the count differ
-    for nonce in itertools.count():
-        placeholder = f"\0{nonce}"
-        for properties, geometry, _, _ in tracks:
-            properties["times_s"] = geometry["coordinates"] = placeholder
-        parts = json.dumps(document, indent=2).split(json.dumps(placeholder))
-        if len(parts) == len(arrays) + 1:
-            break
+    # as the document was encoded after them; no number's text holds a
+    # comma or a bracket, so the separators split the items apart
+    times = _ITEMS(times)[1:-1].split("," + _ITEM)
+    points = _NUMBERS(coordinates)[2:-2].split("]," + _NUMBER + "[")
+    features, start = [], 0
+    for drone_id, rows in tracks:
+        stop = start + len(rows)
+        if len(rows) == 1:
+            kind, text = "Point", _point_text(points[start])
+        else:
+            kind = "LineString"
+            text = ("[" + _ITEM + "[" + _NUMBER
+                    + (_ITEM + "]," + _ITEM + "[" + _NUMBER).join(points[start:stop])
+                    + _ITEM + "]" + _MEMBER + "]")
+        times_text = "[" + _ITEM + ("," + _ITEM).join(times[start:stop]) + _MEMBER + "]"
+        features.append(_TRACK % (json.dumps(drone_id), times_text, kind, text))
+        start = stop
+    for properties, projected in events:
+        geometry = _POINT % _point_text(points[start]) if projected else "null"
+        start += projected
+        features.append(_EVENT % (_properties_text(properties), geometry))
     # piece by piece: a joined document would be two more copies of it in
     # memory (about 0.2 MiB more peak RSS for a 200-drone swarm)
     with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(parts[0])
-        for array, part in zip(arrays, parts[1:]):
-            handle.write(array)
-            handle.write(part)
-        handle.write("\n")
+        handle.write('{\n  "type": "FeatureCollection",\n  "features": [\n')
+        for i, feature in enumerate(features):
+            handle.write(",\n" if i else "")
+            handle.write(feature)
+        handle.write("\n  ]\n}\n")
 
 
-# A track's arrays as json.dumps(document, indent=2) writes them: each opens
-# at depth 4 (properties' times_s, geometry's coordinates), its items sit at
-# depth 5 and a LineString position's numbers at depth 6. The C encoder,
-# which json runs when indent is None, writes every number, and raises
-# every TypeError, as the indenting encoder does.
-_END, _ITEM, _NUMBER = ("\n" + "  " * depth for depth in (4, 5, 6))
+# Features as json.dumps(document, indent=2) writes them: each opens at
+# depth 2, its members sit at depth 3 and those of its properties and
+# geometry at depth 4, where a track's arrays and an event's values open;
+# their items sit at depth 5 and a LineString position's numbers at depth
+# 6. The C encoder, which json runs when indent is None, writes every
+# scalar, and raises every TypeError, as the indenting encoder does; with
+# these separators it writes the members and items of one depth.
+_CLOSE, _MEMBER, _ITEM, _NUMBER = ("\n" + "  " * depth for depth in (3, 4, 5, 6))
+_MEMBERS, _ITEMS, _NUMBERS = (json.JSONEncoder(separators=("," + indent, ": ")).encode
+                              for indent in (_MEMBER, _ITEM, _NUMBER))
+_TRACK = ('    {\n      "type": "Feature",\n      "properties": {\n        "drone_id": %s,\n'
+          '        "times_s": %s\n      },\n      "geometry": {\n        "type": "%s",\n'
+          '        "coordinates": %s\n      }\n    }')
+_EVENT = '    {\n      "type": "Feature",\n      "properties": %s,\n      "geometry": %s\n    }'
+_POINT = '{\n        "type": "Point",\n        "coordinates": %s\n      }'
+_NESTED = (list, tuple, dict)
 
 
-def _numbers_text(values) -> str:
-    items = json.dumps(values, separators=("," + _ITEM, ": "))[1:-1]
-    return "[" + _ITEM + items + _END + "]"
+def _point_text(numbers: str) -> str:
+    # one position's numbers, split from the positions' text, at depth 5
+    return "[" + _ITEM + numbers.replace(_NUMBER, _ITEM) + _MEMBER + "]"
 
 
-def _positions_text(coordinates: list[list[float]]) -> str:
-    # no number holds a bracket, so "],[" occurs only between positions
-    items = json.dumps(coordinates, separators=("," + _NUMBER, ": "))[2:-2].replace(
-        "]," + _NUMBER + "[", _ITEM + "]," + _ITEM + "[" + _NUMBER)
-    return "[" + _ITEM + "[" + _NUMBER + items + _ITEM + "]" + _END + "]"
-
-
-def _event_feature(event: SimEvent, frame: InertialFrame) -> dict:
-    payload = dict(event.payload)
-    position = payload.pop("position", None)
-    if position is not None:
-        lat, lon, alt = geo_project(frame, position)
-        geometry = {"type": "Point", "coordinates": [lon, lat, alt]}
-    else:
-        geometry = None
-    return {
-        "type": "Feature",
-        "properties": {
-            "event": event.kind,
-            "t_s": event.t,
-            "drone_ids": list(event.drone_ids),
-            **payload,
-        },
-        "geometry": geometry,
-    }
+def _properties_text(properties: dict) -> str:
+    """An event's properties at depth 3, through the C encoder unless a
+    value nests deeper than an array of scalars."""
+    members, run = [], {}
+    for key, value in properties.items():
+        if not isinstance(value, _NESTED):
+            run[key] = value
+            continue
+        if isinstance(value, dict) or any(isinstance(item, _NESTED) for item in value):
+            # JSON text holds no raw newline, so indenting the newlines
+            # moves the whole object to its depth
+            return json.dumps(properties, indent=2).replace("\n", _CLOSE)
+        if run:
+            members.append(_MEMBERS(run)[1:-1])
+            run = {}
+        items = "[" + _ITEM + _ITEMS(value)[1:-1] + _MEMBER + "]" if value else "[]"
+        members.append(_MEMBERS({key: None})[1:-len(": null}")] + ": " + items)
+    if run:
+        members.append(_MEMBERS(run)[1:-1])
+    return "{" + _MEMBER + ("," + _MEMBER).join(members) + _CLOSE + "}"
 
 
 # a row's 14 numbers and csv.writer's line terminator; "%.9g" % v prints
@@ -160,14 +173,13 @@ def _csv_cell(text: str) -> str:
 
 def export_csv(trajectory: Trajectory, path) -> None:
     """Write one row per sample, grouped by drone id then ordered by time."""
-    _require_samples(trajectory)
+    rows = _rows(trajectory)
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(CSV_FIELDS)
-        for drone_id in sorted(trajectory.samples):
+        for drone_id in sorted(rows):
             template = _csv_cell(drone_id).replace("%", "%%") + _ROW_NUMBERS
-            handle.write("".join([template % tuple(row)
-                                  for row in trajectory.rows(drone_id)]))
+            handle.write("".join([template % tuple(row) for row in rows[drone_id]]))
 
 
 def load_csv(path) -> Trajectory:

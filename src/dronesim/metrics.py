@@ -7,6 +7,13 @@ vertices), squared, averaged, and rooted. Nearest-point matching is used
 because planned routes carry no timestamps to align against, and it
 makes the metric invariant under densifying the reference with collinear
 vertices.
+
+All drones are scored together: their positions are stacked once, and
+the projections onto the segments, the clamping and the squared
+distances are computed for the (sample, segment) pairs of every drone
+in one pass. Each drone's mean and flown length are still summed over
+its own contiguous slice, so every figure has the bits that scoring the
+drone alone would give.
 """
 
 from __future__ import annotations
@@ -35,58 +42,61 @@ class MetricsReport:
         return asdict(self)
 
 
-def point_segment_distance(p, a, b) -> float:
-    """Distance from point p to the closed segment [a, b]."""
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        d = p - a
-    else:
-        t = min(1.0, max(0.0, float((p - a) @ ab) / denom))
-        d = p - (a + t * ab)
-    return math.sqrt(float(d @ d))
+# (position, segment) pairs per block of _polyline_distances, bounding its
+# memory to about 1 MiB
+_PAIRS_PER_BLOCK = 1 << 13
 
 
-def point_polyline_distance(p, vertices: list[np.ndarray]) -> float:
-    """Distance from p to the nearest point on the polyline through vertices."""
-    if not vertices:
-        raise ValueError("polyline needs at least one vertex")
-    if len(vertices) == 1:
-        return point_segment_distance(p, vertices[0], vertices[0])
-    return min(point_segment_distance(p, vertices[i], vertices[i + 1])
-               for i in range(len(vertices) - 1))
+def _polyline_distances(positions: np.ndarray, runs: list[tuple[int, int]],
+                        polylines: list[list[np.ndarray]]) -> np.ndarray:
+    """Distance from each scored position to the nearest point of its polyline.
 
-
-# point-segment pairs per block of polyline_distances, bounding its memory
-_PAIRS_PER_BLOCK = 1 << 16
-
-
-def polyline_distances(points, vertices) -> np.ndarray:
-    """Distance from each of the (m, 3) ``points`` to the polyline.
-
-    The vectorised form of :func:`point_polyline_distance`: the same
-    clamped projection on every segment, a single vertex counting as a
-    zero-length segment, then the minimum over segments.
+    Rows ``start:end`` of the (m, 3) ``positions``, for each ``(start,
+    end)`` of ``runs``, are scored against the matching polyline, a list
+    of vertices; the distances of all runs come in one array, run after
+    run. Each position is projected onto every segment of its polyline
+    and clamped to it, a single vertex counting as a zero-length segment,
+    and the minimum is taken over its segments. The (position, segment)
+    pairs of all polylines are formed together, at most
+    ``_PAIRS_PER_BLOCK`` at a time or a single position's.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
-    if len(vertices) == 0:
-        raise ValueError("polyline needs at least one vertex")
-    if len(vertices) == 1:
-        vertices = np.vstack([vertices, vertices])
-    a, ab = vertices[:-1], np.diff(vertices, axis=0)
+    vertices = np.array([v for polyline in polylines
+                         for v in (polyline * 2 if len(polyline) == 1 else polyline)],
+                        dtype=float).reshape(-1, 3)
+    counts = np.array([max(len(polyline), 2) for polyline in polylines])
+    first = np.ones(len(vertices), dtype=bool)  # every vertex but a polyline's last
+    first[np.cumsum(counts) - 1] = False
+    a, ab = vertices[first], np.diff(vertices, axis=0)[first[:-1]]
     denom = np.einsum("ij,ij->i", ab, ab)
     denom[denom == 0.0] = np.inf  # a zero-length segment projects to t = 0
+    # per scored position: its coordinates, its number of segments and its first one
+    lengths = np.array([end - start for start, end in runs])
+    points = positions[np.concatenate([np.arange(start, end) for start, end in runs])]
+    segments = np.repeat(counts - 1, lengths)
+    firsts = np.repeat(np.cumsum(counts - 1) - (counts - 1), lengths)
+    pair_ends = np.cumsum(segments)
     out = np.empty(len(points))
-    block = max(1, _PAIRS_PER_BLOCK // len(a))
-    for start in range(0, len(points), block):
-        ap = points[start:start + block, None, :] - a        # (b, s, 3)
-        t = np.clip(np.einsum("bsk,sk->bs", ap, ab) / denom, 0.0, 1.0)
-        d = ap - t[:, :, None] * ab
-        out[start:start + block] = np.sqrt(np.einsum("bsk,bsk->bs", d, d).min(axis=1))
+    start = 0
+    while start < len(points):
+        done = pair_ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(pair_ends, done + _PAIRS_PER_BLOCK, "right")))
+        block = segments[start:stop]
+        block_starts = pair_ends[start:stop] - block - done
+        segment = (np.repeat(firsts[start:stop] - block_starts, block)
+                   + np.arange(pair_ends[stop - 1] - done))
+        # the rows einsum reads are (pairs, 3), as the rows of one drone's
+        # (samples, segments, 3) were, so every dot product keeps its bits
+        ap = np.repeat(points[start:stop], block, axis=0)
+        ap -= a.take(segment, axis=0)
+        ab_pairs = ab.take(segment, axis=0)
+        t = np.einsum("ij,ij->i", ap, ab_pairs)
+        t /= denom.take(segment)
+        np.clip(t, 0.0, 1.0, out=t)
+        ab_pairs *= t[:, None]
+        ap -= ab_pairs
+        out[start:stop] = np.sqrt(np.minimum.reduceat(np.einsum("ij,ij->i", ap, ap),
+                                                      block_starts))
+        start = stop
     return out
 
 
@@ -105,22 +115,33 @@ def compute_rmse(trajectory: Trajectory,
             for drone_id in event.drone_ids:
                 report.waypoint_capture_times_s.setdefault(drone_id, []).append(event.t)
 
-    for drone_id in trajectory.samples:
-        rows = trajectory.rows(drone_id)
-        # columns 1-3 of the rows, the positions, as one (m, 3) array
-        positions = (np.column_stack(list(itertools.islice(zip(*rows), 1, 4))) if rows
-                     else np.empty((0, 3)))
-        steps = np.diff(positions, axis=0)
-        report.route_length_flown_m[drone_id] = float(
-            np.sqrt(np.einsum("ij,ij->i", steps, steps)).sum())
-
+    ids = list(trajectory.samples)
+    rows = [trajectory.rows(drone_id) for drone_id in ids]
+    ends = list(itertools.accumulate(map(len, rows)))
+    # columns 1-3 of every drone's rows, the positions, as one (m, 3) array
+    flat = list(itertools.chain.from_iterable(rows))
+    positions = (np.column_stack(list(itertools.islice(zip(*flat), 1, 4))) if flat
+                 else np.empty((0, 3)))
+    steps = np.diff(positions, axis=0)
+    legs = np.sqrt(np.einsum("ij,ij->i", steps, steps))
+    scored, runs, polylines = [], [], []
+    for drone_id, start, end in zip(ids, [0] + ends, ends):
+        # the legs between the drone's own samples, summed as one array
+        report.route_length_flown_m[drone_id] = float(legs[start:max(start, end - 1)].sum())
         setpoints = reference.get(drone_id)
         if not setpoints:
             report.skipped_drones.append(drone_id)
             continue
-        if len(positions) == 0:
-            report.rmse_m[drone_id] = 0.0
-            continue
-        distances = polyline_distances(positions, [sp.target_position for sp in setpoints])
-        report.rmse_m[drone_id] = math.sqrt(float(np.mean(distances * distances)))
+        scored.append(drone_id)
+        runs.append((start, end))
+        polylines.append([sp.target_position for sp in setpoints])
+    if scored:
+        distances = _polyline_distances(positions, runs, polylines)
+        squares = distances * distances
+        start = 0
+        for drone_id, (begin, end) in zip(scored, runs):
+            stop = start + end - begin
+            report.rmse_m[drone_id] = (math.sqrt(float(np.mean(squares[start:stop])))
+                                       if stop > start else 0.0)
+            start = stop
     return report

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -10,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dronesim as ds
+from dronesim import metrics
 from dronesim.frames import geo_project, geo_project_columns
+from dronesim.swarm import RecordedSamples
 
 from conftest import assert_strict_geojson, level_state
 
@@ -254,16 +257,30 @@ NUMBERS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072
 TIMES = st.one_of(NUMBERS, st.integers(-10**6, 10**6), NUMBERS.map(np.float64))
 
 
+# payload values: scalars, and arrays and objects nested up to three deep,
+# empty ones among them
+PAYLOAD_VALUES = st.recursive(
+    st.one_of(TEXT, st.integers(), NUMBERS, st.booleans(), st.none()),
+    lambda values: st.one_of(st.lists(values, max_size=3),
+                             st.dictionaries(TEXT, values, max_size=3)),
+    max_leaves=6)
+
+
 @st.composite
 def trajectories(draw):
-    samples = {}
-    for drone_id in draw(st.lists(TEXT, min_size=1, max_size=3, unique=True)):
-        samples[drone_id] = [ds.DroneState(t=draw(TIMES), position=draw(st.tuples(*[NUMBERS] * 3)))
-                             for _ in range(draw(st.integers(1, 3)))]
+    # drones without samples are skipped and single samples are Points,
+    # wherever they fall among the LineStrings; at least one drone has samples
+    ids = draw(st.lists(TEXT, min_size=1, max_size=6, unique=True))
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+    counts[draw(st.integers(0, len(ids) - 1))] = draw(st.integers(1, 3))
+    samples = {drone_id: [ds.DroneState(t=draw(TIMES), position=draw(st.tuples(*[NUMBERS] * 3)))
+                          for _ in range(count)]
+               for drone_id, count in zip(ids, counts)}
     events = []
     for _ in range(draw(st.integers(0, 3))):
-        payload = draw(st.dictionaries(TEXT, st.one_of(TEXT, st.integers(), NUMBERS),
-                                       max_size=2))
+        # a payload key may also name one of the properties every event has
+        keys = st.one_of(TEXT, st.sampled_from(["event", "t_s", "drone_ids"]))
+        payload = draw(st.dictionaries(keys, PAYLOAD_VALUES, max_size=3))
         if draw(st.booleans()):
             payload["position"] = list(draw(st.tuples(*[NUMBERS] * 3)))
         events.append(ds.SimEvent(draw(TIMES), draw(TEXT),
@@ -517,11 +534,78 @@ def test_flown_length_sums_sample_legs():
     assert report.route_length_flown_m["alpha"] == pytest.approx(17.0, abs=1e-12)
 
 
+def point_segment_distance(p, a, b) -> float:
+    """Distance from point p to the closed segment [a, b]."""
+    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        d = p - a
+    else:
+        t = min(1.0, max(0.0, float((p - a) @ ab) / denom))
+        d = p - (a + t * ab)
+    return math.sqrt(float(d @ d))
+
+
+def point_polyline_distance(p, vertices) -> float:
+    """Distance from p to the nearest point on the polyline through vertices."""
+    if len(vertices) == 1:
+        return point_segment_distance(p, vertices[0], vertices[0])
+    return min(point_segment_distance(p, vertices[i], vertices[i + 1])
+               for i in range(len(vertices) - 1))
+
+
+def polyline_distances(points, vertices) -> np.ndarray:
+    # one drone's distances as compute_rmse found them before it scored all
+    # drones together: the vectorised point_polyline_distance
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
+    if len(vertices) == 1:
+        vertices = np.vstack([vertices, vertices])
+    a, ab = vertices[:-1], np.diff(vertices, axis=0)
+    denom = np.einsum("ij,ij->i", ab, ab)
+    denom[denom == 0.0] = np.inf  # a zero-length segment projects to t = 0
+    out = np.empty(len(points))
+    block = max(1, (1 << 16) // len(a))  # (sample, segment) pairs per block
+    for start in range(0, len(points), block):
+        ap = points[start:start + block, None, :] - a        # (b, s, 3)
+        t = np.clip(np.einsum("bsk,sk->bs", ap, ab) / denom, 0.0, 1.0)
+        d = ap - t[:, :, None] * ab
+        out[start:start + block] = np.sqrt(np.einsum("bsk,bsk->bs", d, d).min(axis=1))
+    return out
+
+
+def reference_compute_rmse(trajectory, reference) -> dict:
+    # compute_rmse as it was before it scored all drones together: one
+    # drone at a time, each with its own arrays
+    report = ds.MetricsReport()
+    for event in trajectory.events:
+        report.event_counts[event.kind] = report.event_counts.get(event.kind, 0) + 1
+        if event.kind == "waypoint_reached":
+            for drone_id in event.drone_ids:
+                report.waypoint_capture_times_s.setdefault(drone_id, []).append(event.t)
+    for drone_id in trajectory.samples:
+        rows = trajectory.rows(drone_id)
+        positions = (np.column_stack(list(itertools.islice(zip(*rows), 1, 4))) if rows
+                     else np.empty((0, 3)))
+        steps = np.diff(positions, axis=0)
+        report.route_length_flown_m[drone_id] = float(
+            np.sqrt(np.einsum("ij,ij->i", steps, steps)).sum())
+        setpoints = reference.get(drone_id)
+        if not setpoints:
+            report.skipped_drones.append(drone_id)
+            continue
+        if len(positions) == 0:
+            report.rmse_m[drone_id] = 0.0
+            continue
+        distances = polyline_distances(positions, [sp.target_position for sp in setpoints])
+        report.rmse_m[drone_id] = math.sqrt(float(np.mean(distances * distances)))
+    return report.to_dict()
+
+
 def test_rmse_matches_scalar_point_to_polyline_distance():
     # seeded random polylines, among them single-vertex ones and ones with
     # zero-length segments; some samples sit exactly on a vertex
-    from dronesim.metrics import point_polyline_distance, polyline_distances
-
     rng = np.random.default_rng(41)
     for trial in range(60):
         vertices = rng.uniform(-50.0, 50.0, size=(int(rng.integers(1, 9)), 3))
@@ -537,3 +621,48 @@ def test_rmse_matches_scalar_point_to_polyline_distance():
                                  {"alpha": [ds.Setpoint(v) for v in vertices]})
         rmse = math.sqrt(sum(d * d for d in expected) / len(expected))
         assert report.rmse_m["alpha"] == pytest.approx(rmse, rel=1e-12)
+
+
+# coordinates that put samples on vertices and repeat vertices (zero-length
+# segments) often, among arbitrary ones
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 10.0]),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+POINTS = st.lists(COORDINATES, min_size=3, max_size=3)
+
+
+@st.composite
+def scored_flights(draw):
+    """A trajectory of 0-8 drones with 0-40 samples each, as recorded rows
+    or as state lists, and a reference that lacks some of them."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=3), max_size=8, unique=True))
+    rows, reference = {}, {}
+    for k, drone_id in enumerate(ids):
+        rows[drone_id] = [[0.1 * i, *draw(POINTS), 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+                           0.0, 0.0, 0.0] for i in range(draw(st.integers(0, 40)))]
+        choice = draw(st.sampled_from(["polyline", "polyline", "empty", "missing"]))
+        if choice != "missing":
+            vertices = draw(st.lists(POINTS, min_size=1, max_size=8))
+            if len(vertices) >= 2 and draw(st.booleans()):
+                vertices.insert(1, list(vertices[0]))  # a zero-length first segment
+            reference[drone_id] = ([] if choice == "empty" else
+                                   [ds.Setpoint(np.array(v, dtype=float)) for v in vertices])
+    if draw(st.booleans()):
+        samples = RecordedSamples(rows)
+    else:
+        samples = {drone_id: [ds.DroneState.from_checked(row[0], row[1:]) for row in r]
+                   for drone_id, r in rows.items()}
+    events = [ds.SimEvent(0.5, "waypoint_reached", (drone_id,), {}) for drone_id in ids[:2]]
+    return ds.Trajectory(samples=samples, events=events), reference
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(scored_flights(), st.sampled_from([metrics._PAIRS_PER_BLOCK] * 2 + [1, 2, 7, 40]))
+def test_rmse_of_all_drones_together_equals_one_drone_at_a_time(flight, pairs_per_block):
+    # bit for bit, also when a block of (sample, segment) pairs holds a
+    # single sample or splits across drones
+    trajectory, reference = flight
+    expected = reference_compute_rmse(trajectory, reference)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_PAIRS_PER_BLOCK", pairs_per_block)
+        report = ds.compute_rmse(trajectory, reference).to_dict()
+    assert report == expected

@@ -1,14 +1,17 @@
 """The loader's structure check against the shipped schema.
 
-The loader checks a document's structure with its own walk of
-``scenario.schema.json`` and never imports ``jsonschema`` at run time.
-``jsonschema`` stays a test dependency to check the walk against: both
+The loader checks a document's structure with checkers compiled from
+``scenario.schema.json`` at import and never imports ``jsonschema`` at
+run time. The compiled checkers list the same errors, in the same order,
+as the interpreted walk of the schema kept below as the reference.
+``jsonschema`` stays a test dependency to check the loader against: both
 accept and reject the same documents, and where both reject, the loader
 reports one of ``jsonschema``'s shallowest error paths. Among several
 errors the loader reports the shallowest, then the first in document
 order, whichever ``jsonschema`` version is installed.
 """
 
+import collections
 import copy
 import json
 import os
@@ -18,6 +21,7 @@ import textwrap
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -25,7 +29,7 @@ import dronesim as ds
 from dronesim import scenario_io
 
 from test_loader_properties import BUNDLED, MUTATIONS, PATHS, PROPERTY, mutate, \
-    scenario_documents
+    node_paths, scenario_documents
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import crossing_document, survey_document  # noqa: E402
@@ -58,6 +62,76 @@ def agrees_with_jsonschema(document) -> bool:
         return path is None
     depth = min(len(e.absolute_path) for e in errors)
     return path in {path_text(e.absolute_path) for e in errors if len(e.absolute_path) == depth}
+
+
+def structure_errors(node: tuple, value, path: tuple, errors: list) -> None:
+    """Append ``(path, message)`` for each way ``value`` breaks schema ``node``.
+
+    The loader's interpreted walk of a prepared schema node, as it was
+    before the walk was compiled, kept as the reference for the compiled
+    checkers. Errors come in document order; at one object its missing
+    keys come before its unknown keys.
+    """
+    types, kind, allowed, required, closed, properties, items, min_items, max_items = node
+    if types and (not isinstance(value, types) or isinstance(value, bool)):
+        errors.append((path, f"must be of type {kind}, got {type(value).__name__}"))
+    if allowed is not None and not any(scenario_io._same(value, c) for c in allowed):
+        errors.append((path, f"must be {' or '.join(map(repr, allowed))}, got {value!r}"))
+    if isinstance(value, dict):
+        errors += [(path, f"missing required key {key!r}") for key in required
+                   if key not in value]
+        for key, item in value.items():
+            if key in properties:
+                structure_errors(properties[key], item, path + (key,), errors)
+            elif closed:
+                errors.append((path, f"unknown key {key!r}"))
+    elif isinstance(value, list):
+        if len(value) < min_items:
+            errors.append((path, f"must hold at least {min_items} items, got {len(value)}"))
+        if len(value) > max_items:
+            errors.append((path, f"must hold at most {max_items} items, got {len(value)}"))
+        if items is not None:
+            for i, item in enumerate(value):
+                structure_errors(items, item, path + (i,), errors)
+
+
+SHIPPED = scenario_io.schema()
+ROOT = scenario_io._prepared(SHIPPED, SHIPPED["$defs"])
+CROSSING = crossing_document(1, pairs=3)[0]
+# a vec3 whose every item is wrong, and values a JSON document never holds
+# but a dict handed to scenario_from_dict may: numpy scalars (np.float64 is
+# a float, np.int64 no int), a tuple, a float equal to an enum's integer
+# and subclasses of str, dict and list
+ODD_VALUES = [["x", None, True], np.float64(2.0), np.int64(2), (1.0, 2.0, 3.0), 1.0, -1.0,
+              type("Text", (str,), {})("ENU"), collections.OrderedDict(mass=1.0),
+              type("Items", (list,), {})([1.0, 2.0, 3.0])]
+
+
+def test_compiled_checkers_list_the_errors_of_the_interpreted_walk():
+    documents = dict(BUNDLED, crossing=CROSSING)
+    texts = {name: json.dumps(document) for name, document in documents.items()}
+    paths = [(name, path) for name, document in documents.items()
+             for path in node_paths(document)]
+    # the checks done in place are hit where they are deep: on a later
+    # drone, inside its rotors and on single vec3 numbers
+    assert ("crossing", ("drones", 5, "rotors", 3, "position", 2)) in paths
+    assert ("crossing", ("drones", 4, "body", "inertia", 1)) in paths
+    assert ("two_drone_cross.json", ("drones", 1, "start", "position", 0)) in paths
+    compared = failing = 0
+    for name, path in paths:
+        for mutation in MUTATIONS + ODD_VALUES:
+            document = json.loads(texts[name])
+            mutate(document, path, mutation)
+            expected = []
+            structure_errors(ROOT, document, (), expected)
+            assert scenario_io._CHECK(document) == expected, (name, path, mutation)
+            compared += 1
+            failing += bool(expected)
+    assert compared == len(paths) * 24 and failing > compared // 2
+    for document in ([], {}, None, 1.0, "text", [CROSSING]):
+        expected = []
+        structure_errors(ROOT, document, (), expected)
+        assert scenario_io._CHECK(document) == expected
 
 
 def test_every_single_mutation_of_the_bundled_scenarios_agrees():
@@ -149,7 +223,9 @@ def test_a_non_object_document_is_a_schema_error_at_its_root():
 
 def test_shipped_schema_holds_only_interpreted_keywords():
     shipped = scenario_io.schema()
-    scenario_io._prepared(shipped, shipped["$defs"])
+    check = scenario_io._compiled(scenario_io._prepared(shipped, shipped["$defs"]))
+    for document in BUNDLED.values():
+        assert check(document) == []
 
 
 @pytest.mark.parametrize("node", [
@@ -167,7 +243,7 @@ def test_shipped_schema_holds_only_interpreted_keywords():
 ])
 def test_schema_keyword_guard_rejects_what_the_walk_does_not_check(node):
     with pytest.raises(ValueError):
-        scenario_io._prepared(node, {"vec3": {"type": "array"}})
+        scenario_io._compiled(scenario_io._prepared(node, {"vec3": {"type": "array"}}))
 
 
 # --- the runtime needs no jsonschema ----------------------------------------
