@@ -7,13 +7,20 @@ spin direction. The inverse problem (which speeds realize a demanded
 thrust and torque) is solved least-squares in s^2 through the
 pseudo-inverse of the allocation matrix. Rotor speeds are values passed
 in; no function here writes onto a rotor or an airframe.
+
+Rotors, bodies and airframes are values: frozen dataclasses whose arrays
+are read-only float64 copies of what the caller passed, so one object
+can be shared by any number of drones and never changes under them. To
+change one, build a new one, for example with ``dataclasses.replace``.
+An airframe keeps the constants last built from it, with their air
+density (:func:`airframe_constants`), so they are built once per object.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -32,8 +39,29 @@ class ConfigurationError(Exception):
     """A physically inconsistent or underactuated configuration."""
 
 
-@dataclass
-class Rotor:
+# frozen dataclasses set their normalised fields through object.__setattr__
+_set = object.__setattr__
+
+
+def _read_only_vec3(v, name: str, field: str) -> np.ndarray:
+    # a copy, so the caller's array is neither aliased nor made read-only
+    arr = np.array(as_vec3(v, name, field))
+    arr.flags.writeable = False
+    return arr
+
+
+class _Value:
+    """Base of the frozen airframe types, declared with eq=False: == and hash
+    are identity, since generated ones would compare and hash numpy fields."""
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor, so their
+        # arrays are read-only too, and an airframe's kept constants stay behind
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Rotor(_Value):
     """One rotor: geometry, aerodynamic coefficients and speed ceiling.
 
     ``spin_direction`` is +1 for counter-clockwise, -1 for clockwise
@@ -49,19 +77,21 @@ class Rotor:
     max_speed: float
 
     def __post_init__(self):
-        self.position_body = as_vec3(self.position_body, "rotor position", "position_body")
+        _set(self, "position_body",
+             _read_only_vec3(self.position_body, "rotor position", "position_body"))
         if self.spin_direction not in (CLOCKWISE, COUNTER_CLOCKWISE):
             raise FieldError(f"spin_direction must be -1 or +1, got {self.spin_direction}",
                              "spin_direction")
-        self.spin_direction = int(self.spin_direction)
-        self.disk_area = positive(self.disk_area, "disk_area")
-        self.thrust_coefficient = positive(self.thrust_coefficient, "thrust_coefficient")
-        self.torque_coefficient = non_negative(self.torque_coefficient, "torque_coefficient")
-        self.max_speed = positive(self.max_speed, "max_speed")
+        _set(self, "spin_direction", int(self.spin_direction))
+        _set(self, "disk_area", positive(self.disk_area, "disk_area"))
+        _set(self, "thrust_coefficient", positive(self.thrust_coefficient, "thrust_coefficient"))
+        _set(self, "torque_coefficient",
+             non_negative(self.torque_coefficient, "torque_coefficient"))
+        _set(self, "max_speed", positive(self.max_speed, "max_speed"))
 
 
-@dataclass
-class Body:
+@dataclass(frozen=True, eq=False)
+class Body(_Value):
     """Rigid-body mass properties plus a linear aerodynamic drag coefficient."""
 
     mass: float
@@ -69,24 +99,27 @@ class Body:
     linear_drag: float = 0.0
 
     def __post_init__(self):
-        self.inertia_diagonal = as_vec3(self.inertia_diagonal, "inertia diagonal",
-                                        "inertia_diagonal")
-        self.mass = positive(self.mass, "mass")
-        if not np.all(self.inertia_diagonal > 0.0):
-            raise FieldError(
-                f"inertia components must be > 0, got {self.inertia_diagonal.tolist()}",
-                "inertia_diagonal")
-        self.linear_drag = non_negative(self.linear_drag, "linear_drag")
+        inertia = _read_only_vec3(self.inertia_diagonal, "inertia diagonal", "inertia_diagonal")
+        _set(self, "inertia_diagonal", inertia)
+        _set(self, "mass", positive(self.mass, "mass"))
+        if not np.all(inertia > 0.0):
+            raise FieldError(f"inertia components must be > 0, got {inertia.tolist()}",
+                             "inertia_diagonal")
+        _set(self, "linear_drag", non_negative(self.linear_drag, "linear_drag"))
 
 
-@dataclass
-class Airframe:
-    """A body plus at least two rotors."""
+@dataclass(frozen=True, eq=False)
+class Airframe(_Value):
+    """A body plus at least two rotors, held as a tuple."""
 
     body: Body
-    rotors: list[Rotor] = field(default_factory=list)
+    rotors: tuple[Rotor, ...] = ()
+    # (air density, constants) of the last airframe_constants call: not a field,
+    # so fields(), asdict(), replace() and the document writer skip it
+    _last_constants = (None, None)
 
     def __post_init__(self):
+        _set(self, "rotors", tuple(self.rotors))
         if len(self.rotors) < 2:
             raise FieldError(f"an airframe needs at least 2 rotors, got {len(self.rotors)}",
                              "rotors")
@@ -126,11 +159,16 @@ class AirframeConstants:
 def airframe_constants(airframe: Airframe, air_density: float) -> AirframeConstants:
     """Per-rotor gains, body constants and the allocation pseudo-inverse.
 
-    Cached on the values (not the identity) of the airframe, so equal
-    airframes share one pseudo-inverse and rank check, and changing an
-    airframe in place can never serve stale constants.
+    Kept on the airframe for the last air density asked for, so repeat
+    calls for one object build nothing. Behind that they are cached on
+    the airframe's values, so equal airframes built apart share one
+    constants object, one pseudo-inverse and one rank check. An airframe
+    cannot change, so its constants are never stale.
     """
     air_density = positive(air_density, "air_density")
+    density, constants = airframe._last_constants
+    if density == air_density:
+        return constants
     body = airframe.body
     # the key is built from plain floats: indexing the numpy arms costs more
     rotors = []
@@ -138,9 +176,11 @@ def airframe_constants(airframe: Airframe, air_density: float) -> AirframeConsta
         x, y, _ = r.position_body.tolist()
         rotors.append((thrust_gain(r, air_density), x, y,
                        r.spin_direction * r.torque_coefficient * air_density * r.disk_area))
-    return _constants(air_density, body.mass, tuple(body.inertia_diagonal.tolist()),
-                      body.linear_drag, tuple(rotors),
-                      tuple(r.max_speed for r in airframe.rotors))
+    constants = _constants(air_density, body.mass, tuple(body.inertia_diagonal.tolist()),
+                           body.linear_drag, tuple(rotors),
+                           tuple(r.max_speed for r in airframe.rotors))
+    _set(airframe, "_last_constants", (air_density, constants))
+    return constants
 
 
 @lru_cache(maxsize=128)

@@ -9,7 +9,10 @@ constructors of the simulation objects check every value and hold every
 default, and the loader maps the document onto those constructors and
 names the offending field by its document path. One table of the keys
 whose document name differs from the constructor field serves both
-reading and writing.
+reading and writing. Airframes are values, so drones whose body and
+rotors are the same document value share one airframe, built and checked
+once; the value is told apart exactly, by its ``marshal`` bytes, so a
+``-0.0`` arm or an int where another drone has a float builds its own.
 
 The structure is checked by checkers compiled from the schema once, at
 import, not by a JSON Schema library: one closure per schema node, in
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import marshal
 import math
 import re
 import warnings
@@ -69,6 +73,10 @@ _DOCUMENT_KEYS = {
     Scenario: {"reference_time_step": "dt"},
     Swarm: {"min_separation": "simulation.min_separation"},
 }
+
+# document key -> constructor field, for the classes with a renamed key
+_FIELD_NAMES = {cls: {key: name for name, key in keys.items()}
+                for cls, keys in _DOCUMENT_KEYS.items()}
 
 # Constructor fields a document does not hold
 _UNWRITTEN = {InertialFrame: ("axes",), DroneState: ("t",)}
@@ -274,24 +282,48 @@ def _build(cls, path: str, data: dict, **fields):
     A FieldError from the constructor becomes a ScenarioInvariantError at
     the document path of the offending field.
     """
-    keys = _DOCUMENT_KEYS.get(cls, {})
-    renamed = {key: name for name, key in keys.items()}
+    renamed = _FIELD_NAMES.get(cls)
     try:
+        if renamed is None:
+            return cls(**data, **fields)
         return cls(**{renamed.get(k, k): v for k, v in data.items()}, **fields)
     except FieldError as err:
         name, rest = re.match(r"(\w*)(.*)", err.field).groups()
-        field = keys.get(name, name) + rest
+        field = _DOCUMENT_KEYS.get(cls, {}).get(name, name) + rest
         raise ScenarioInvariantError(
             str(err), path=".".join(p for p in (path, field) if p)) from err
 
 
-def _build_drone(data: dict, index: int) -> Drone:
-    path = f"drones[{index}]"
+def _airframe(data: dict, path: str, built: dict) -> Airframe:
+    """The airframe of the drone document ``data`` at ``path``, shared with
+    the drones before it whose body and rotors are the same value.
+
+    ``built`` maps the ``marshal`` bytes of a (body, rotors) value to that
+    value and its airframe. The bytes keep every float's bits, but write a
+    float subclass such as numpy's float64 as a bare buffer, so a hit is
+    also compared with ``==``; a value marshal cannot write (a dict
+    subclass) is built for this drone alone.
+    """
+    raw = (data["body"], data["rotors"])
+    try:
+        key = marshal.dumps(raw)
+    except ValueError:
+        key = None
+    hit = built.get(key)
+    if hit is not None and hit[0] == raw:
+        return hit[1]
     rotors = [_build(Rotor, f"{path}.rotors[{i}]", r) for i, r in enumerate(data["rotors"])]
     airframe = _build(Airframe, path, {}, body=_build(Body, f"{path}.body", data["body"]),
                       rotors=rotors)
+    if key is not None:
+        built[key] = (raw, airframe)
+    return airframe
+
+
+def _build_drone(data: dict, index: int, airframes: dict) -> Drone:
+    path = f"drones[{index}]"
     return _build(
-        Drone, path, {"id": data["id"]}, airframe=airframe,
+        Drone, path, {"id": data["id"]}, airframe=_airframe(data, path, airframes),
         state=_build(DroneState, f"{path}.start", data["start"], t=0.0),
         gains=_build(ControllerGains, f"{path}.gains", data.get("gains", {})))
 
@@ -329,7 +361,8 @@ def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
         warnings.warn(f"rotor key {_IGNORED!r} has no effect and is ignored", FutureWarning)
         documents = [d | {"rotors": [{k: v for k, v in r.items() if k != _IGNORED}
                                      for r in d["rotors"]]} for d in documents]
-    drones = [_build_drone(d, i) for i, d in enumerate(documents)]
+    airframes = {}
+    drones = [_build_drone(d, i, airframes) for i, d in enumerate(documents)]
     swarm = _build(Swarm, "", spacing, drones=drones)
 
     section = data.get("mission", {"waypoints": [], "max_route_length": math.inf})
@@ -370,11 +403,12 @@ def _to_document(value):
 
     A constructor object becomes a document object holding its fields
     under their ``_DOCUMENT_KEYS`` names, less the ``_UNWRITTEN`` ones and
-    any that are None (a waypoint without a label); arrays become lists.
+    any that are None (a waypoint without a label); arrays and tuples become
+    lists.
     """
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):  # an airframe's rotors are a tuple
         return [_to_document(v) for v in value]
     if not dataclasses.is_dataclass(value):
         return value

@@ -41,10 +41,12 @@ in the block; a drone's floats are made from it only for that
 bookkeeping, for recording, and when the drone leaves. A drone that
 diverges or touches the ground leaves its block with the event it would
 have alone, and events of drones leaving in one tick come in drone order.
-Airframe constants are built once per run; rotor speeds pass from the
-controller to the integrator as values, and no caller-supplied object
-is changed. Runs are serial and deterministic: the same swarm and
-scenario give a bit-identical trajectory every time.
+Airframe constants are built once per airframe object, which keeps them
+(:func:`~dronesim.airframe.airframe_constants`), and equal airframes
+built apart still share one constants object, so drones group by value.
+Rotor speeds pass from the controller to the integrator as values, and
+no caller-supplied object is changed. Runs are serial and deterministic:
+the same swarm and scenario give a bit-identical trajectory every time.
 """
 
 from __future__ import annotations

@@ -54,7 +54,8 @@ def test_criterion_02_ballistic_oracle_and_integrator_order():
     def drag_error(dt):
         drag = 0.3
         craft_d = build_reference_craft()
-        craft_d.body.linear_drag = drag
+        craft_d = dataclasses.replace(
+            craft_d, body=dataclasses.replace(craft_d.body, linear_drag=drag))
         s = level_state(z=10.0)
         for _ in range(round(1.0 / dt)):
             s = ds.step(s, craft_d, env, dt, [0.0] * 4)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dronesim as ds
+import dronesim.airframe as dronesim_airframe
 from dronesim.airframe import airframe_constants, allocate_speeds, rotor_wrench
 
 from conftest import (AIR_DENSITY, GRAVITY, LUMPED_THRUST_CONSTANT,
@@ -242,11 +245,64 @@ def test_equal_airframes_share_one_constants_object():
     constants = airframe_constants(first, AIR_DENSITY)
     assert airframe_constants(second, AIR_DENSITY) is constants
     assert all(type(v) is float for rotor in constants.rotors for v in rotor)
-    # an edit in place is a new key, never the stale constants
-    second.rotors[0].position_body[1] += 0.01
-    moved = airframe_constants(second, AIR_DENSITY)
-    assert moved is not constants
-    assert moved.rotors[0][2] == constants.rotors[0][2] + 0.01
+    # an airframe cannot be edited in place, so it never flies on stale constants
+    rotor = second.rotors[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rotor.max_speed = 500.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        second.body = first.body
+    with pytest.raises(ValueError, match="read-only"):
+        rotor.position_body[1] += 0.01
+    assert rotor.position_body[1] == 0.2
+    assert airframe_constants(second, AIR_DENSITY) is constants
+    # an edit builds a new airframe, which gets its own constants
+    arm = rotor.position_body + [0.0, 0.01, 0.0]
+    moved = dataclasses.replace(
+        second, rotors=[dataclasses.replace(rotor, position_body=arm), *second.rotors[1:]])
+    moved_constants = airframe_constants(moved, AIR_DENSITY)
+    assert moved_constants is not constants
+    assert moved_constants.rotors[0][2] == constants.rotors[0][2] + 0.01
+    assert airframe_constants(second, AIR_DENSITY) is constants
+
+
+def test_rotor_and_body_keep_read_only_copies_of_caller_arrays():
+    arm, inertia = np.array([0.2, -0.2, 0.0]), np.array([0.01, 0.01, 0.02])
+    rotor = ds.Rotor(position_body=arm, spin_direction=1, disk_area=0.06,
+                     thrust_coefficient=1e-4, torque_coefficient=1e-6, max_speed=1000.0)
+    body = ds.Body(mass=1.0, inertia_diagonal=inertia)
+    for given_array, kept in ((arm, rotor.position_body), (inertia, body.inertia_diagonal)):
+        assert given_array.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given_array, kept)
+        assert kept.dtype == np.float64 and np.array_equal(kept, given_array)
+        given_array[0] = 5.0  # the caller's array is still theirs to change
+        assert kept[0] != 5.0
+    for duplicate in (copy.copy(rotor), copy.deepcopy(rotor), pickle.loads(pickle.dumps(rotor))):
+        assert not duplicate.position_body.flags.writeable
+        assert duplicate.position_body.tolist() == rotor.position_body.tolist()
+
+
+def test_repeat_constants_calls_for_one_airframe_build_nothing(monkeypatch):
+    craft = build_reference_craft()
+    constants = airframe_constants(craft, AIR_DENSITY)
+
+    def rebuilt(*args):
+        raise AssertionError("constants rebuilt for an airframe that holds them")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dronesim_airframe, "_constants", rebuilt)
+        patch.setattr(dronesim_airframe, "thrust_gain", rebuilt)
+        assert airframe_constants(craft, AIR_DENSITY) is constants
+    # another air density builds its own, which the airframe then keeps
+    thin = airframe_constants(craft, 0.9)
+    assert thin is not constants and thin.air_density == 0.9
+    assert airframe_constants(craft, 0.9) is thin
+    assert airframe_constants(craft, AIR_DENSITY) is constants
+    # what the airframe keeps is not a field, so it is not part of its value,
+    # and a copy shares the constants of the original
+    assert [f.name for f in dataclasses.fields(craft)] == ["body", "rotors"]
+    assert dataclasses.asdict(craft).keys() == {"body", "rotors"}
+    for duplicate in (copy.copy(craft), copy.deepcopy(craft), pickle.loads(pickle.dumps(craft))):
+        assert airframe_constants(duplicate, AIR_DENSITY) is constants
 
 
 @st.composite

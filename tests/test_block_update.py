@@ -17,6 +17,7 @@ finiteness check against a test of every component, and both paths
 must log the same saturation lines.
 """
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -79,9 +80,8 @@ def crossing(pairs, seed):
 
 
 def heavier_craft():
-    craft = build_reference_craft()
-    craft.body = ds.Body(mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025))
-    return craft
+    return dataclasses.replace(build_reference_craft(), body=ds.Body(
+        mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025)))
 
 
 # --- whole runs ---------------------------------------------------------------
@@ -228,9 +228,10 @@ def test_saturation_lines_are_the_same_on_both_paths(caplog):
 def test_rank_deficient_group_raises_the_same_error():
     def flat_craft():
         craft = build_reference_craft()
-        for rotor in craft.rotors:  # every rotor on the x axis: no roll torque
-            rotor.position_body = ds.vec3(rotor.position_body[0], 0.0, 0.0)
-        return craft
+        # every rotor on the x axis: no roll torque
+        return dataclasses.replace(craft, rotors=[
+            dataclasses.replace(rotor, position_body=ds.vec3(rotor.position_body[0], 0.0, 0.0))
+            for rotor in craft.rotors])
 
     drones = [ds.Drone(id=f"r{i:02d}", airframe=flat_craft(), state=level_state(4.0 * i, 0, 5),
                        route=[ds.Setpoint(ds.vec3(4.0 * i, 2.0, 5.0))])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -14,6 +15,10 @@ from conftest import (AIR_DENSITY, GRAVITY, build_reference_craft,
                       calm_environment, level_state, reference_hover_speed)
 
 STOPPED = [0.0] * 4
+
+
+def with_drag(craft, drag):
+    return dataclasses.replace(craft, body=dataclasses.replace(craft.body, linear_drag=drag))
 
 
 def test_free_fall_acceleration(reference_craft, calm_env):
@@ -47,8 +52,7 @@ def test_ballistic_drop_matches_closed_form(reference_craft, calm_env):
 
 
 def _drag_drop_error(drag: float, dt: float) -> float:
-    craft = build_reference_craft()
-    craft.body.linear_drag = drag
+    craft = with_drag(build_reference_craft(), drag)
     env = calm_environment()
     state = level_state(z=10.0)
     for _ in range(round(1.0 / dt)):
@@ -69,9 +73,9 @@ def test_rk4_fourth_order_on_drag_ballistic():
 
 
 def test_a_wind_given_as_a_list_steps_like_an_array(reference_craft):
-    reference_craft.body.linear_drag = 0.1
+    craft = with_drag(reference_craft, 0.1)
     speeds = [reference_hover_speed()] * 4
-    stepped = [ds.step(level_state(z=5.0), reference_craft,
+    stepped = [ds.step(level_state(z=5.0), craft,
                        ds.EnvironmentSample(GRAVITY, AIR_DENSITY, wind), 0.01, speeds)
                for wind in ([3, -1, 0.5], np.array([3.0, -1.0, 0.5]))]
     assert stepped[0].as_floats() == stepped[1].as_floats()
@@ -256,9 +260,7 @@ def seeded_states(seed, count):
 
 
 def craft_constants(drag):
-    craft = build_reference_craft()
-    craft.body.linear_drag = drag
-    return airframe_constants(craft, AIR_DENSITY)
+    return airframe_constants(with_drag(build_reference_craft(), drag), AIR_DENSITY)
 
 
 @pytest.mark.parametrize("drag, wind", [(0.0, (0.0, 0.0, 0.0)),

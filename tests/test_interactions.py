@@ -24,6 +24,7 @@ Hypothesis examples are derandomized so that every run checks the same
 cases.
 """
 
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -155,9 +156,8 @@ def scenario_of(ticks, obstacles=(), dt=0.01):
 
 
 def heavier_craft():
-    craft = build_reference_craft()
-    craft.body = ds.Body(mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025))
-    return craft
+    return dataclasses.replace(build_reference_craft(), body=ds.Body(
+        mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025)))
 
 
 def units_of(swarm):

@@ -9,11 +9,19 @@ the constructors behind the loader raise FieldError naming the field.
 import json
 import math
 import re
+import struct
+import sys
 import warnings
+from collections import OrderedDict
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dronesim as ds
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import crossing_document  # noqa: E402
 
 NAN = math.nan
 INF = math.inf
@@ -262,3 +270,94 @@ def test_constructors_store_floats():
     assert all(type(getattr(rotor, name)) is float for name in
                ("disk_area", "thrust_coefficient", "torque_coefficient", "max_speed"))
     assert type(ds.InertialFrame(45, 9).latitude_deg) is float
+
+
+# --- equal airframes are built once and shared ------------------------------
+
+def airframe_bits(airframe):
+    """Every float of an airframe's body and rotors, as bytes."""
+    body = airframe.body
+    numbers = [body.mass, *body.inertia_diagonal.tolist(), body.linear_drag]
+    for r in airframe.rotors:
+        numbers += [*r.position_body.tolist(), r.spin_direction, r.disk_area,
+                    r.thrust_coefficient, r.torque_coefficient, r.max_speed]
+    return struct.pack(f"{len(numbers)}d", *numbers)
+
+
+def test_a_crossing_of_equal_airframes_builds_one_airframe():
+    document, _ = crossing_document(seed=7)
+    swarm, _, _ = ds.scenario_from_dict(json.loads(json.dumps(document)))
+    assert len(swarm.drones) == 200
+    assert len({id(d.airframe) for d in swarm.drones}) == 1
+
+
+def test_a_negative_zero_arm_gets_its_own_airframe():
+    doc = fixture_dict()
+    doc["drones"][1]["rotors"][0]["position"][2] = -0.0
+    swarm, scenario, mission = ds.scenario_from_dict(doc)
+    assert swarm.drones[0].airframe is not swarm.drones[1].airframe
+    written = ds.scenario_to_dict(swarm, scenario, mission)["drones"]
+    assert [math.copysign(1.0, d["rotors"][0]["position"][2]) for d in written] == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("field, value", [("drones[1].body.mass", 1),
+                                          ("drones[1].rotors[2].max_speed", 1000)])
+def test_an_int_where_another_drone_has_a_float_builds_the_same_floats(field, value):
+    plain = ds.scenario_to_dict(*ds.scenario_from_dict(fixture_dict()))
+    doc = fixture_dict()
+    set_field(doc, field, value)
+    loaded = ds.scenario_from_dict(doc)
+    first, second = (d.airframe for d in loaded[0].drones)
+    assert airframe_bits(first) == airframe_bits(second)
+    assert ds.scenario_to_dict(*loaded) == plain
+
+
+def test_an_invalid_rotor_after_equal_drones_is_reported_at_its_own_drone():
+    document, _ = crossing_document(seed=7, pairs=3)
+    doc = json.loads(json.dumps(document))
+    for index in (3, 4):  # drones[4] is as invalid, and comes later
+        doc["drones"][index]["rotors"][2]["max_speed"] = 0.0
+    with pytest.raises(ds.ScenarioInvariantError) as excinfo:
+        ds.scenario_from_dict(doc)
+    assert excinfo.value.path == "drones[3].rotors[2].max_speed"
+
+
+def numpy_floats(value):
+    """``value`` with every float of it a numpy float64."""
+    if isinstance(value, dict):
+        return {k: numpy_floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [numpy_floats(v) for v in value]
+    return np.float64(value) if type(value) is float else value
+
+
+@pytest.mark.parametrize("drones", [[0], [1], [0, 1]])
+@pytest.mark.parametrize("kind", ["numpy floats", "OrderedDict body"])
+def test_airframes_of_unusual_python_values_build_the_plain_floats(kind, drones):
+    plain = ds.scenario_from_dict(fixture_dict())
+    doc = fixture_dict()
+    for index in drones:
+        drone = doc["drones"][index]
+        if kind == "numpy floats":
+            drone["body"], drone["rotors"] = numpy_floats([drone["body"], drone["rotors"]])
+        else:
+            drone["body"] = OrderedDict(drone["body"])
+    loaded = ds.scenario_from_dict(doc)
+    assert ds.scenario_to_dict(*loaded) == ds.scenario_to_dict(*plain)
+    for ours, theirs in zip(loaded[0].drones, plain[0].drones):
+        assert airframe_bits(ours.airframe) == airframe_bits(theirs.airframe)
+
+
+@pytest.mark.parametrize("field, value", [("drones[1].body.mass", np.float64(0.0)),
+                                          ("drones[1].body.mass", np.float64(math.nan)),
+                                          ("drones[1].rotors[3].position",
+                                           [np.float64(0.2), np.float64(math.inf), 0.0]),
+                                          ("drones[1].body", OrderedDict(
+                                              mass=1.0, inertia=[0.01, -0.01, 0.02],
+                                              linear_drag=0.0))])
+def test_invalid_unusual_python_values_raise_scenario_errors(field, value):
+    doc = fixture_dict()
+    set_field(doc, field, value)
+    with pytest.raises(ds.ScenarioInvariantError) as excinfo:
+        ds.scenario_from_dict(doc)
+    assert excinfo.value.path.startswith(field)

@@ -227,12 +227,15 @@ def test_swarm_validation():
 
 # --- clock, isolation and per-run constants -----------------------------------
 
-def _bundled_run(name, share_airframe=False):
+def _bundled_run(name, separate_airframes=False):
     swarm, scenario, mission = ds.load_scenario(ds.bundled_scenario_path(name))
     routes_from_plan(swarm, mission, ds.optimize(mission))
-    if share_airframe:
-        for drone in swarm.drones[1:]:
-            drone.airframe = swarm.drones[0].airframe
+    if separate_airframes:  # each drone its own body and rotors, of the same values
+        for drone in swarm.drones:
+            craft = drone.airframe
+            drone.airframe = dataclasses.replace(
+                craft, body=dataclasses.replace(craft.body),
+                rotors=[dataclasses.replace(rotor) for rotor in craft.rotors])
     return swarm, scenario, ds.simulate(swarm, scenario, scenario.recording_interval)
 
 
@@ -267,10 +270,12 @@ def _assert_bit_identical(a, b):
 
 
 def test_shared_airframe_flies_like_separate_airframes():
-    swarm, _, separate = _bundled_run("two_drone_cross.json")
-    assert swarm.drones[0].airframe is not swarm.drones[1].airframe
-    swarm, _, shared = _bundled_run("two_drone_cross.json", share_airframe=True)
-    assert swarm.drones[0].airframe is swarm.drones[1].airframe
+    swarm, _, shared = _bundled_run("two_drone_cross.json")
+    assert swarm.drones[0].airframe is swarm.drones[1].airframe  # the loader shares it
+    swarm, _, separate = _bundled_run("two_drone_cross.json", separate_airframes=True)
+    first, second = (d.airframe for d in swarm.drones)
+    assert first is not second and first.body is not second.body
+    assert not any(a is b for a, b in zip(first.rotors, second.rotors))
     _assert_bit_identical(separate, shared)
 
 
