@@ -1,10 +1,20 @@
+import collections
+import dataclasses
+import logging
+import math
+import random
+
 import numpy as np
 import pytest
 
 import dronesim as ds
+from dronesim.airframe import airframe_constants, allocate_speeds
+from dronesim.backend import FLOATS, ROWS
+from dronesim.control import command_speeds, heading
+from dronesim.frames import half_angle_quat, hamilton_product
 
-from conftest import (AIR_DENSITY, GRAVITY, calm_environment, level_state,
-                      reference_hover_speed)
+from conftest import (AIR_DENSITY, GRAVITY, build_reference_craft, calm_environment,
+                      level_state, reference_hover_speed)
 
 
 def test_hover_at_target_commands_hover_speeds(reference_craft):
@@ -107,3 +117,156 @@ def test_gains_validation():
         ds.ControllerGains(capture_radius=0.0)
     with pytest.raises(ValueError):
         ds.Setpoint(ds.vec3(0, 0, 0), target_yaw=float("nan"))
+
+
+# --- command_speeds against the composed controller ---------------------------
+
+def reference_thrust_and_attitude(B, mass, gains, gravity, x, target, cos_y, sin_y):
+    # the outer loop: thrust and the desired roll and pitch
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz = x[0:10]
+    kp, kd = gains.position_kp, gains.position_kd
+    ax = kp * (target[0] - px) - kd * vx
+    ay = kp * (target[1] - py) - kd * vy
+    az = kp * (target[2] - pz) - kd * vz + gravity
+
+    # a_des projected on the body z axis (third column of R(q))
+    along_z = (ax * (2.0 * (qx * qz + qy * qw))
+               + ay * (2.0 * (qy * qz - qx * qw))
+               + az * (1.0 - 2.0 * (qx * qx + qy * qy)))
+    thrust = mass * B.positive(along_z)
+
+    tilt_x, tilt_y = B.direction(ax, ay, B.sqrt(ax * ax + ay * ay + az * az))
+    pitch_des = B.clamp(tilt_x * cos_y + tilt_y * sin_y, gains.max_tilt)
+    roll_des = B.clamp(tilt_x * sin_y - tilt_y * cos_y, gains.max_tilt)
+    return thrust, roll_des, pitch_des
+
+
+def reference_command_speeds(c, gains, gravity, x, target, yaw_trig):
+    """The controller composed of its parts: outer loop, the attitude error
+    as a Hamilton product, then the allocation; :func:`command_speeds` must
+    give its bits."""
+    B = ROWS if isinstance(x, np.ndarray) else FLOATS
+    cos_y, sin_y, cos_half_yaw, sin_half_yaw = yaw_trig
+    thrust, roll_des, pitch_des = reference_thrust_and_attitude(
+        B, c.mass, gains, gravity, x, target, cos_y, sin_y)
+
+    half_roll, half_pitch = 0.5 * roll_des, 0.5 * pitch_des
+    qw, qx, qy, qz = x[6:10]
+    ew, ex, ey, ez = hamilton_product((qw, -qx, -qy, -qz), half_angle_quat(
+        B.cos(half_roll), B.sin(half_roll), B.cos(half_pitch), B.sin(half_pitch),
+        cos_half_yaw, sin_half_yaw))
+    ex, ey, ez = B.hemisphere(ew, ex, ey, ez)
+
+    kp, kd = gains.attitude_kp, gains.attitude_kd
+    ix, iy, iz = c.inertia
+    return allocate_speeds(c, thrust,
+                           ix * (kp * (2.0 * ex) - kd * x[10]),
+                           iy * (kp * (2.0 * ey) - kd * x[11]),
+                           iz * (kp * (2.0 * ez) - kd * x[12]))
+
+
+def controller_outcome(controller, c, gains, x, target, yaw_trig, caplog):
+    """The speeds' bytes, or the raised error, with the log lines it wrote."""
+    caplog.clear()
+    with np.errstate(all="ignore"), caplog.at_level(logging.DEBUG, logger="dronesim.airframe"):
+        try:
+            result = np.array(controller(c, gains, GRAVITY, x, target, yaw_trig),
+                              dtype=float).tobytes()
+        except Exception as err:  # noqa: BLE001 - the error is the outcome
+            result = (type(err), str(err))
+    return result, [r.getMessage() for r in caplog.records]
+
+
+def controller_cases(seed, count):
+    """Tilted, spinning, moving states with targets and headings, some
+    components +0.0 or -0.0, and edge cases of every branch: saturated
+    rotors, a demand along body z that is not positive, a demanded
+    acceleration too small to have a direction, a clamped tilt and an
+    attitude error whose scalar part is negative."""
+    rng = random.Random(seed)
+    cases = []
+    for n in range(count):
+        q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        if n % 4 == 0:  # near level, either sign of the scalar part
+            q = [rng.choice((1.0, -1.0))] + [rng.gauss(0.0, 0.05) for _ in range(3)]
+        norm = math.sqrt(sum(v * v for v in q))
+        x = ([rng.uniform(-50.0, 50.0) for _ in range(3)]
+             + [rng.uniform(-15.0, 15.0) for _ in range(3)]
+             + [v / norm for v in q]
+             + [rng.choice((rng.uniform(-3.0, 3.0), rng.uniform(-60.0, 60.0)))
+                for _ in range(3)])
+        target = [p + rng.choice((rng.uniform(-2.0, 2.0), rng.uniform(-500.0, 500.0)))
+                  for p in x[0:3]]
+        yaw = rng.choice((0.0, -0.0, math.pi, rng.uniform(-4.0, 4.0)))
+        for i in rng.sample(range(13), rng.randrange(5)):
+            x[i] = rng.choice((0.0, -0.0))
+        for i in rng.sample(range(3), rng.randrange(2)):
+            target[i] = rng.choice((0.0, -0.0))
+        cases.append((x, target, heading(yaw)))
+    # a demanded acceleration of zero: the target 4.905 m below at rest,
+    # 2.0 * -4.905 + 9.81 == 0.0, and a lateral error of 1e-12 m
+    still = [3.0, -2.0, 4.905, 0.0, -0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    cases.append((still, [3.0, -2.0, 0.0], heading(0.0)))
+    cases.append((still, [3.0 + 1e-12, -2.0, 0.0], heading(0.3)))
+    cases.append((still[:6] + [0.0, 1.0, 0.0, 0.0] + still[10:], [3.0, -2.0, 0.0],
+                  heading(-0.0)))
+    # upside down and asked to climb: no thrust; far off sideways: clamped tilt
+    cases.append(([0.0] * 6 + [0.0, 1.0, 0.0, 0.0] + [0.0] * 3, [0.0, 0.0, 10.0],
+                  heading(0.0)))
+    for target in ([1e6, 0.0, 0.0], [0.0, 1e6, 0.0], [-1e6, -1e6, 0.0]):
+        cases.append(([0.0] * 6 + [1.0, 0.0, 0.0, 0.0] + [0.0] * 3, target, heading(0.7)))
+    # the attitude the level, yaw-pi setpoint asks for is the negated identity
+    cases.append(([0.0] * 6 + [-1.0, 0.0, 0.0, 0.0] + [0.0] * 3, [0.0, 0.0, 0.0],
+                  heading(math.pi)))
+    return cases
+
+
+GAINS = [ds.ControllerGains(),
+         ds.ControllerGains(position_kp=0.7, position_kd=0.0, attitude_kp=250.0,
+                            attitude_kd=0.5, max_tilt=1.2)]
+
+
+@pytest.mark.parametrize("gains", GAINS, ids=["default", "stiff"])
+@pytest.mark.parametrize("seed", [2, 29])
+def test_command_speeds_gives_the_bits_of_the_composed_controller(gains, seed, caplog):
+    c = airframe_constants(build_reference_craft(), AIR_DENSITY)
+    cases = controller_cases(seed, 300)
+    branches = collections.Counter()
+    for x, target, yaw_trig in cases:
+        expected = controller_outcome(reference_command_speeds, c, gains, x, target,
+                                      yaw_trig, caplog)
+        assert controller_outcome(command_speeds, c, gains, x, target, yaw_trig,
+                                  caplog) == expected
+        branches["saturated"] += bool(expected[1])
+        branches["ew < 0"] += _attitude_error_scalar(gains, x, target, yaw_trig) < 0.0
+    # every case as one column of a (13, n) block
+    block = np.array([x for x, _, _ in cases]).T.copy()
+    targets = np.array([t for _, t, _ in cases]).T.copy()
+    headings = np.array([h for _, _, h in cases]).T.copy()
+    assert controller_outcome(command_speeds, c, gains, block, targets, headings, caplog) == \
+        controller_outcome(reference_command_speeds, c, gains, block, targets, headings,
+                           caplog)
+    # the seeded cases reach both sides of the branches
+    assert branches["saturated"] > 10 and branches["ew < 0"] > 10
+
+
+def _attitude_error_scalar(gains, x, target, yaw_trig):
+    # ew, the scalar part of the attitude error the reference computes
+    thrust, roll, pitch = reference_thrust_and_attitude(
+        FLOATS, 1.0, gains, GRAVITY, x, target, yaw_trig[0], yaw_trig[1])
+    qw, qx, qy, qz = x[6:10]
+    return hamilton_product((qw, -qx, -qy, -qz), half_angle_quat(
+        math.cos(0.5 * roll), math.sin(0.5 * roll), math.cos(0.5 * pitch),
+        math.sin(0.5 * pitch), yaw_trig[2], yaw_trig[3]))[0]
+
+
+def test_command_speeds_raises_on_a_rank_deficient_layout_as_the_reference(caplog):
+    craft = build_reference_craft()
+    flat = dataclasses.replace(craft, rotors=tuple(
+        dataclasses.replace(r, position_body=[0.2, 0.0, 0.0]) for r in craft.rotors))
+    c = airframe_constants(flat, AIR_DENSITY)
+    x, target, yaw_trig = controller_cases(4, 1)[0]
+    outcome = controller_outcome(command_speeds, c, GAINS[0], x, target, yaw_trig, caplog)
+    assert outcome == controller_outcome(reference_command_speeds, c, GAINS[0], x, target,
+                                         yaw_trig, caplog)
+    assert outcome[0][0] is ds.ConfigurationError
