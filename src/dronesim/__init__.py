@@ -9,9 +9,8 @@ world scenario, and exports geo-referenced results with error metrics.
 from .airframe import (Airframe, Body, ConfigurationError, Rotor, allocate,
                        allocation_matrix, hover_speed, net_wrench, rotor_thrust,
                        set_rotor_speeds)
-from .control import (ControllerGains, Setpoint, compute_commands,
-                      thrust_and_attitude, waypoint_reached)
-from .dynamics import DivergenceError, DroneState, state_derivative, step
+from .control import ControllerGains, Setpoint, compute_commands, waypoint_reached
+from .dynamics import DivergenceError, DroneState, step
 from .export import export_csv, export_geojson, load_csv
 from .frames import (EARTH_RADIUS_M, FieldError, InertialFrame, geo_project,
                      geo_unproject, integrate_orientation, quat_from_axis_angle,
@@ -53,6 +52,5 @@ __all__ = [
     "quat_to_matrix", "rotate", "rotor_thrust", "route_length",
     "sample_environment", "save_scenario", "scenario_from_dict",
     "scenario_to_dict", "segment_hits_box", "segment_hits_obstacle",
-    "set_rotor_speeds", "simulate", "state_derivative", "step",
-    "thrust_and_attitude", "vec3", "waypoint_reached",
+    "set_rotor_speeds", "simulate", "step", "vec3", "waypoint_reached",
 ]

@@ -11,6 +11,8 @@ PD cascade:
    torque = I ∘ accel, with e_att the small-angle attitude error
 4. rotor allocation maps (T, torque) to speeds
 
+Steps 1-3 are written out in one body, :func:`command_speeds`, on plain
+floats or on numpy rows; :func:`compute_commands` is its public form.
 The defaults below are tuned for a 1 kg craft with 0.2 m arms; every
 gain is per-drone configurable. No integral action: steady wind shows up
 as a small position offset rather than being trimmed out.
@@ -27,8 +29,7 @@ from numpy import ndarray
 from .airframe import Airframe, AirframeConstants, airframe_constants, allocate_speeds
 from .backend import FLOATS, ROWS
 from .dynamics import DroneState
-from .frames import (FieldError, as_float, as_vec3, finite, half_angle_quat,
-                     hamilton_product, non_negative, positive)
+from .frames import FieldError, as_float, as_vec3, finite, non_negative, positive
 
 DEFAULT_POSITION_KP = 2.0
 DEFAULT_POSITION_KD = 2.8
@@ -77,43 +78,6 @@ def heading(yaw: float) -> tuple[float, float, float, float]:
     return math.cos(yaw), math.sin(yaw), math.cos(half), math.sin(half)
 
 
-def _thrust_and_attitude(B, mass: float, gains: ControllerGains, gravity: float, x,
-                         target, cos_y, sin_y) -> tuple:
-    # x: the 13 state floats, or rows; target: 3 floats, or rows; B: their backend
-    px, py, pz, vx, vy, vz, qw, qx, qy, qz = x[0:10]
-    kp, kd = gains.position_kp, gains.position_kd
-    ax = kp * (target[0] - px) - kd * vx
-    ay = kp * (target[1] - py) - kd * vy
-    az = kp * (target[2] - pz) - kd * vz + gravity
-
-    # a_des projected on the body z axis (third column of R(q))
-    along_z = (ax * (2.0 * (qx * qz + qy * qw))
-               + ay * (2.0 * (qy * qz - qx * qw))
-               + az * (1.0 - 2.0 * (qx * qx + qy * qy)))
-    thrust = mass * B.positive(along_z)
-
-    tilt_x, tilt_y = B.direction(ax, ay, B.sqrt(ax * ax + ay * ay + az * az))
-    pitch_des = B.clamp(tilt_x * cos_y + tilt_y * sin_y, gains.max_tilt)
-    roll_des = B.clamp(tilt_x * sin_y - tilt_y * cos_y, gains.max_tilt)
-    return thrust, roll_des, pitch_des
-
-
-def thrust_and_attitude(state: DroneState, setpoint: Setpoint, airframe: Airframe,
-                        gains: ControllerGains,
-                        gravity: float) -> tuple[float, float, float, float]:
-    """Outer-loop output: (total thrust N, desired roll, pitch, yaw rad).
-
-    The demanded acceleration is projected on the current body z axis for
-    thrust, and its direction is inverted at small angles for the tilt
-    setpoint, clamped to +-max_tilt.
-    """
-    yaw = setpoint.target_yaw
-    cos_y, sin_y, _, _ = heading(yaw)
-    return (*_thrust_and_attitude(FLOATS, float(airframe.body.mass), gains,
-                                  positive(gravity, "gravity"), state.as_floats(),
-                                  setpoint.target_position.tolist(), cos_y, sin_y), yaw)
-
-
 def command_speeds(c: AirframeConstants, gains: ControllerGains, gravity: float,
                    x, target, yaw_trig) -> list:
     """Rotor speeds from the 13 state floats toward ``target`` at the yaw
@@ -124,23 +88,47 @@ def command_speeds(c: AirframeConstants, gains: ControllerGains, gravity: float,
     drones that share ``c`` and ``gains``: then each speed is a row.
     """
     B = ROWS if isinstance(x, ndarray) else FLOATS
-    cos_y, sin_y, cos_half_yaw, sin_half_yaw = yaw_trig
-    thrust, roll_des, pitch_des = _thrust_and_attitude(
-        B, c.mass, gains, gravity, x, target, cos_y, sin_y)
+    cos_y, sin_y, cy, sy = yaw_trig
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
 
-    half_roll, half_pitch = 0.5 * roll_des, 0.5 * pitch_des
-    qw, qx, qy, qz = x[6:10]
-    ew, ex, ey, ez = hamilton_product((qw, -qx, -qy, -qz), half_angle_quat(
-        B.cos(half_roll), B.sin(half_roll), B.cos(half_pitch), B.sin(half_pitch),
-        cos_half_yaw, sin_half_yaw))
+    # demanded acceleration, and thrust: a_des projected on the body z
+    # axis (third column of R(q)), never negative
+    kp, kd = gains.position_kp, gains.position_kd
+    ax = kp * (target[0] - px) - kd * vx
+    ay = kp * (target[1] - py) - kd * vy
+    az = kp * (target[2] - pz) - kd * vz + gravity
+    along_z = (ax * (2.0 * (qx * qz + qy * qw))
+               + ay * (2.0 * (qy * qz - qx * qw))
+               + az * (1.0 - 2.0 * (qx * qx + qy * qy)))
+    thrust = c.mass * B.positive(along_z)
+
+    # desired roll and pitch: the a_des direction at the commanded yaw
+    tilt_x, tilt_y = B.direction(ax, ay, B.sqrt(ax * ax + ay * ay + az * az))
+    max_tilt = gains.max_tilt
+    half_pitch = 0.5 * B.clamp(tilt_x * cos_y + tilt_y * sin_y, max_tilt)
+    half_roll = 0.5 * B.clamp(tilt_x * sin_y - tilt_y * cos_y, max_tilt)
+
+    # attitude error q* ⊗ q_des, with q_des from the half-angle cosines and
+    # sines (frames.half_angle_quat, then frames.hamilton_product, written out)
+    cr, sr, cp, sp = B.cos(half_roll), B.sin(half_roll), B.cos(half_pitch), B.sin(half_pitch)
+    dw = cy * cp * cr + sy * sp * sr
+    dx = cy * cp * sr - sy * sp * cr
+    dy = cy * sp * cr + sy * cp * sr
+    dz = sy * cp * cr - cy * sp * sr
+    qx, qy, qz = -qx, -qy, -qz
+    ew = qw * dw - qx * dx - qy * dy - qz * dz
+    ex = qw * dx + qx * dw + qy * dz - qz * dy
+    ey = qw * dy - qx * dz + qy * dw + qz * dx
+    ez = qw * dz + qx * dy - qy * dx + qz * dw
     ex, ey, ez = B.hemisphere(ew, ex, ey, ez)
 
+    # attitude PD: torque = I ∘ (Kp_att e_att − Kd_att ω)
     kp, kd = gains.attitude_kp, gains.attitude_kd
     ix, iy, iz = c.inertia
     return allocate_speeds(c, thrust,
-                           ix * (kp * (2.0 * ex) - kd * x[10]),
-                           iy * (kp * (2.0 * ey) - kd * x[11]),
-                           iz * (kp * (2.0 * ez) - kd * x[12]))
+                           ix * (kp * (2.0 * ex) - kd * wx),
+                           iy * (kp * (2.0 * ey) - kd * wy),
+                           iz * (kp * (2.0 * ez) - kd * wz))
 
 
 def compute_commands(state: DroneState, setpoint: Setpoint, airframe: Airframe,

@@ -11,12 +11,13 @@ angular rate and I the diagonal inertia tensor:
 F_body and τ_body come from the rotor speeds, held over a step; wind
 couples in through the linear drag term only. States advance with
 classical fixed-step RK4; the quaternion is renormalized once per step.
-The integrator runs on 13 plain floats, or on the rows of a (13, n)
-block of drones with one airframe (:func:`rk4_step`, its branches
-through :mod:`dronesim.backend`), with the airframe's constants built
-once (:func:`airframe_constants`);
-:func:`step` and :func:`state_derivative` wrap it for DroneState
-values and rotor speeds passed in.
+The equations live only in the integrator, :func:`rk4_step`, which
+spells them out in each of its four stages, so a step makes no call per
+stage and builds no list but the stepped state. It runs on 13 plain
+floats, or on the rows of a (13, n) block of drones with one airframe
+(its branches through :mod:`dronesim.backend`), with the airframe's
+constants built once (:func:`airframe_constants`); :func:`step` wraps it
+for DroneState values and rotor speeds passed in.
 """
 
 from __future__ import annotations
@@ -93,49 +94,6 @@ class DroneState:
         return state
 
 
-def _rhs(c: AirframeConstants, gravity: float, wind, wrench, x, h: float = 0.0,
-         k=None) -> list[float]:
-    # Right-hand side at the 13 state floats x or, given the previous RK4
-    # stage k, at the substep x + h * k. No position is read, so only the
-    # ten other substep components are formed, each as x[i] + h * k[i];
-    # the first stage reads x itself, as x + 0.0 * k would turn -0.0 into
-    # 0.0 and an infinity into NaN. Rotor speeds are held constant over a
-    # step, so the caller evaluates the wrench once. Non-finite components
-    # propagate (rk4_step turns them into a DivergenceError). The
-    # quaternion may be slightly off-unit during RK4 substeps; the 2/n^2
-    # factor applies the rotation of its normalized form.
-    fz, tx, ty, tz = wrench
-    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
-    if k is not None:
-        _, _, _, kvx, kvy, kvz, kqw, kqx, kqy, kqz, kwx, kwy, kwz = k
-        vx, vy, vz = vx + h * kvx, vy + h * kvy, vz + h * kvz
-        qw, qx, qy, qz = qw + h * kqw, qx + h * kqx, qy + h * kqy, qz + h * kqz
-        wx, wy, wz = wx + h * kwx, wy + h * kwy, wz + h * kwz
-    n2 = qw * qw + qx * qx + qy * qy + qz * qz
-    s = 2.0 / n2
-    # thrust acts along body +z: world direction is the third matrix column
-    f = fz / c.mass
-    ax = s * (qx * qz + qy * qw) * f
-    ay = s * (qy * qz - qx * qw) * f
-    az = (1.0 - s * (qx * qx + qy * qy)) * f - gravity
-    if c.linear_drag != 0.0:
-        kd = c.linear_drag / c.mass
-        ax -= kd * (vx - wind[0])
-        ay -= kd * (vy - wind[1])
-        az -= kd * (vz - wind[2])
-
-    ix, iy, iz = c.inertia
-    # omega x (I omega) for a diagonal inertia tensor
-    return [vx, vy, vz, ax, ay, az,
-            0.5 * (-qx * wx - qy * wy - qz * wz),
-            0.5 * (qw * wx + qy * wz - qz * wy),
-            0.5 * (qw * wy - qx * wz + qz * wx),
-            0.5 * (qw * wz + qx * wy - qy * wx),
-            (tx - wy * wz * (iz - iy)) / ix,
-            (ty - wz * wx * (ix - iz)) / iy,
-            (tz - wx * wy * (iy - ix)) / iz]
-
-
 def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
              dt: float, t_end: float) -> list[float]:
     """One RK4 step of the 13 state floats ``x`` with rotor speeds held.
@@ -146,46 +104,98 @@ def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
     row per rotor speed: then it returns the stepped block, or raises
     with the failed columns.
     """
+    # The four stages are written out, each derivative named by its stage:
+    # p2x is stage 2's position rate (its substep's velocity), a2x its
+    # acceleration, q2w its quaternion rate, r2x its angular acceleration.
+    # A substep forms only the ten components the right-hand side reads
+    # (velocity, quaternion sw..sz, angular rate ox..oz), each as x + h * k;
+    # stage 1 reads x itself, as x + 0.0 * k would turn -0.0 into 0.0 and an
+    # infinity into NaN. Rotor speeds are held over the step, so the wrench
+    # is evaluated once. Non-finite components propagate to the finiteness
+    # check. The quaternion may be slightly off-unit during the substeps; the
+    # 2/n^2 factor applies the rotation of its normalized form.
     gravity = float(env.gravity)
-    wind = env.wind_velocity.tolist() if c.linear_drag != 0.0 else None
-    wrench = rotor_wrench(c, speeds)
+    fz, tx, ty, tz = rotor_wrench(c, speeds)
+    f = fz / c.mass
+    drag = c.linear_drag != 0.0
+    if drag:
+        kd = c.linear_drag / c.mass
+        ux, uy, uz = env.wind_velocity.tolist()
+    ix, iy, iz = c.inertia
+    dzy, dxz, dyx = iz - iy, ix - iz, iy - ix
     h = 0.5 * dt
+    x0, x1, x2, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
     try:
-        k1 = _rhs(c, gravity, wind, wrench, x)
-        k2 = _rhs(c, gravity, wind, wrench, x, h, k1)
-        k3 = _rhs(c, gravity, wind, wrench, x, h, k2)
-        k4 = _rhs(c, gravity, wind, wrench, x, dt, k3)
+        # stage 1, at x
+        s = 2.0 / (qw * qw + qx * qx + qy * qy + qz * qz)
+        a1x, a1y = s * (qx * qz + qy * qw) * f, s * (qy * qz - qx * qw) * f
+        a1z = (1.0 - s * (qx * qx + qy * qy)) * f - gravity
+        if drag:
+            a1x, a1y, a1z = a1x - kd * (vx - ux), a1y - kd * (vy - uy), a1z - kd * (vz - uz)
+        q1w, q1x = 0.5 * (-qx * wx - qy * wy - qz * wz), 0.5 * (qw * wx + qy * wz - qz * wy)
+        q1y, q1z = 0.5 * (qw * wy - qx * wz + qz * wx), 0.5 * (qw * wz + qx * wy - qy * wx)
+        r1x, r1y = (tx - wy * wz * dzy) / ix, (ty - wz * wx * dxz) / iy
+        r1z = (tz - wx * wy * dyx) / iz
+
+        # stage 2, at x + h * k1
+        p2x, p2y, p2z = vx + h * a1x, vy + h * a1y, vz + h * a1z
+        sw, sx, sy, sz = qw + h * q1w, qx + h * q1x, qy + h * q1y, qz + h * q1z
+        ox, oy, oz = wx + h * r1x, wy + h * r1y, wz + h * r1z
+        s = 2.0 / (sw * sw + sx * sx + sy * sy + sz * sz)
+        a2x, a2y = s * (sx * sz + sy * sw) * f, s * (sy * sz - sx * sw) * f
+        a2z = (1.0 - s * (sx * sx + sy * sy)) * f - gravity
+        if drag:
+            a2x, a2y, a2z = a2x - kd * (p2x - ux), a2y - kd * (p2y - uy), a2z - kd * (p2z - uz)
+        q2w, q2x = 0.5 * (-sx * ox - sy * oy - sz * oz), 0.5 * (sw * ox + sy * oz - sz * oy)
+        q2y, q2z = 0.5 * (sw * oy - sx * oz + sz * ox), 0.5 * (sw * oz + sx * oy - sy * ox)
+        r2x, r2y = (tx - oy * oz * dzy) / ix, (ty - oz * ox * dxz) / iy
+        r2z = (tz - ox * oy * dyx) / iz
+
+        # stage 3, at x + h * k2
+        p3x, p3y, p3z = vx + h * a2x, vy + h * a2y, vz + h * a2z
+        sw, sx, sy, sz = qw + h * q2w, qx + h * q2x, qy + h * q2y, qz + h * q2z
+        ox, oy, oz = wx + h * r2x, wy + h * r2y, wz + h * r2z
+        s = 2.0 / (sw * sw + sx * sx + sy * sy + sz * sz)
+        a3x, a3y = s * (sx * sz + sy * sw) * f, s * (sy * sz - sx * sw) * f
+        a3z = (1.0 - s * (sx * sx + sy * sy)) * f - gravity
+        if drag:
+            a3x, a3y, a3z = a3x - kd * (p3x - ux), a3y - kd * (p3y - uy), a3z - kd * (p3z - uz)
+        q3w, q3x = 0.5 * (-sx * ox - sy * oy - sz * oz), 0.5 * (sw * ox + sy * oz - sz * oy)
+        q3y, q3z = 0.5 * (sw * oy - sx * oz + sz * ox), 0.5 * (sw * oz + sx * oy - sy * ox)
+        r3x, r3y = (tx - oy * oz * dzy) / ix, (ty - oz * ox * dxz) / iy
+        r3z = (tz - ox * oy * dyx) / iz
+
+        # stage 4, at x + dt * k3
+        p4x, p4y, p4z = vx + dt * a3x, vy + dt * a3y, vz + dt * a3z
+        sw, sx, sy, sz = qw + dt * q3w, qx + dt * q3x, qy + dt * q3y, qz + dt * q3z
+        ox, oy, oz = wx + dt * r3x, wy + dt * r3y, wz + dt * r3z
+        s = 2.0 / (sw * sw + sx * sx + sy * sy + sz * sz)
+        a4x, a4y = s * (sx * sz + sy * sw) * f, s * (sy * sz - sx * sw) * f
+        a4z = (1.0 - s * (sx * sx + sy * sy)) * f - gravity
+        if drag:
+            a4x, a4y, a4z = a4x - kd * (p4x - ux), a4y - kd * (p4y - uy), a4z - kd * (p4z - uz)
+        q4w, q4x = 0.5 * (-sx * ox - sy * oy - sz * oz), 0.5 * (sw * ox + sy * oz - sz * oy)
+        q4y, q4z = 0.5 * (sw * oy - sx * oz + sz * ox), 0.5 * (sw * oz + sx * oy - sy * ox)
+        r4x, r4y = (tx - oy * oz * dzy) / ix, (ty - oz * ox * dxz) / iy
+        r4z = (tz - ox * oy * dyx) / iz
     except ZeroDivisionError:  # a substep quaternion of zero norm
         raise DivergenceError(f"non-finite state at t = {t_end}", t=t_end) from None
     sixth = dt / 6.0
     B = ROWS if isinstance(x, ndarray) else FLOATS
-    # x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]), written out
-    # per component: on floats a comprehension over zip costs 1.7 times as much
     return B.renormalized([
-        x[0] + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        x[1] + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        x[2] + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        x[3] + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-        x[4] + sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4]),
-        x[5] + sixth * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5]),
-        x[6] + sixth * (k1[6] + 2.0 * k2[6] + 2.0 * k3[6] + k4[6]),
-        x[7] + sixth * (k1[7] + 2.0 * k2[7] + 2.0 * k3[7] + k4[7]),
-        x[8] + sixth * (k1[8] + 2.0 * k2[8] + 2.0 * k3[8] + k4[8]),
-        x[9] + sixth * (k1[9] + 2.0 * k2[9] + 2.0 * k3[9] + k4[9]),
-        x[10] + sixth * (k1[10] + 2.0 * k2[10] + 2.0 * k3[10] + k4[10]),
-        x[11] + sixth * (k1[11] + 2.0 * k2[11] + 2.0 * k3[11] + k4[11]),
-        x[12] + sixth * (k1[12] + 2.0 * k2[12] + 2.0 * k3[12] + k4[12])], t_end)
-
-
-def state_derivative(state: DroneState, airframe: Airframe, env: EnvironmentSample,
-                     speeds) -> tuple[ndarray, ndarray, ndarray, ndarray]:
-    """Evaluate the equations of motion at the given state and rotor speeds
-    (checked by :func:`set_rotor_speeds`): the time derivatives of
-    position, velocity, orientation and angular velocity."""
-    c = airframe_constants(airframe, env.air_density)
-    d = _rhs(c, float(env.gravity), env.wind_velocity.tolist(),
-             rotor_wrench(c, set_rotor_speeds(airframe, speeds)), state.as_floats())
-    return np.array(d[0:3]), np.array(d[3:6]), np.array(d[6:10]), np.array(d[10:13])
+        x0 + sixth * (vx + 2.0 * p2x + 2.0 * p3x + p4x),
+        x1 + sixth * (vy + 2.0 * p2y + 2.0 * p3y + p4y),
+        x2 + sixth * (vz + 2.0 * p2z + 2.0 * p3z + p4z),
+        vx + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
+        vy + sixth * (a1y + 2.0 * a2y + 2.0 * a3y + a4y),
+        vz + sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z),
+        qw + sixth * (q1w + 2.0 * q2w + 2.0 * q3w + q4w),
+        qx + sixth * (q1x + 2.0 * q2x + 2.0 * q3x + q4x),
+        qy + sixth * (q1y + 2.0 * q2y + 2.0 * q3y + q4y),
+        qz + sixth * (q1z + 2.0 * q2z + 2.0 * q3z + q4z),
+        wx + sixth * (r1x + 2.0 * r2x + 2.0 * r3x + r4x),
+        wy + sixth * (r1y + 2.0 * r2y + 2.0 * r3y + r4y),
+        wz + sixth * (r1z + 2.0 * r2z + 2.0 * r3z + r4z)], t_end)
 
 
 def step(state: DroneState, airframe: Airframe, env: EnvironmentSample,

@@ -51,7 +51,6 @@ the same swarm and scenario give a bit-identical trajectory every time.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from collections.abc import Mapping
@@ -222,13 +221,14 @@ def _close_pairs(positions, min_separation: float) -> list[tuple[int, int, float
         if type(positions) is np.ndarray:
             positions = positions.T.tolist()
         close = []
-        for i, j in itertools.combinations(range(n), 2):
+        for i in range(n - 1):
             ax, ay, az = positions[i]
-            bx, by, bz = positions[j]
-            dx, dy, dz = ax - bx, ay - by, az - bz
-            distance = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if distance < min_separation:
-                close.append((i, j, distance))
+            for j in range(i + 1, n):
+                bx, by, bz = positions[j]
+                dx, dy, dz = ax - bx, ay - by, az - bz
+                distance = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if distance < min_separation:
+                    close.append((i, j, distance))
         return close
     if type(positions) is not np.ndarray:
         positions = np.array(positions, dtype=float).T
@@ -444,25 +444,10 @@ def _units(runs: list[_DroneRun]) -> list:
     return units
 
 
-def _step_run(run: _DroneRun, env, dt: float, t_next: float, dropped: list) -> None:
-    # one tick of a drone that steps alone, from time run.tick * dt to t_next
-    x = run.x
-    target, yaw_trig = run.setpoint
-    try:
-        speeds = command_speeds(run.constants, run.gains, env.gravity, x, target, yaw_trig)
-        x = rk4_step(run.constants, env, speeds, x, dt, t_next)
-    except DivergenceError as err:
-        _deactivate(run, DIVERGENCE, t_next, dropped, detail=str(err))
-        return
-    run.x = x
-    run.tick += 1
-    if x[2] < 0.0:
-        _deactivate(run, GROUND_CONTACT, t_next, dropped)
-
-
 def _step_block(block: _Block, env, dt: float, dropped: list) -> None:
-    # as _step_run for every column; a failed or grounded column leaves the
-    # block with its state before or after the step, as a drone alone would
+    # one tick of every column, as simulate steps a drone alone; a failed or
+    # grounded column leaves the block with its state before or after the
+    # step, as a drone alone would
     tick = block.tick
     t_next = (tick + 1) * dt
     runs = block.runs
@@ -540,14 +525,19 @@ def simulate(swarm: Swarm, scenario: Scenario,
     events: list[SimEvent] = []
     # a pair (i, j) or a drone (i,) in violation after the last tick
     active: set[tuple] = set()
-    # with a block, the interaction check reads one (3, N) array of the
-    # drones' positions, which keeps a deactivated drone's last position
-    array = np.array([run.x[0:3] for run in runs]).T.copy() if blocks else None
     boxes = [box_bounds(b) for b in scenario.conditions.obstacles]
     env = sample_environment(scenario, _ANYWHERE, 0.0)
+    gravity = env.gravity
     # without boxes, no event is possible if no pair can be closer than
     # min_separation; finished and deactivated drones still count for it
     check = bool(boxes) or (len(runs) > 1 and swarm.min_separation != 0.0)
+    # the interaction check reads the drones' positions, which keep a
+    # deactivated drone's last position: with a block, one (3, N) array;
+    # without, one list of 3 floats per drone, replaced when the drone steps
+    as_array = bool(blocks)
+    positions = (np.array([run.x[0:3] for run in runs]).T.copy() if as_array
+                 else [run.x[0:3] for run in runs])
+    listed = check and not as_array
     flying = len(runs)
     next_record = 0
 
@@ -567,22 +557,23 @@ def simulate(swarm: Swarm, scenario: Scenario,
             due.sort(key=lambda run: run.index)
         done = 0
         for run in due:
-            targets = run.targets
-            while (run.route_index < len(targets) and within_capture(
-                    run.x, targets[run.route_index][0], run.gains.capture_radius)):
+            targets, index = run.targets, run.route_index
+            x, capture_radius = run.x, run.gains.capture_radius
+            while index < len(targets) and within_capture(x, targets[index][0], capture_radius):
                 events.append(SimEvent(t, WAYPOINT_REACHED, (run.id,), {
-                    "waypoint_index": run.route_index,
-                    "position": list(targets[run.route_index][0]),
+                    "waypoint_index": index,
+                    "position": list(targets[index][0]),
                 }))
-                run.route_index += 1
-            if run.route_index < len(targets):
-                run.setpoint = targets[run.route_index]
+                index += 1
+            run.route_index = index
+            if index < len(targets):
+                run.setpoint = targets[index]
             else:
                 run.status = "complete"
                 done += 1
-                run.setpoint = targets[-1] if targets else (run.x[0:3], heading(0.0))
+                run.setpoint = targets[-1] if targets else (x[0:3], heading(0.0))
                 events.append(SimEvent(t, MISSION_COMPLETE, (run.id,), {
-                    "position": run.x[0:3],
+                    "position": x[0:3],
                 }))
         if done:
             flying -= done
@@ -609,8 +600,24 @@ def simulate(swarm: Swarm, scenario: Scenario,
         for unit in units:
             if type(unit) is _Block:
                 _step_block(unit, env, dt, dropped)
-            elif unit.status != "deactivated":
-                _step_run(unit, env, dt, t_next, dropped)
+                continue
+            if unit.status == "deactivated":
+                continue
+            # a drone that steps alone, from time unit.tick * dt to t_next
+            x, constants = unit.x, unit.constants
+            target, yaw_trig = unit.setpoint
+            try:
+                speeds = command_speeds(constants, unit.gains, gravity, x, target, yaw_trig)
+                x = rk4_step(constants, env, speeds, x, dt, t_next)
+            except DivergenceError as err:
+                _deactivate(unit, DIVERGENCE, t_next, dropped, detail=str(err))
+                continue
+            unit.x = x
+            unit.tick += 1
+            if x[2] < 0.0:
+                _deactivate(unit, GROUND_CONTACT, t_next, dropped)
+            if listed:
+                positions[unit.index] = x[0:3]
         if dropped:
             dropped.sort(key=lambda entry: entry[0].index)
             events.extend(event for _, event in dropped)
@@ -622,10 +629,7 @@ def simulate(swarm: Swarm, scenario: Scenario,
         # interaction checks follow every model update for this tick
         if not check:
             continue
-        if array is None:
-            positions = [r.x[0:3] for r in runs]
-        else:
-            positions = array
+        if as_array:
             for unit in units:
                 if type(unit) is _Block:
                     positions[:, unit.columns] = unit.x[0:3]

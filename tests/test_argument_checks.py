@@ -33,8 +33,6 @@ CALLS = {
     ds.allocate: dict(airframe=CRAFT, desired_thrust=10.0, desired_torque=[0.01, 0.0, -0.01],
                       air_density=1.0),
     ds.hover_speed: dict(airframe=CRAFT, gravity=10.0, air_density=1.0),
-    ds.thrust_and_attitude: dict(state=STATE, setpoint=SETPOINT, airframe=CRAFT,
-                                 gains=ds.ControllerGains(), gravity=10.0),
     ds.compute_commands: dict(state=STATE, setpoint=SETPOINT, airframe=CRAFT,
                               gains=ds.ControllerGains(), gravity=10.0, air_density=1.0),
     ds.step: dict(state=STATE, airframe=CRAFT,
@@ -64,7 +62,6 @@ CHECKED = [
     (ds.allocate, "air_density", POSITIVE),
     (ds.hover_speed, "gravity", POSITIVE),
     (ds.hover_speed, "air_density", POSITIVE),
-    (ds.thrust_and_attitude, "gravity", POSITIVE),
     (ds.compute_commands, "gravity", POSITIVE),
     (ds.compute_commands, "air_density", POSITIVE),
     (ds.step, "dt", POSITIVE),

@@ -17,6 +17,68 @@ from conftest import (AIR_DENSITY, GRAVITY, build_reference_craft, calm_environm
                       level_state, reference_hover_speed)
 
 
+# --- the controller composed of its parts, the reference ----------------------
+
+def reference_thrust_and_attitude(B, mass, gains, gravity, x, target, cos_y, sin_y):
+    # the outer loop: thrust and the desired roll and pitch
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz = x[0:10]
+    kp, kd = gains.position_kp, gains.position_kd
+    ax = kp * (target[0] - px) - kd * vx
+    ay = kp * (target[1] - py) - kd * vy
+    az = kp * (target[2] - pz) - kd * vz + gravity
+
+    # a_des projected on the body z axis (third column of R(q))
+    along_z = (ax * (2.0 * (qx * qz + qy * qw))
+               + ay * (2.0 * (qy * qz - qx * qw))
+               + az * (1.0 - 2.0 * (qx * qx + qy * qy)))
+    thrust = mass * B.positive(along_z)
+
+    tilt_x, tilt_y = B.direction(ax, ay, B.sqrt(ax * ax + ay * ay + az * az))
+    pitch_des = B.clamp(tilt_x * cos_y + tilt_y * sin_y, gains.max_tilt)
+    roll_des = B.clamp(tilt_x * sin_y - tilt_y * cos_y, gains.max_tilt)
+    return thrust, roll_des, pitch_des
+
+
+def reference_command_speeds(c, gains, gravity, x, target, yaw_trig):
+    """The controller composed of its parts: outer loop, the attitude error
+    as a Hamilton product, then the allocation; :func:`command_speeds` must
+    give its bits."""
+    B = ROWS if isinstance(x, np.ndarray) else FLOATS
+    cos_y, sin_y, cos_half_yaw, sin_half_yaw = yaw_trig
+    thrust, roll_des, pitch_des = reference_thrust_and_attitude(
+        B, c.mass, gains, gravity, x, target, cos_y, sin_y)
+
+    half_roll, half_pitch = 0.5 * roll_des, 0.5 * pitch_des
+    qw, qx, qy, qz = x[6:10]
+    ew, ex, ey, ez = hamilton_product((qw, -qx, -qy, -qz), half_angle_quat(
+        B.cos(half_roll), B.sin(half_roll), B.cos(half_pitch), B.sin(half_pitch),
+        cos_half_yaw, sin_half_yaw))
+    ex, ey, ez = B.hemisphere(ew, ex, ey, ez)
+
+    kp, kd = gains.attitude_kp, gains.attitude_kd
+    ix, iy, iz = c.inertia
+    return allocate_speeds(c, thrust,
+                           ix * (kp * (2.0 * ex) - kd * x[10]),
+                           iy * (kp * (2.0 * ey) - kd * x[11]),
+                           iz * (kp * (2.0 * ez) - kd * x[12]))
+
+
+def thrust_and_attitude(state, setpoint, airframe, gains, gravity):
+    """Outer-loop output: (total thrust N, desired roll, pitch, yaw rad).
+
+    The demanded acceleration is projected on the current body z axis for
+    thrust, and its direction is inverted at small angles for the tilt
+    setpoint, clamped to +-max_tilt.
+    """
+    yaw = setpoint.target_yaw
+    cos_y, sin_y, _, _ = heading(yaw)
+    return (*reference_thrust_and_attitude(
+        FLOATS, float(airframe.body.mass), gains, gravity, state.as_floats(),
+        setpoint.target_position.tolist(), cos_y, sin_y), yaw)
+
+
+# --- the controller's behaviour ----------------------------------------------
+
 def test_hover_at_target_commands_hover_speeds(reference_craft):
     state = level_state(z=5.0)
     setpoint = ds.Setpoint(ds.vec3(0.0, 0.0, 5.0))
@@ -29,8 +91,8 @@ def test_hover_at_target_commands_hover_speeds(reference_craft):
 def test_target_above_demands_more_than_hover_thrust(reference_craft):
     state = level_state(z=0.0)
     setpoint = ds.Setpoint(ds.vec3(0.0, 0.0, 10.0))
-    thrust, *_ = ds.thrust_and_attitude(state, setpoint, reference_craft,
-                                        ds.ControllerGains(), GRAVITY)
+    thrust, *_ = thrust_and_attitude(state, setpoint, reference_craft,
+                                     ds.ControllerGains(), GRAVITY)
     assert thrust > reference_craft.body.mass * GRAVITY
     commands = ds.compute_commands(state, setpoint, reference_craft,
                                    ds.ControllerGains(), GRAVITY, AIR_DENSITY)
@@ -41,14 +103,14 @@ def test_huge_lateral_error_clamps_tilt_exactly(reference_craft):
     gains = ds.ControllerGains()
     state = level_state()
     setpoint = ds.Setpoint(ds.vec3(1e6, 0.0, 0.0))
-    _, roll, pitch, _ = ds.thrust_and_attitude(state, setpoint, reference_craft,
-                                               gains, GRAVITY)
+    _, roll, pitch, _ = thrust_and_attitude(state, setpoint, reference_craft,
+                                            gains, GRAVITY)
     assert pitch == gains.max_tilt
     assert roll == 0.0
     # and the mirrored direction saturates the other way
     setpoint = ds.Setpoint(ds.vec3(0.0, 1e6, 0.0))
-    _, roll, pitch, _ = ds.thrust_and_attitude(state, setpoint, reference_craft,
-                                               gains, GRAVITY)
+    _, roll, pitch, _ = thrust_and_attitude(state, setpoint, reference_craft,
+                                            gains, GRAVITY)
     assert roll == -gains.max_tilt
     assert pitch == 0.0
 
@@ -120,50 +182,6 @@ def test_gains_validation():
 
 
 # --- command_speeds against the composed controller ---------------------------
-
-def reference_thrust_and_attitude(B, mass, gains, gravity, x, target, cos_y, sin_y):
-    # the outer loop: thrust and the desired roll and pitch
-    px, py, pz, vx, vy, vz, qw, qx, qy, qz = x[0:10]
-    kp, kd = gains.position_kp, gains.position_kd
-    ax = kp * (target[0] - px) - kd * vx
-    ay = kp * (target[1] - py) - kd * vy
-    az = kp * (target[2] - pz) - kd * vz + gravity
-
-    # a_des projected on the body z axis (third column of R(q))
-    along_z = (ax * (2.0 * (qx * qz + qy * qw))
-               + ay * (2.0 * (qy * qz - qx * qw))
-               + az * (1.0 - 2.0 * (qx * qx + qy * qy)))
-    thrust = mass * B.positive(along_z)
-
-    tilt_x, tilt_y = B.direction(ax, ay, B.sqrt(ax * ax + ay * ay + az * az))
-    pitch_des = B.clamp(tilt_x * cos_y + tilt_y * sin_y, gains.max_tilt)
-    roll_des = B.clamp(tilt_x * sin_y - tilt_y * cos_y, gains.max_tilt)
-    return thrust, roll_des, pitch_des
-
-
-def reference_command_speeds(c, gains, gravity, x, target, yaw_trig):
-    """The controller composed of its parts: outer loop, the attitude error
-    as a Hamilton product, then the allocation; :func:`command_speeds` must
-    give its bits."""
-    B = ROWS if isinstance(x, np.ndarray) else FLOATS
-    cos_y, sin_y, cos_half_yaw, sin_half_yaw = yaw_trig
-    thrust, roll_des, pitch_des = reference_thrust_and_attitude(
-        B, c.mass, gains, gravity, x, target, cos_y, sin_y)
-
-    half_roll, half_pitch = 0.5 * roll_des, 0.5 * pitch_des
-    qw, qx, qy, qz = x[6:10]
-    ew, ex, ey, ez = hamilton_product((qw, -qx, -qy, -qz), half_angle_quat(
-        B.cos(half_roll), B.sin(half_roll), B.cos(half_pitch), B.sin(half_pitch),
-        cos_half_yaw, sin_half_yaw))
-    ex, ey, ez = B.hemisphere(ew, ex, ey, ez)
-
-    kp, kd = gains.attitude_kp, gains.attitude_kd
-    ix, iy, iz = c.inertia
-    return allocate_speeds(c, thrust,
-                           ix * (kp * (2.0 * ex) - kd * x[10]),
-                           iy * (kp * (2.0 * ey) - kd * x[11]),
-                           iz * (kp * (2.0 * ez) - kd * x[12]))
-
 
 def controller_outcome(controller, c, gains, x, target, yaw_trig, caplog):
     """The speeds' bytes, or the raised error, with the log lines it wrote."""

@@ -22,15 +22,15 @@ def with_drag(craft, drag):
 
 
 def test_free_fall_acceleration(reference_craft, calm_env):
-    d_position, d_velocity, _, _ = ds.state_derivative(level_state(z=10.0), reference_craft,
-                                                       calm_env, STOPPED)
+    d_position, d_velocity, _, _ = state_derivative(level_state(z=10.0), reference_craft,
+                                                    calm_env, STOPPED)
     assert np.allclose(d_velocity, [0.0, 0.0, -GRAVITY], atol=1e-15)
     assert np.all(d_position == 0.0)
 
 
 def test_hover_acceleration_is_zero(reference_craft, calm_env):
-    _, d_velocity, _, _ = ds.state_derivative(level_state(z=5.0), reference_craft, calm_env,
-                                              [reference_hover_speed()] * 4)
+    _, d_velocity, _, _ = state_derivative(level_state(z=5.0), reference_craft, calm_env,
+                                           [reference_hover_speed()] * 4)
     assert np.max(np.abs(d_velocity)) < 1e-9
 
 
@@ -38,7 +38,7 @@ def test_gyroscopic_term_vanishes_on_principal_axis(reference_craft, calm_env):
     # omega parallel to a principal axis: omega x (I omega) = 0
     state = ds.DroneState(0.0, np.zeros(3), np.zeros(3), ds.quat_identity(),
                           ds.vec3(0.0, 0.0, 1.0))
-    *_, d_angular_velocity = ds.state_derivative(state, reference_craft, calm_env, STOPPED)
+    *_, d_angular_velocity = state_derivative(state, reference_craft, calm_env, STOPPED)
     assert np.all(d_angular_velocity == 0.0)
 
 
@@ -92,7 +92,7 @@ def test_constant_yaw_torque_spins_up_linearly(reference_craft, calm_env):
               for rotor in reference_craft.rotors]
 
     state = level_state(z=0.0)
-    *_, d_angular_velocity = ds.state_derivative(state, reference_craft, calm_env, speeds)
+    *_, d_angular_velocity = state_derivative(state, reference_craft, calm_env, speeds)
     izz = reference_craft.body.inertia_diagonal[2]
     assert d_angular_velocity[2] == pytest.approx(torque_z / izz, rel=1e-9)
 
@@ -195,6 +195,19 @@ def reference_rhs(c, gravity, wind, wrench, x):
             (tx - wy * wz * (iz - iy)) / ix,
             (ty - wz * wx * (ix - iz)) / iy,
             (tz - wx * wy * (iy - ix)) / iz]
+
+
+def state_derivative(state, airframe, env, speeds):
+    """The equations of motion at a state and rotor speeds, as
+    :func:`reference_rhs` evaluates them (which
+    ``test_rk4_step_gives_the_bits_of_list_built_substeps`` ties to
+    :func:`rk4_step` bit for bit): the time derivatives of position,
+    velocity, orientation and angular velocity."""
+    c = airframe_constants(airframe, env.air_density)
+    d = reference_rhs(c, float(env.gravity), env.wind_velocity.tolist(),
+                      rotor_wrench(c, ds.set_rotor_speeds(airframe, speeds)),
+                      state.as_floats())
+    return np.array(d[0:3]), np.array(d[3:6]), np.array(d[6:10]), np.array(d[10:13])
 
 
 def reference_rk4_step(c, env, speeds, x, dt, t_end):
