@@ -9,7 +9,7 @@ import pytest
 
 import dronesim as ds
 from dronesim.airframe import airframe_constants, allocate_speeds
-from dronesim.backend import FLOATS, ROWS
+from dronesim.backend import _NO_DIRECTION, FLOATS, ROWS
 from dronesim.control import command_speeds, heading
 from dronesim.frames import half_angle_quat, hamilton_product
 
@@ -195,7 +195,7 @@ def controller_outcome(controller, c, gains, x, target, yaw_trig, caplog):
     return result, [r.getMessage() for r in caplog.records]
 
 
-def controller_cases(seed, count):
+def controller_cases(seed, count, position_kp=2.0):
     """Tilted, spinning, moving states with targets and headings, some
     components +0.0 or -0.0, and edge cases of every branch: saturated
     rotors, a demand along body z that is not positive, a demanded
@@ -221,9 +221,11 @@ def controller_cases(seed, count):
         for i in rng.sample(range(3), rng.randrange(2)):
             target[i] = rng.choice((0.0, -0.0))
         cases.append((x, target, heading(yaw)))
-    # a demanded acceleration of zero: the target 4.905 m below at rest,
-    # 2.0 * -4.905 + 9.81 == 0.0, and a lateral error of 1e-12 m
-    still = [3.0, -2.0, 4.905, 0.0, -0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    # a demanded acceleration of zero: at rest, with the target g / kp below
+    # (kp a power of two, so kp * -(g / kp) + g == 0.0), and a lateral error
+    # of 1e-12 m
+    still = [3.0, -2.0, GRAVITY / position_kp, 0.0, -0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+             0.0, 0.0, 0.0]
     cases.append((still, [3.0, -2.0, 0.0], heading(0.0)))
     cases.append((still, [3.0 + 1e-12, -2.0, 0.0], heading(0.3)))
     cases.append((still[:6] + [0.0, 1.0, 0.0, 0.0] + still[10:], [3.0, -2.0, 0.0],
@@ -239,24 +241,43 @@ def controller_cases(seed, count):
     return cases
 
 
+def branches_taken(gains, x, target, yaw_trig):
+    """The branches of the controller that a case on floats takes."""
+    thrust, roll, pitch = reference_thrust_and_attitude(
+        FLOATS, 1.0, gains, GRAVITY, x, target, yaw_trig[0], yaw_trig[1])
+    kp, kd = gains.position_kp, gains.position_kd
+    a = [kp * (target[i] - x[i]) - kd * x[3 + i] for i in range(3)]
+    a[2] += GRAVITY
+    qw, qx, qy, qz = x[6:10]
+    ew = hamilton_product((qw, -qx, -qy, -qz), half_angle_quat(
+        math.cos(0.5 * roll), math.sin(0.5 * roll), math.cos(0.5 * pitch),
+        math.sin(0.5 * pitch), yaw_trig[2], yaw_trig[3]))[0]
+    zeros = {math.copysign(1.0, v) for v in x + list(target) if v == 0.0}
+    return {"no thrust": thrust == 0.0,
+            "no direction": math.sqrt(sum(v * v for v in a)) < _NO_DIRECTION,
+            "clamped tilt": gains.max_tilt in (abs(roll), abs(pitch)),
+            "ew < 0": ew < 0.0,
+            "+0.0 and -0.0": zeros == {1.0, -1.0}}
+
+
 GAINS = [ds.ControllerGains(),
-         ds.ControllerGains(position_kp=0.7, position_kd=0.0, attitude_kp=250.0,
-                            attitude_kd=0.5, max_tilt=1.2)]
+         ds.ControllerGains(position_kp=0.5, position_kd=0.0, attitude_kp=250.0,
+                            attitude_kd=0.5, max_tilt=0.3)]
 
 
 @pytest.mark.parametrize("gains", GAINS, ids=["default", "stiff"])
 @pytest.mark.parametrize("seed", [2, 29])
 def test_command_speeds_gives_the_bits_of_the_composed_controller(gains, seed, caplog):
     c = airframe_constants(build_reference_craft(), AIR_DENSITY)
-    cases = controller_cases(seed, 300)
-    branches = collections.Counter()
+    cases = controller_cases(seed, 300, gains.position_kp)
+    taken = collections.Counter()
     for x, target, yaw_trig in cases:
         expected = controller_outcome(reference_command_speeds, c, gains, x, target,
                                       yaw_trig, caplog)
         assert controller_outcome(command_speeds, c, gains, x, target, yaw_trig,
                                   caplog) == expected
-        branches["saturated"] += bool(expected[1])
-        branches["ew < 0"] += _attitude_error_scalar(gains, x, target, yaw_trig) < 0.0
+        taken.update({"saturated": bool(expected[1]),
+                      **branches_taken(gains, x, target, yaw_trig)})
     # every case as one column of a (13, n) block
     block = np.array([x for x, _, _ in cases]).T.copy()
     targets = np.array([t for _, t, _ in cases]).T.copy()
@@ -264,18 +285,10 @@ def test_command_speeds_gives_the_bits_of_the_composed_controller(gains, seed, c
     assert controller_outcome(command_speeds, c, gains, block, targets, headings, caplog) == \
         controller_outcome(reference_command_speeds, c, gains, block, targets, headings,
                            caplog)
-    # the seeded cases reach both sides of the branches
-    assert branches["saturated"] > 10 and branches["ew < 0"] > 10
-
-
-def _attitude_error_scalar(gains, x, target, yaw_trig):
-    # ew, the scalar part of the attitude error the reference computes
-    thrust, roll, pitch = reference_thrust_and_attitude(
-        FLOATS, 1.0, gains, GRAVITY, x, target, yaw_trig[0], yaw_trig[1])
-    qw, qx, qy, qz = x[6:10]
-    return hamilton_product((qw, -qx, -qy, -qz), half_angle_quat(
-        math.cos(0.5 * roll), math.sin(0.5 * roll), math.cos(0.5 * pitch),
-        math.sin(0.5 * pitch), yaw_trig[2], yaw_trig[3]))[0]
+    # the cases take every branch, and its other side
+    assert all(0 < taken[branch] < len(cases) for branch in (
+        "saturated", "no thrust", "no direction", "clamped tilt", "ew < 0", "+0.0 and -0.0")), \
+        taken
 
 
 def test_command_speeds_raises_on_a_rank_deficient_layout_as_the_reference(caplog):
