@@ -35,6 +35,8 @@ CALLS = {
     ds.hover_speed: dict(airframe=CRAFT, gravity=10.0, air_density=1.0),
     ds.compute_commands: dict(state=STATE, setpoint=SETPOINT, airframe=CRAFT,
                               gains=ds.ControllerGains(), gravity=10.0, air_density=1.0),
+    ds.ControllerGains: dict(position_kp=2.0, position_kd=3.0, attitude_kp=60.0,
+                             attitude_kd=15.0, max_tilt=1.0, capture_radius=1.0),
     ds.step: dict(state=STATE, airframe=CRAFT,
                   env=ds.EnvironmentSample(10.0, 1.0, np.zeros(3)), dt=1.0,
                   speeds=[400.0, 410.0, 420.0, 430.0]),
@@ -45,6 +47,7 @@ CALLS = {
     ds.DroneState: dict(t=2.0, position=[0.0, 0.0, 5.0]),
     ds.Setpoint: dict(target_position=[1.0, 2.0, 6.0], target_yaw=1.0),
     ds.InertialFrame: dict(latitude_deg=47.0, longitude_deg=8.0, altitude_m=400.0),
+    ds.Physics: dict(gravity=10.0, air_density=1.0),
     ds.EnvironmentSample: dict(gravity=10.0, air_density=1.0, wind_velocity=[1.0, 0.0, 0.0]),
 }
 
@@ -52,6 +55,7 @@ NAN, INF = math.nan, math.inf
 FINITE = [NAN, INF, -INF]
 NON_NEGATIVE = FINITE + [-1.0]
 POSITIVE = NON_NEGATIVE + [0.0]
+TILT = POSITIVE + [math.pi / 2.0]
 
 # the scalar arguments each callable checks, and the values its rule rejects
 CHECKED = [
@@ -64,6 +68,10 @@ CHECKED = [
     (ds.hover_speed, "air_density", POSITIVE),
     (ds.compute_commands, "gravity", POSITIVE),
     (ds.compute_commands, "air_density", POSITIVE),
+    *[(ds.ControllerGains, gain, NON_NEGATIVE)
+      for gain in ("position_kp", "position_kd", "attitude_kp", "attitude_kd")],
+    (ds.ControllerGains, "max_tilt", TILT),
+    (ds.ControllerGains, "capture_radius", POSITIVE),
     (ds.step, "dt", POSITIVE),
     (ds.integrate_orientation, "dt", POSITIVE),
     (ds.quat_from_axis_angle, "angle", FINITE),
@@ -74,6 +82,8 @@ CHECKED = [
     (ds.DroneState, "t", FINITE),
     (ds.Setpoint, "target_yaw", FINITE),
     (ds.InertialFrame, "altitude_m", FINITE),
+    (ds.Physics, "gravity", POSITIVE),
+    (ds.Physics, "air_density", POSITIVE),
     (ds.EnvironmentSample, "gravity", POSITIVE),
     (ds.EnvironmentSample, "air_density", POSITIVE),
 ]
