@@ -7,50 +7,42 @@ world scenario, and exports geo-referenced results with error metrics.
 """
 
 from .airframe import (Airframe, Body, ConfigurationError, Rotor, allocate,
-                       allocation_matrix, hover_speed, net_wrench, rotor_thrust,
-                       set_rotor_speeds)
+                       hover_speed, net_wrench, rotor_thrust, set_rotor_speeds)
 from .control import ControllerGains, Setpoint, compute_commands, waypoint_reached
 from .dynamics import DivergenceError, DroneState, step
 from .export import export_csv, export_geojson, load_csv
 from .frames import (EARTH_RADIUS_M, FieldError, InertialFrame, geo_project,
                      geo_unproject, integrate_orientation, quat_from_axis_angle,
-                     quat_from_euler, quat_identity, quat_inverse,
-                     quat_multiply, quat_normalize, quat_to_matrix, rotate,
-                     vec3)
+                     quat_from_euler, quat_identity, quat_multiply,
+                     quat_normalize, rotate, vec3)
 from .metrics import MetricsReport, compute_rmse
 from .routing import (InstanceTooLargeError, Mission, RoutePlan, Waypoint,
                       brute_force_optimize, optimize, route_length)
 from .scenario import (Box, EnvironmentSample, FlyingConditions, Physics,
-                       Scenario, point_in_box, point_in_obstacle,
-                       sample_environment, segment_hits_box,
-                       segment_hits_obstacle)
+                       Scenario, sample_environment, segment_hits_box)
 from .scenario_io import (ScenarioError, ScenarioInvariantError,
                           ScenarioParseError, ScenarioSchemaError,
                           bundled_scenario_path, load_scenario, save_scenario,
                           scenario_from_dict, scenario_to_dict)
-from .swarm import (SimEvent, Swarm, Trajectory, Drone, check_interactions,
-                    simulate)
+from .swarm import SimEvent, Swarm, Trajectory, Drone, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Airframe", "Body", "Box", "ConfigurationError", "ControllerGains",
-    "DivergenceError", "Drone",
-    "DroneState", "EARTH_RADIUS_M", "EnvironmentSample", "FieldError",
-    "FlyingConditions",
-    "InertialFrame", "InstanceTooLargeError", "MetricsReport", "Mission",
-    "Physics", "RoutePlan", "Rotor", "Scenario", "ScenarioError",
+    "DivergenceError", "Drone", "DroneState", "EARTH_RADIUS_M",
+    "EnvironmentSample", "FieldError", "FlyingConditions", "InertialFrame",
+    "InstanceTooLargeError", "MetricsReport", "Mission", "Physics",
+    "RoutePlan", "Rotor", "Scenario", "ScenarioError",
     "ScenarioInvariantError", "ScenarioParseError", "ScenarioSchemaError",
     "Setpoint", "SimEvent", "Swarm", "Trajectory", "Waypoint", "allocate",
-    "allocation_matrix", "brute_force_optimize", "bundled_scenario_path",
-    "check_interactions", "compute_commands", "compute_rmse", "export_csv",
-    "export_geojson", "geo_project", "geo_unproject", "hover_speed",
-    "integrate_orientation", "load_csv", "load_scenario", "net_wrench",
-    "optimize", "point_in_box", "point_in_obstacle", "quat_from_axis_angle",
-    "quat_from_euler",
-    "quat_identity", "quat_inverse", "quat_multiply", "quat_normalize",
-    "quat_to_matrix", "rotate", "rotor_thrust", "route_length",
-    "sample_environment", "save_scenario", "scenario_from_dict",
-    "scenario_to_dict", "segment_hits_box", "segment_hits_obstacle",
-    "set_rotor_speeds", "simulate", "step", "vec3", "waypoint_reached",
+    "brute_force_optimize", "bundled_scenario_path", "compute_commands",
+    "compute_rmse", "export_csv", "export_geojson", "geo_project",
+    "geo_unproject", "hover_speed", "integrate_orientation", "load_csv",
+    "load_scenario", "net_wrench", "optimize", "quat_from_axis_angle",
+    "quat_from_euler", "quat_identity", "quat_multiply", "quat_normalize",
+    "rotate", "rotor_thrust", "route_length", "sample_environment",
+    "save_scenario", "scenario_from_dict", "scenario_to_dict",
+    "segment_hits_box", "set_rotor_speeds", "simulate", "step", "vec3",
+    "waypoint_reached",
 ]

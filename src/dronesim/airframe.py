@@ -235,7 +235,7 @@ def allocate_speeds(constants: AirframeConstants, thrust, torque_x, torque_y,
         s_squared.append(a * thrust + b * torque_x + c * torque_y + d * torque_z)
     B = ROWS if isinstance(thrust, ndarray) else FLOATS
     speeds, saturated = B.rotor_speeds(s_squared, constants.max_speeds)
-    if saturated:
+    if saturated and log.isEnabledFor(logging.DEBUG):
         for demand, clamped in B.columns(saturated, [thrust, torque_x, torque_y, torque_z],
                                          speeds):
             log.debug("rotor saturation: demand %s clamped to %s", demand, clamped)
@@ -247,11 +247,6 @@ def net_wrench(airframe: Airframe, air_density: float, speeds) -> tuple[np.ndarr
     fz, tx, ty, tz = rotor_wrench(airframe_constants(airframe, air_density),
                                   set_rotor_speeds(airframe, speeds))
     return np.array([0.0, 0.0, fz]), np.array([tx, ty, tz])
-
-
-def allocation_matrix(airframe: Airframe, air_density: float) -> np.ndarray:
-    """4 x n map from squared rotor speeds to (thrust, torque x/y/z)."""
-    return _allocation_rows(airframe_constants(airframe, air_density).rotors)
 
 
 def allocate(airframe: Airframe, desired_thrust: float, desired_torque,

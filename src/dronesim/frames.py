@@ -137,12 +137,6 @@ def quat_normalize(q) -> np.ndarray:
     return q / n
 
 
-def quat_inverse(q) -> np.ndarray:
-    """Inverse rotation; for the unit quaternions used here, the conjugate."""
-    w, x, y, z = quat_normalize(q)
-    return np.array([w, -x, -y, -z])
-
-
 def quat_multiply(q1, q2) -> np.ndarray:
     """Hamilton product q1 ⊗ q2 (apply q2 first, then q1)."""
     return np.array(hamilton_product(q1, q2))
@@ -190,19 +184,6 @@ def half_angle_quat(cr, sr, cp, sp, cy, sy) -> tuple:
             cy * cp * sr - sy * sp * cr,
             cy * sp * cr + sy * cp * sr,
             sy * cp * cr - cy * sp * sr)
-
-
-def quat_to_matrix(q) -> np.ndarray:
-    """3x3 rotation matrix mapping body vectors into the world frame."""
-    w, x, y, z = quat_normalize(q)
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    return np.array([
-        [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-        [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-        [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-    ])
 
 
 def rotate(q, v) -> np.ndarray:

@@ -143,15 +143,6 @@ def inside_any(bounds, x: float, y: float, z: float) -> bool:
     return False
 
 
-def point_in_box(box: Box, p) -> bool:
-    return inside_any((box_bounds(box),), *as_vec3(p, "point").tolist())
-
-
-def point_in_obstacle(conditions: FlyingConditions, p) -> bool:
-    """True iff p lies inside (inclusive) any obstacle box."""
-    return inside_any(map(box_bounds, conditions.obstacles), *as_vec3(p, "point").tolist())
-
-
 def segment_hits_box(box: Box, a, b) -> bool:
     """Slab test for segment [a, b] against one box, inclusive boundaries.
 
@@ -178,8 +169,3 @@ def segment_hits_box(box: Box, a, b) -> bool:
             if t_enter > t_exit:
                 return False
     return True
-
-
-def segment_hits_obstacle(conditions: FlyingConditions, a, b) -> bool:
-    """True iff the segment from a to b touches any obstacle box."""
-    return any(segment_hits_box(box, a, b) for box in conditions.obstacles)

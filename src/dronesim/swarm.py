@@ -65,8 +65,8 @@ from .control import (ControllerGains, Setpoint, command_speeds,  # noqa: F401
                       compute_commands, heading, within_capture)
 from .dynamics import DivergenceError, DroneState, check_unit_orientation, rk4_step
 from .frames import FieldError, check_unique_ids, non_negative
-from .scenario import (FlyingConditions, Scenario, box_bounds, check_recording_interval,
-                       inside_any, sample_environment)
+from .scenario import (Scenario, box_bounds, check_recording_interval, inside_any,
+                       sample_environment)
 
 WAYPOINT_REACHED = "waypoint_reached"
 SEPARATION_VIOLATION = "separation_violation"
@@ -296,28 +296,6 @@ def _violation_event(violation: tuple, ids: list[str], positions, min_separation
         "min_separation_m": min_separation,
         "position": [0.5 * (ax + bx), 0.5 * (ay + by), 0.5 * (az + bz)],
     })
-
-
-def check_interactions(swarm: Swarm, conditions: FlyingConditions,
-                       t: float) -> list[SimEvent]:
-    """Instantaneous pairwise-separation and obstacle checks at time t.
-
-    Returns one separation_violation per unordered pair closer than
-    min_separation, in the order of the pair's drone indices (i, j), then
-    one obstacle_collision per drone inside a box, in drone order. The
-    positions form one (3, N) array; candidate pairs come from cell lists
-    of a uniform grid of columns a hair wider than min_separation, built
-    by sorting the drones' column keys, so the cost grows with the number
-    of drones and of close neighbours rather than with all
-    N * (N - 1) / 2 pairs; the events are the same as from testing every
-    pair. This reports every violation at t; :func:`simulate` reports
-    only those that were not already in violation a tick earlier.
-    """
-    ids = [d.id for d in swarm.drones]
-    positions = np.array([d.state.position for d in swarm.drones], dtype=float).T
-    boxes = [box_bounds(b) for b in conditions.obstacles]
-    return [_violation_event(v, ids, positions, swarm.min_separation, t)
-            for v in _instant_violations(positions, swarm.min_separation, boxes)]
 
 
 # Groups of at least this many drones with one airframe and one set of

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import dronesim as ds
+from dronesim import swarm as swarm_module
+from dronesim.scenario import box_bounds
 
 AIR_DENSITY = 1.225
 GRAVITY = 9.81
@@ -50,6 +52,15 @@ def calm_environment() -> ds.EnvironmentSample:
 def level_state(x=0.0, y=0.0, z=0.0, t=0.0) -> ds.DroneState:
     return ds.DroneState(t=t, position=ds.vec3(x, y, z), velocity=np.zeros(3),
                          orientation=ds.quat_identity(), angular_velocity=np.zeros(3))
+
+
+def grid_violations(ids, positions, min_separation, conditions, t) -> list[ds.SimEvent]:
+    """Every separation and obstacle violation at time t, as the events
+    ``simulate`` builds; positions as a (3, N) array or one 3-float
+    sequence per drone."""
+    boxes = [box_bounds(b) for b in conditions.obstacles]
+    return [swarm_module._violation_event(v, ids, positions, min_separation, t)
+            for v in swarm_module._instant_violations(positions, min_separation, boxes)]
 
 
 @pytest.fixture

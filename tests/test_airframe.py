@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import logging
 import math
 import pickle
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 import dronesim as ds
 import dronesim.airframe as dronesim_airframe
-from dronesim.airframe import airframe_constants, allocate_speeds, rotor_wrench
+from dronesim.airframe import (_allocation_rows, airframe_constants, allocate_speeds,
+                               rotor_wrench)
+from dronesim.backend import FLOATS, ROWS
 
 from conftest import (AIR_DENSITY, GRAVITY, LUMPED_THRUST_CONSTANT,
                       build_reference_craft, reference_hover_speed)
@@ -108,6 +111,30 @@ def test_allocate_saturates_silently(reference_craft):
     assert np.all(speeds == 1000.0)
 
 
+def test_saturation_lines_are_built_only_when_debug_is_on(reference_craft, monkeypatch, caplog):
+    # every rotor of every drone clamps at its ceiling
+    constants = airframe_constants(reference_craft, AIR_DENSITY)
+    rng = np.random.default_rng(3)
+    block = [np.full(200, 1e6), *rng.uniform(-0.1, 0.1, (3, 200))]
+    alone = [1e6, 0.01, 0.0, -0.01]
+
+    def speeds():
+        return [np.array(allocate_speeds(constants, *demand)).tobytes()
+                for demand in (block, alone)]
+
+    with caplog.at_level(logging.DEBUG, logger="dronesim.airframe"):
+        logged = speeds()
+    assert len(caplog.records) == 201
+
+    def raise_if_called(*args):
+        raise AssertionError("debug lines built with debug logging off")
+
+    monkeypatch.setattr(ROWS, "columns", staticmethod(raise_if_called))
+    monkeypatch.setattr(FLOATS, "columns", staticmethod(raise_if_called))
+    assert not dronesim_airframe.log.isEnabledFor(logging.DEBUG)
+    assert speeds() == logged
+
+
 def test_allocate_rejects_negative_thrust(reference_craft):
     with pytest.raises(ValueError):
         ds.allocate(reference_craft, -1.0, np.zeros(3), AIR_DENSITY)
@@ -159,7 +186,7 @@ def test_allocation_matrix_maps_squared_speeds_to_the_wrench():
                          torque_coefficient=float(rng.uniform(1e-7, 5e-6)),
                          max_speed=1200.0) for i in range(6)])
     for craft in (build_reference_craft(), hexa):
-        matrix = ds.allocation_matrix(craft, AIR_DENSITY)
+        matrix = _allocation_rows(airframe_constants(craft, AIR_DENSITY).rotors)
         for _ in range(100):
             speeds = rng.uniform(0.0, 1000.0, len(craft.rotors))
             force, torque = ds.net_wrench(craft, AIR_DENSITY, speeds)
@@ -324,7 +351,7 @@ def airframes(draw):
 @given(airframes(), st.data())
 def test_allocation_realizes_every_reachable_wrench(craft, data):
     constants = airframe_constants(craft, AIR_DENSITY)
-    matrix = ds.allocation_matrix(craft, AIR_DENSITY)
+    matrix = _allocation_rows(constants.rotors)
     rank = np.linalg.matrix_rank(matrix)
     assert rank < 4 or len(craft.rotors) > 3
     if rank < 4:

@@ -28,7 +28,6 @@ SCENARIO = ds.Scenario(ds.Physics(), ds.FlyingConditions(), ds.InertialFrame(47.
 # that an int can stand for it
 CALLS = {
     ds.rotor_thrust: dict(rotor=CRAFT.rotors[0], air_density=1.0, speed=400.0),
-    ds.allocation_matrix: dict(airframe=CRAFT, air_density=1.0),
     ds.net_wrench: dict(airframe=CRAFT, air_density=1.0, speeds=[400.0, 410.0, 420.0, 430.0]),
     ds.allocate: dict(airframe=CRAFT, desired_thrust=10.0, desired_torque=[0.01, 0.0, -0.01],
                       air_density=1.0),
@@ -60,7 +59,6 @@ TILT = POSITIVE + [math.pi / 2.0]
 # the scalar arguments each callable checks, and the values its rule rejects
 CHECKED = [
     (ds.rotor_thrust, "air_density", POSITIVE),
-    (ds.allocation_matrix, "air_density", POSITIVE),
     (ds.net_wrench, "air_density", POSITIVE),
     (ds.allocate, "desired_thrust", NON_NEGATIVE),
     (ds.allocate, "air_density", POSITIVE),

@@ -39,7 +39,7 @@ import dronesim as ds
 from dronesim import swarm as swarm_module
 from dronesim.cli import routes_from_plan
 
-from conftest import build_reference_craft, level_state
+from conftest import build_reference_craft, grid_violations, level_state
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import crossing_document  # noqa: E402
@@ -68,12 +68,6 @@ def reference_instant_violations(ids, positions, min_separation, conditions, t):
                 "position": list(pos),
             }))
     return events
-
-
-def grid_violations(ids, positions, min_separation, conditions, t):
-    boxes = [ds.scenario.box_bounds(b) for b in conditions.obstacles]
-    return [swarm_module._violation_event(v, ids, positions, min_separation, t)
-            for v in swarm_module._instant_violations(positions, min_separation, boxes)]
 
 
 def as_lists(positions):
@@ -419,22 +413,18 @@ def test_clustered_swarm_sizes_straddle_the_all_pairs_cutoff():
 # --- float edge cases of the hash ---------------------------------------------
 
 def assert_checks_match(positions, min_separation, expected_pairs):
-    swarm = ds.Swarm([ds.Drone(id=f"d{i}", airframe=build_reference_craft(),
-                               state=level_state(*p)) for i, p in enumerate(positions)],
-                     min_separation=min_separation)
-    ids = [d.id for d in swarm.drones]
-    reference = reference_instant_violations(
-        ids, [list(map(float, p)) for p in positions], min_separation,
-        ds.FlyingConditions(), 0.0)
+    ids, conditions = [f"d{i}" for i in range(len(positions))], ds.FlyingConditions()
+    lists = [list(map(float, p)) for p in positions]
+    reference = reference_instant_violations(ids, lists, min_separation, conditions, 0.0)
     assert [e.drone_ids for e in reference] == expected_pairs
-    assert ds.check_interactions(swarm, ds.FlyingConditions(), 0.0) == reference
+    array = np.array(lists).T.copy()
+    for checked in (lists, array):
+        assert grid_violations(ids, checked, min_separation, conditions, 0.0) == reference
     # the same (3, N) array through the sorted grid, which a few drones
     # would otherwise not reach
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(swarm_module, "_GRID_MIN", 2)
-        assert ds.check_interactions(swarm, ds.FlyingConditions(), 0.0) == reference
-        array = np.array(positions, dtype=float).T.copy()
-        assert grid_violations(ids, array, min_separation, ds.FlyingConditions(), 0.0) == reference
+        assert grid_violations(ids, array, min_separation, conditions, 0.0) == reference
 
 
 def test_pair_whose_quotients_round_apart_is_reported():

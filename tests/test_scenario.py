@@ -41,33 +41,39 @@ def unit_box():
     return ds.Box(ds.vec3(0, 0, 0), ds.vec3(1, 1, 1))
 
 
+def hits_obstacle(conditions, a, b):
+    # the segment [a, b] touches a box of the conditions
+    return any(ds.segment_hits_box(box, a, b) for box in conditions.obstacles)
+
+
 def test_point_in_obstacle():
+    # a degenerate segment is the inclusive point test
     conditions = ds.FlyingConditions(obstacles=[unit_box()])
-    assert ds.point_in_obstacle(conditions, ds.vec3(0.5, 0.5, 0.5))
-    assert not ds.point_in_obstacle(conditions, ds.vec3(2.0, 0.0, 0.0))
-    assert ds.point_in_obstacle(conditions, ds.vec3(1.0, 1.0, 1.0))  # inclusive
+    for p, inside in [((0.5, 0.5, 0.5), True), ((2.0, 0.0, 0.0), False),
+                      ((1.0, 1.0, 1.0), True)]:  # inclusive
+        assert hits_obstacle(conditions, ds.vec3(*p), ds.vec3(*p)) == inside
 
 
 def test_point_in_obstacle_empty_conditions():
-    assert not ds.point_in_obstacle(ds.FlyingConditions(), ds.vec3(0, 0, 0))
+    assert not hits_obstacle(ds.FlyingConditions(), ds.vec3(0, 0, 0), ds.vec3(0, 0, 0))
 
 
 def test_segment_through_box():
     conditions = ds.FlyingConditions(obstacles=[unit_box()])
-    assert ds.segment_hits_obstacle(conditions, ds.vec3(-1, 0.5, 0.5), ds.vec3(2, 0.5, 0.5))
+    assert hits_obstacle(conditions, ds.vec3(-1, 0.5, 0.5), ds.vec3(2, 0.5, 0.5))
 
 
 def test_segment_disjoint_from_box():
     conditions = ds.FlyingConditions(obstacles=[unit_box()])
-    assert not ds.segment_hits_obstacle(conditions, ds.vec3(-1, 5, 5), ds.vec3(2, 5, 5))
+    assert not hits_obstacle(conditions, ds.vec3(-1, 5, 5), ds.vec3(2, 5, 5))
 
 
 def test_degenerate_segment_reduces_to_point_test():
     conditions = ds.FlyingConditions(obstacles=[unit_box()])
     inside = ds.vec3(0.5, 0.5, 0.5)
-    assert ds.segment_hits_obstacle(conditions, inside, inside)
+    assert hits_obstacle(conditions, inside, inside)
     outside = ds.vec3(3.0, 3.0, 3.0)
-    assert not ds.segment_hits_obstacle(conditions, outside, outside)
+    assert not hits_obstacle(conditions, outside, outside)
 
 
 def test_segment_touching_face_counts():
@@ -88,8 +94,9 @@ def test_segment_agrees_with_dense_point_sampling():
         box = ds.Box(lo, lo + rng.uniform(0.5, 4.0, 3))
         a = rng.uniform(-8, 8, 3)
         b = rng.uniform(-8, 8, 3)
-        sampled = any(
-            ds.point_in_box(box, a + (b - a) * (i / 999.0)) for i in range(1000))
+        points = a + (b - a) * (np.arange(1000)[:, np.newaxis] / 999.0)
+        inside = (box.min_corner <= points) & (points <= box.max_corner)
+        sampled = bool(inside.all(axis=1).any())
         slab = ds.segment_hits_box(box, a, b)
         if sampled:
             assert slab  # a sampled interior point is proof of intersection

@@ -8,7 +8,7 @@ import dronesim as ds
 import dronesim.airframe as dronesim_airframe
 from dronesim.cli import routes_from_plan
 
-from conftest import build_reference_craft, level_state
+from conftest import build_reference_craft, grid_violations, level_state
 
 
 def calm_scenario(dt=0.002, max_duration=10.0):
@@ -29,18 +29,25 @@ def events_of(trajectory, kind):
     return [e for e in trajectory.events if e.kind == kind]
 
 
-# --- check_interactions -----------------------------------------------------
+def instant_events(swarm, conditions, t):
+    # every violation among the drones' states at t
+    positions = np.array([d.state.position for d in swarm.drones]).T
+    return grid_violations([d.id for d in swarm.drones], positions, swarm.min_separation,
+                           conditions, t)
+
+
+# --- interaction checks -----------------------------------------------------
 
 def test_far_apart_drones_raise_no_events():
     swarm = ds.Swarm([make_drone("a", (0, 0, 5)), make_drone("b", (10, 0, 5))],
                      min_separation=2.0)
-    assert ds.check_interactions(swarm, ds.FlyingConditions(), 0.0) == []
+    assert instant_events(swarm, ds.FlyingConditions(), 0.0) == []
 
 
 def test_close_pair_emits_one_violation_naming_both():
     swarm = ds.Swarm([make_drone("a", (0, 0, 5)), make_drone("b", (1, 0, 5))],
                      min_separation=2.0)
-    events = ds.check_interactions(swarm, ds.FlyingConditions(), 3.0)
+    events = instant_events(swarm, ds.FlyingConditions(), 3.0)
     assert len(events) == 1
     event = events[0]
     assert event.kind == "separation_violation"
@@ -52,7 +59,7 @@ def test_close_pair_emits_one_violation_naming_both():
 def test_three_coincident_drones_give_three_pairs():
     swarm = ds.Swarm([make_drone(n, (0, 0, 5)) for n in ("a", "b", "c")],
                      min_separation=2.0)
-    events = ds.check_interactions(swarm, ds.FlyingConditions(), 0.0)
+    events = instant_events(swarm, ds.FlyingConditions(), 0.0)
     pairs = {e.drone_ids for e in events}
     assert pairs == {("a", "b"), ("a", "c"), ("b", "c")}
 
@@ -60,7 +67,7 @@ def test_three_coincident_drones_give_three_pairs():
 def test_drone_inside_obstacle_is_reported():
     box = ds.Box(ds.vec3(-1, -1, 4), ds.vec3(1, 1, 6))
     swarm = ds.Swarm([make_drone("a", (0, 0, 5))], min_separation=2.0)
-    events = ds.check_interactions(swarm, ds.FlyingConditions(obstacles=[box]), 0.0)
+    events = instant_events(swarm, ds.FlyingConditions(obstacles=[box]), 0.0)
     assert [e.kind for e in events] == ["obstacle_collision"]
     assert events[0].drone_ids == ("a",)
 
