@@ -4,7 +4,9 @@ One table row per (callable, argument, rule): the callable, given good
 arguments with one of them replaced by a bad value, must raise a
 FieldError whose ``field`` names that argument. Given np.float64 or int
 in place of the checked floats, each callable must return the bits it
-returns for the floats.
+returns for the floats. ``airframe_constants`` is not public, but it
+builds the allocation rows the public airframe functions share, so it
+is checked here too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import dronesim as ds
+from dronesim.airframe import airframe_constants
 
 from conftest import build_reference_craft, level_state
 
@@ -28,6 +31,7 @@ SCENARIO = ds.Scenario(ds.Physics(), ds.FlyingConditions(), ds.InertialFrame(47.
 # that an int can stand for it
 CALLS = {
     ds.rotor_thrust: dict(rotor=CRAFT.rotors[0], air_density=1.0, speed=400.0),
+    airframe_constants: dict(airframe=CRAFT, air_density=1.0),
     ds.net_wrench: dict(airframe=CRAFT, air_density=1.0, speeds=[400.0, 410.0, 420.0, 430.0]),
     ds.allocate: dict(airframe=CRAFT, desired_thrust=10.0, desired_torque=[0.01, 0.0, -0.01],
                       air_density=1.0),
@@ -59,6 +63,7 @@ TILT = POSITIVE + [math.pi / 2.0]
 # the scalar arguments each callable checks, and the values its rule rejects
 CHECKED = [
     (ds.rotor_thrust, "air_density", POSITIVE),
+    (airframe_constants, "air_density", POSITIVE),
     (ds.net_wrench, "air_density", POSITIVE),
     (ds.allocate, "desired_thrust", NON_NEGATIVE),
     (ds.allocate, "air_density", POSITIVE),
