@@ -75,9 +75,6 @@ GROUND_CONTACT = "ground_contact"
 MISSION_COMPLETE = "mission_complete"
 DIVERGENCE = "divergence"
 
-EVENT_KINDS = (WAYPOINT_REACHED, SEPARATION_VIOLATION, OBSTACLE_COLLISION,
-               GROUND_CONTACT, MISSION_COMPLETE, DIVERGENCE)
-
 DEFAULT_MIN_SEPARATION = 2.0
 
 

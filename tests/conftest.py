@@ -10,14 +10,21 @@ sqrt(m g / (4 k)) ~ 495.23 rad/s.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dronesim as ds
 from dronesim import swarm as swarm_module
+from dronesim.cli import routes_from_plan
 from dronesim.scenario import box_bounds
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import crossing_document  # noqa: E402
 
 AIR_DENSITY = 1.225
 GRAVITY = 9.81
@@ -61,6 +68,34 @@ def grid_violations(ids, positions, min_separation, conditions, t) -> list[ds.Si
     boxes = [box_bounds(b) for b in conditions.obstacles]
     return [swarm_module._violation_event(v, ids, positions, min_separation, t)
             for v in swarm_module._instant_violations(positions, min_separation, boxes)]
+
+
+def heavier_craft() -> ds.Airframe:
+    return dataclasses.replace(build_reference_craft(), body=ds.Body(
+        mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025)))
+
+
+def flat(trajectory):
+    return {drone_id: [(s.t, s.as_floats()) for s in states]
+            for drone_id, states in trajectory.samples.items()}
+
+
+def scenario_of(ticks, obstacles=(), dt=0.01):
+    return ds.Scenario(physics=ds.Physics(),
+                       conditions=ds.FlyingConditions(obstacles=list(obstacles)),
+                       inertial_frame=ds.InertialFrame(41.1, 16.9, 10.0),
+                       reference_time_step=dt, max_duration=ticks * dt,
+                       recording_interval=3 * dt)
+
+
+def crossing(pairs, seed):
+    document, designed = crossing_document(seed, pairs=pairs)
+    swarm, scenario, mission = ds.scenario_from_dict(document)
+    # each drone flies to its own goal, as in the benchmark
+    plan = ds.RoutePlan(routes=[[f"{d.id}-goal"] for d in swarm.drones],
+                        lengths=[0.0] * len(swarm.drones), total_length=0.0, feasible=True)
+    routes_from_plan(swarm, mission, plan)
+    return swarm, scenario, designed
 
 
 @pytest.fixture

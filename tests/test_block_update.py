@@ -21,8 +21,6 @@ import dataclasses
 import itertools
 import logging
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,15 +32,8 @@ from dronesim import swarm as swarm_module
 from dronesim.backend import FLOATS, ROWS, DivergenceError
 from dronesim.cli import routes_from_plan
 
-from conftest import build_reference_craft, level_state
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import crossing_document  # noqa: E402
-
-
-def flat(trajectory):
-    return {drone_id: [(s.t, s.as_floats()) for s in states]
-            for drone_id, states in trajectory.samples.items()}
+from conftest import (build_reference_craft, crossing, flat, heavier_craft, level_state,
+                      scenario_of)
 
 
 def run_with_threshold(swarm, scenario, threshold):
@@ -60,28 +51,6 @@ def assert_paths_agree(swarm, scenario, *thresholds):
         assert other.events == alone.events
         assert flat(other) == flat(alone)
     return alone.events
-
-
-def scenario_of(ticks, dt=0.01, obstacles=()):
-    return ds.Scenario(physics=ds.Physics(),
-                       conditions=ds.FlyingConditions(obstacles=list(obstacles)),
-                       inertial_frame=ds.InertialFrame(41.1, 16.9, 10.0),
-                       reference_time_step=dt, max_duration=ticks * dt,
-                       recording_interval=3 * dt)
-
-
-def crossing(pairs, seed):
-    document, designed = crossing_document(seed, pairs=pairs)
-    swarm, scenario, mission = ds.scenario_from_dict(document)
-    plan = ds.RoutePlan(routes=[[f"{d.id}-goal"] for d in swarm.drones],
-                        lengths=[0.0] * len(swarm.drones), total_length=0.0, feasible=True)
-    routes_from_plan(swarm, mission, plan)
-    return swarm, scenario, designed
-
-
-def heavier_craft():
-    return dataclasses.replace(build_reference_craft(), body=ds.Body(
-        mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025)))
 
 
 # --- whole runs ---------------------------------------------------------------

@@ -115,6 +115,23 @@ def test_plan_route_oracle_guard_is_invalid_input(tmp_path, capsys):
     assert "exhaustive search" in capsys.readouterr().err
 
 
+def test_simulate_flies_an_infeasible_plan_and_names_each_violation(tmp_path, capsys):
+    data = json.loads(ds.bundled_scenario_path("square_route.json").read_text())
+    data["mission"]["max_route_length"] = 1.0
+    data["simulation"]["max_duration"] = 1.0
+    scenario = tmp_path / "over_budget.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "track.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                 "--format", "csv"]) == 0
+    assert out.read_text().startswith("drone_id,t,")
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "warning: route plan is infeasible, flying it anyway:"
+    plan = ds.optimize(ds.load_scenario(scenario)[2])
+    assert err[1:] == [f"  - {violation}" for violation in plan.violations]
+    assert len(plan.violations) == 1
+
+
 def test_parallel_flag_is_a_usage_error_and_a_plain_run_is_silent(tmp_path, capsys):
     args = ["simulate", "--scenario", fixture("hover.json"),
             "--out", str(tmp_path / "hover.csv"), "--format", "csv"]

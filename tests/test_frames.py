@@ -85,6 +85,11 @@ def test_quat_normalize_rejects_zero():
         ds.quat_normalize([0.0, 0.0, 0.0, 0.0])
 
 
+def test_quat_from_axis_angle_rejects_a_zero_axis():
+    with pytest.raises(ValueError, match="rotation axis must be non-zero"):
+        ds.quat_from_axis_angle([0.0, 0.0, 0.0], 1.0)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("big", [1e308, 1e200])
 def test_quaternion_helpers_stay_unit_when_the_squares_overflow(big):
@@ -152,6 +157,14 @@ def test_integrate_orientation_rejects_non_positive_dt():
         ds.integrate_orientation(ds.quat_identity(), [0.0, 0.0, 1.0], 0.0)
     with pytest.raises(ValueError):
         ds.integrate_orientation(ds.quat_identity(), [0.0, 0.0, 1.0], -0.1)
+
+
+def test_integrate_orientation_rejects_a_short_quaternion_and_a_nan_rate():
+    with pytest.raises(ValueError, match="quaternion needs 4 components"):
+        ds.integrate_orientation([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.01)
+    message = "^non-finite components in quaternion or omega_body$"
+    with pytest.raises(ValueError, match=message):
+        ds.integrate_orientation(ds.quat_identity(), [0.0, math.nan, 1.0], 0.01)
 
 
 def test_geo_project_origin_maps_to_origin():

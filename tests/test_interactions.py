@@ -24,11 +24,8 @@ Hypothesis examples are derandomized so that every run checks the same
 cases.
 """
 
-import dataclasses
 import math
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,10 +36,8 @@ import dronesim as ds
 from dronesim import swarm as swarm_module
 from dronesim.cli import routes_from_plan
 
-from conftest import build_reference_craft, grid_violations, level_state
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import crossing_document  # noqa: E402
+from conftest import (build_reference_craft, crossing, flat, grid_violations, heavier_craft,
+                      level_state, scenario_of)
 
 
 def reference_instant_violations(ids, positions, min_separation, conditions, t):
@@ -90,11 +85,6 @@ def reference_hook(conditions):
     return instant
 
 
-def flat(trajectory):
-    return {drone_id: [(s.t, s.as_floats()) for s in states]
-            for drone_id, states in trajectory.samples.items()}
-
-
 def assert_simulate_matches_reference(swarm, scenario):
     """Run ``simulate`` with the grid and with the all-pairs reference;
     returns the grid run's events once they and the samples are equal."""
@@ -105,16 +95,6 @@ def assert_simulate_matches_reference(swarm, scenario):
     assert trajectory.events == reference.events
     assert flat(trajectory) == flat(reference)
     return trajectory.events
-
-
-def crossing(pairs, seed):
-    document, designed = crossing_document(seed, pairs=pairs)
-    swarm, scenario, mission = ds.scenario_from_dict(document)
-    # each drone flies to its own goal, as in the benchmark
-    plan = ds.RoutePlan(routes=[[f"{d.id}-goal"] for d in swarm.drones],
-                        lengths=[0.0] * len(swarm.drones), total_length=0.0, feasible=True)
-    routes_from_plan(swarm, mission, plan)
-    return swarm, scenario, designed
 
 
 # --- whole runs ---------------------------------------------------------------
@@ -139,19 +119,6 @@ def test_thousand_drone_crossing_gives_the_reference_events():
     swarm, scenario, designed = crossing(500, 104729)
     events = assert_simulate_matches_reference(swarm, scenario)
     assert sorted(e.drone_ids for e in events) == sorted(designed)
-
-
-def scenario_of(ticks, obstacles=(), dt=0.01):
-    return ds.Scenario(physics=ds.Physics(),
-                       conditions=ds.FlyingConditions(obstacles=list(obstacles)),
-                       inertial_frame=ds.InertialFrame(41.1, 16.9, 10.0),
-                       reference_time_step=dt, max_duration=ticks * dt,
-                       recording_interval=3 * dt)
-
-
-def heavier_craft():
-    return dataclasses.replace(build_reference_craft(), body=ds.Body(
-        mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025)))
 
 
 def units_of(swarm):

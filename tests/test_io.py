@@ -80,6 +80,15 @@ def test_parse_errors_are_distinct(tmp_path):
         ds.load_scenario(path)
     with pytest.raises(ds.ScenarioParseError):
         ds.load_scenario(tmp_path / "missing.json")
+    path.write_text("[]")
+    with pytest.raises(ds.ScenarioParseError, match="scenario document must be a JSON object"):
+        ds.load_scenario(path)
+
+
+def test_unknown_bundled_scenario_names_the_available_files():
+    with pytest.raises(FileNotFoundError, match="'nope.json'") as excinfo:
+        ds.bundled_scenario_path("nope.json")
+    assert "['hover.json', 'square_route.json', 'two_drone_cross.json']" in str(excinfo.value)
 
 
 def test_schema_violation_reports_path(tmp_path):
@@ -457,6 +466,17 @@ def test_load_csv_reports_the_first_bad_row_and_column(tmp_path, rows, message, 
     with pytest.raises(ds.FieldError, match=message) as raised:
         ds.load_csv(out)
     assert raised.value.field == field
+
+
+def test_load_csv_rejects_a_wrong_header_and_skips_blank_lines(tmp_path):
+    out = tmp_path / "track.csv"
+    ds.export_csv(stationary_trajectory(n=3), out)
+    lines = out.read_text().splitlines()
+    out.write_text("\n\n".join(lines) + "\n\n")
+    assert len(ds.load_csv(out).samples["alpha"]) == 3
+    out.write_text("\n".join(["drone,t"] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=r"^CSV line 1: unexpected CSV header"):
+        ds.load_csv(out)
 
 
 def test_load_csv_accepts_a_quaternion_within_the_state_tolerance(tmp_path):

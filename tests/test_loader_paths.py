@@ -165,24 +165,17 @@ def test_invalid_value_is_reported_at_its_path(field, value, expected):
     assert str(excinfo.value).startswith(f"{expected}: ")
 
 
-def test_current_speed_is_accepted_ignored_and_warned_about_once():
-    # every document save_scenario wrote while rotors held a speed has the key
-    plain = fixture_dict()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        expected = ds.scenario_to_dict(*ds.scenario_from_dict(plain))
+def test_current_speed_is_rejected_like_any_unknown_rotor_key():
+    # rotors hold no speed, so the key is not part of the format
     for value in (0.0, 500.0, -1.0, 1e6, NAN, HUGE):
         data = fixture_dict()
-        for drone in data["drones"]:
-            for rotor in drone["rotors"]:
-                rotor["current_speed"] = value
-        with pytest.warns(FutureWarning, match="current_speed") as record:
-            swarm, scenario, mission = ds.scenario_from_dict(data)
-        assert len(record) == 1
-        assert all("current_speed" in r for d in data["drones"] for r in d["rotors"])
-        assert not any(hasattr(r, "current_speed") for d in swarm.drones
-                       for r in d.airframe.rotors)
-        assert ds.scenario_to_dict(swarm, scenario, mission) == expected
+        data["drones"][0]["rotors"][0]["current_speed"] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ds.ScenarioSchemaError) as excinfo:
+                ds.scenario_from_dict(data)
+        assert excinfo.value.path == "drones[0].rotors[0]"
+        assert str(excinfo.value) == "drones[0].rotors[0]: unknown key 'current_speed'"
 
 
 @pytest.mark.parametrize("orientation", [[1e200, 0.0, 0.0, 0.0], [1e155] * 4])

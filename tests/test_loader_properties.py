@@ -85,13 +85,9 @@ ids = st.text(min_size=1, max_size=6)
 
 @st.composite
 def rotors(draw):
-    max_speed = draw(positive)
-    rotor = {"position": draw(vec3), "spin_direction": draw(st.sampled_from([-1, 1])),
-             "disk_area": draw(positive), "thrust_coefficient": draw(positive),
-             "torque_coefficient": draw(non_negative), "max_speed": max_speed}
-    if draw(st.booleans()):
-        rotor["current_speed"] = max_speed * draw(st.floats(min_value=0.0, max_value=1.0))
-    return rotor
+    return {"position": draw(vec3), "spin_direction": draw(st.sampled_from([-1, 1])),
+            "disk_area": draw(positive), "thrust_coefficient": draw(positive),
+            "torque_coefficient": draw(non_negative), "max_speed": draw(positive)}
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -199,6 +200,42 @@ def test_brute_force_two_drones_split_clusters():
     oracle = ds.brute_force_optimize(mission)
     assert sorted(oracle.routes[0]) == ["left-00", "left-01", "left-02"]
     assert sorted(oracle.routes[1]) == ["right-00", "right-01", "right-02"]
+
+
+# Three waypoints on one drone's path; the unconstrained optimum a, b, c
+# crosses each box: the first at its first leg, the second at its second
+OBSTACLE_WAYPOINTS = [(2.0, 0.0, 0.0), (4.0, 0.0, 0.0), (4.0, 3.0, 0.0)]
+POST_AT = [ds.Box(ds.vec3(x - 0.2, -0.5, -0.5), ds.vec3(x + 0.2, 0.5, 0.5)) for x in (1.0, 3.0)]
+
+
+def shortest_feasible_order(mission):
+    start, = mission.start_positions
+    orders = []
+    for order in itertools.permutations(mission.waypoints):
+        points = [start] + [w.position for w in order]
+        if not any(ds.segment_hits_box(box, a, b) for box in mission.obstacles
+                   for a, b in zip(points, points[1:])):
+            orders.append((ds.route_length(start, list(order)), [w.id for w in order]))
+    return min(orders)
+
+
+@pytest.mark.parametrize("post", POST_AT, ids=["first_leg", "second_leg"])
+def test_brute_force_returns_the_shortest_order_that_misses_every_box(post):
+    mission = single_drone_mission(OBSTACLE_WAYPOINTS, obstacles=[post])
+    assert ds.brute_force_optimize(single_drone_mission(OBSTACLE_WAYPOINTS)).routes == \
+        [["wp-00", "wp-01", "wp-02"]]
+    oracle = ds.brute_force_optimize(mission)
+    length, order = shortest_feasible_order(mission)
+    assert oracle.feasible and oracle.routes == [order] and oracle.total_length == length
+    assert order != ["wp-00", "wp-01", "wp-02"]
+
+
+def test_brute_force_under_a_budget_below_every_order_returns_the_shortest_plan():
+    mission = single_drone_mission(OBSTACLE_WAYPOINTS, budget=1.0, obstacles=POST_AT[1:])
+    oracle = ds.brute_force_optimize(mission)
+    assert oracle.routes == [["wp-00", "wp-01", "wp-02"]] and oracle.total_length == 7.0
+    assert not oracle.feasible
+    assert oracle.violations[0] == "drone 0: route length 7.000 m exceeds budget 1.000 m"
 
 
 def test_brute_force_empty_mission():
