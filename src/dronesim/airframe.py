@@ -160,13 +160,16 @@ def airframe_constants(airframe: Airframe, air_density: float) -> AirframeConsta
     """Per-rotor gains, body constants and the allocation pseudo-inverse.
 
     Kept on the airframe for the last air density asked for, so repeat
-    calls for one object build nothing. Behind that they are cached on
-    the airframe's values, so equal airframes built apart share one
-    constants object, one pseudo-inverse and one rank check. An airframe
-    cannot change, so its constants are never stale.
+    calls for one object build nothing, and a call with the very float
+    object already checked for it checks nothing either. Behind that they
+    are cached on the airframe's values, so equal airframes built apart
+    share one constants object, one pseudo-inverse and one rank check. An
+    airframe cannot change, so its constants are never stale.
     """
-    air_density = positive(air_density, "air_density")
     density, constants = airframe._last_constants
+    if density is air_density:
+        return constants
+    air_density = positive(air_density, "air_density")
     if density == air_density:
         return constants
     body = airframe.body

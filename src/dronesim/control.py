@@ -38,9 +38,17 @@ DEFAULT_ATTITUDE_KD = 15.0
 DEFAULT_MAX_TILT = 0.5
 DEFAULT_CAPTURE_RADIUS = 0.5
 
+# the frozen gains set their normalised fields through object.__setattr__
+_set = object.__setattr__
 
-@dataclass
+
+@dataclass(frozen=True)
 class ControllerGains:
+    """The controller's per-drone gains, a value like an airframe: frozen,
+    checked when built, compared and hashed by value. Any number of drones
+    can share one; to change one, build a new one, for example with
+    ``dataclasses.replace``, which checks it again."""
+
     position_kp: float = DEFAULT_POSITION_KP
     position_kd: float = DEFAULT_POSITION_KD
     attitude_kp: float = DEFAULT_ATTITUDE_KP
@@ -50,11 +58,12 @@ class ControllerGains:
 
     def __post_init__(self):
         for name in ("position_kp", "position_kd", "attitude_kp", "attitude_kd"):
-            setattr(self, name, non_negative(getattr(self, name), name))
-        self.max_tilt = as_float(self.max_tilt, "max_tilt")
-        if not 0.0 < self.max_tilt < math.pi / 2.0:
-            raise FieldError(f"max_tilt must be in (0, pi/2), got {self.max_tilt}", "max_tilt")
-        self.capture_radius = positive(self.capture_radius, "capture_radius")
+            _set(self, name, non_negative(getattr(self, name), name))
+        max_tilt = as_float(self.max_tilt, "max_tilt")
+        if not 0.0 < max_tilt < math.pi / 2.0:
+            raise FieldError(f"max_tilt must be in (0, pi/2), got {max_tilt}", "max_tilt")
+        _set(self, "max_tilt", max_tilt)
+        _set(self, "capture_radius", positive(self.capture_radius, "capture_radius"))
 
 
 @dataclass

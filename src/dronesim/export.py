@@ -18,11 +18,12 @@ building a single ``DroneState``; a drone whose states a caller has
 read is written from those states. The CSV is formatted one row at a
 time with one ``%.9g`` template. The GeoJSON file holds the bytes
 ``json.dumps(document, indent=2)`` would write, without that slow,
-pure-Python encoder: the positions of all tracks are projected in one
-:func:`geo_project_columns` call, json's C encoder renders every number,
-id and scalar with the separators of its depth, and each feature is
-written from a template. Only an event value that nests deeper than an
-array of scalars goes through the indenting encoder.
+pure-Python encoder: the positions of all tracks and events are
+projected in one :func:`geo_project_columns` call, json's C encoder
+renders every number, id and event property with the separators of its
+depth in a fixed number of calls, and each feature is written from a
+template. Only an event value that nests deeper than an array of
+scalars goes through the indenting encoder.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import check_unit_orientation
-from .frames import FieldError, InertialFrame, geo_project, geo_project_columns
+from .frames import FieldError, InertialFrame, as_vec3, geo_project, geo_project_columns
 from .swarm import RecordedSamples, Trajectory
 
 CSV_FIELDS = ("drone_id", "t", "px", "py", "pz", "vx", "vy", "vz",
@@ -56,9 +57,11 @@ def export_geojson(trajectory: Trajectory, frame: InertialFrame, path) -> None:
     """Write a FeatureCollection of per-drone tracks and event markers.
 
     The bytes are those of ``json.dumps(document, indent=2)``. Every
-    track and event becomes the text of its feature through a template,
-    with the numbers of all tracks and event positions rendered by two
-    calls of json's C encoder.
+    track and event becomes the text of its feature through a template.
+    The positions of all tracks and events are projected in one
+    :func:`geo_project_columns` call, and json's C encoder renders their
+    numbers, the times and the events' properties in a fixed number of
+    calls, however many events there are.
 
     Raises ValueError on an empty trajectory or a non-finite position and
     TypeError on a value json cannot serialize, both before creating the
@@ -71,20 +74,20 @@ def export_geojson(trajectory: Trajectory, frame: InertialFrame, path) -> None:
     finite = np.isfinite(positions).all(axis=0)
     if not finite.all():  # raise geo_project's error for the first bad one
         geo_project(frame, positions[:, np.argmin(finite)])
-    lat, lon, alt = geo_project_columns(frame, *positions)
-    coordinates = np.column_stack((lon, lat, alt)).tolist()
-    events = []
+    events, marks = [], []
     for event in trajectory.events:
         payload = dict(event.payload)
         position = payload.pop("position", None)
         if position is not None:
-            lat, lon, alt = geo_project(frame, position)
-            coordinates.append([lon, lat, alt])
+            marks.append(position)
         events.append(({"event": event.kind, "t_s": event.t,
                         "drone_ids": list(event.drone_ids), **payload}, position is not None))
-    # rendered once every position is checked and every event projected,
-    # as the document was encoded after them; no number's text holds a
-    # comma or a bracket, so the separators split the items apart
+    lat, lon, alt = geo_project_columns(
+        frame, *np.concatenate((positions, _marks(frame, positions, marks)), axis=1))
+    coordinates = np.column_stack((lon, lat, alt)).tolist()
+    # rendered once every position is checked and projected, as the
+    # document was encoded after them; no number's text holds a comma or a
+    # bracket, so the separators split the items apart
     times = _ITEMS(times)[1:-1].split("," + _ITEM)
     points = _NUMBERS(coordinates)[2:-2].split("]," + _NUMBER + "[")
     features, start = [], 0
@@ -100,10 +103,10 @@ def export_geojson(trajectory: Trajectory, frame: InertialFrame, path) -> None:
         times_text = "[" + _ITEM + ("," + _ITEM).join(times[start:stop]) + _MEMBER + "]"
         features.append(_TRACK % (json.dumps(drone_id), times_text, kind, text))
         start = stop
-    for properties, projected in events:
+    for text, (_, projected) in zip(_properties_texts([p for p, _ in events]), events):
         geometry = _POINT % _point_text(points[start]) if projected else "null"
         start += projected
-        features.append(_EVENT % (_properties_text(properties), geometry))
+        features.append(_EVENT % (text, geometry))
     # piece by piece: a joined document would be two more copies of it in
     # memory (about 0.2 MiB more peak RSS for a 200-drone swarm)
     with Path(path).open("w", encoding="utf-8") as handle:
@@ -137,26 +140,69 @@ def _point_text(numbers: str) -> str:
     return "[" + _ITEM + numbers.replace(_NUMBER, _ITEM) + _MEMBER + "]"
 
 
-def _properties_text(properties: dict) -> str:
-    """An event's properties at depth 3, through the C encoder unless a
-    value nests deeper than an array of scalars."""
-    members, run = [], {}
-    for key, value in properties.items():
-        if not isinstance(value, _NESTED):
-            run[key] = value
+def _marks(frame: InertialFrame, positions: np.ndarray, marks: list) -> np.ndarray:
+    """The events' positions ``marks`` as a (3, k) array of east, north, up.
+
+    The first that is not three finite numbers raises :func:`geo_project`'s
+    error, after the error projecting the tracks' ``positions`` would
+    raise (a frame at a pole), as when each event was projected in turn.
+    """
+    try:
+        marked = np.array(marks, dtype=float) if marks else np.empty((0, 3))
+    except (TypeError, ValueError, OverflowError):  # those as_vec3 turns into its error
+        marked = None
+    if marked is None or marked.shape != (len(marks), 3) or not np.isfinite(marked).all():
+        geo_project_columns(frame, *positions)
+        marked = np.array([as_vec3(p, "position") for p in marks])
+    return marked.T
+
+
+def _properties_texts(events: list[dict]) -> list[str]:
+    """The text of each event's properties, at depth 3.
+
+    Two C-encoder calls render all events: one with each array of scalars
+    standing as None, one of all those arrays, whose texts then take the
+    place of their ``null``. JSON text holds no raw newline, so the
+    separators, which start with one, split events, members and arrays
+    apart. Properties with a value that nests deeper go through the
+    indenting encoder. If a call raises, the events are encoded one by one
+    to raise the error of the first bad value in document order.
+    """
+    flat, slots, arrays = [], [], []
+    for properties in events:
+        skeleton, slot, found = {}, [], []
+        for i, (key, value) in enumerate(properties.items()):
+            if isinstance(value, _NESTED):
+                if isinstance(value, dict) or any(isinstance(v, _NESTED) for v in value):
+                    slot = None
+                    break
+                slot.append(i)
+                found.append(value)
+                value = None
+            skeleton[key] = value
+        if slot is not None:
+            flat.append(skeleton)
+            arrays += found
+        slots.append(slot)
+    try:
+        members = iter(_MEMBERS(flat)[2:-2].split("}," + _MEMBER + "{"))
+        items = iter(_ITEMS(arrays)[2:-2].split("]," + _ITEM + "["))
+    except (TypeError, ValueError):
+        for properties in events:
+            json.dumps(properties)
+        raise
+    texts = []
+    for properties, slot in zip(events, slots):
+        if slot is None:  # indenting the newlines moves the object to its depth
+            texts.append(json.dumps(properties, indent=2).replace("\n", _CLOSE))
             continue
-        if isinstance(value, dict) or any(isinstance(item, _NESTED) for item in value):
-            # JSON text holds no raw newline, so indenting the newlines
-            # moves the whole object to its depth
-            return json.dumps(properties, indent=2).replace("\n", _CLOSE)
-        if run:
-            members.append(_MEMBERS(run)[1:-1])
-            run = {}
-        items = "[" + _ITEM + _ITEMS(value)[1:-1] + _MEMBER + "]" if value else "[]"
-        members.append(_MEMBERS({key: None})[1:-len(": null}")] + ": " + items)
-    if run:
-        members.append(_MEMBERS(run)[1:-1])
-    return "{" + _MEMBER + ("," + _MEMBER).join(members) + _CLOSE + "}"
+        parts = next(members).split("," + _MEMBER)
+        for i in slot:  # an empty array's items are no text
+            array = next(items)
+            parts[i] = parts[i][:-len("null")] + (
+                "[" + _ITEM + array + _MEMBER + "]" if array else "[]")
+        texts.append("{" + _MEMBER + ("," + _MEMBER).join(parts) + _CLOSE + "}")
+    return texts
 
 
 # a row's 14 numbers and csv.writer's line terminator; "%.9g" % v prints

@@ -11,9 +11,12 @@ vertices.
 All drones are scored together: their positions are stacked once, and
 the projections onto the segments, the clamping and the squared
 distances are computed for the (sample, segment) pairs of every drone
-in one pass. Each drone's mean and flown length are still summed over
-its own contiguous slice, so every figure has the bits that scoring the
-drone alone would give.
+in one pass. Each drone's mean and flown length are summed over its own
+samples, as one row of a 2-D array that holds every drone with as many
+samples: numpy sums a row as it sums that slice alone, so every figure
+has the bits that scoring the drone alone would give. (A flat
+``np.add.reduceat`` over all drones would not: it sums in another
+order.)
 """
 
 from __future__ import annotations
@@ -47,18 +50,18 @@ class MetricsReport:
 _PAIRS_PER_BLOCK = 1 << 13
 
 
-def _polyline_distances(positions: np.ndarray, runs: list[tuple[int, int]],
+def _polyline_distances(positions: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                         polylines: list[list[np.ndarray]]) -> np.ndarray:
     """Distance from each scored position to the nearest point of its polyline.
 
-    Rows ``start:end`` of the (m, 3) ``positions``, for each ``(start,
-    end)`` of ``runs``, are scored against the matching polyline, a list
-    of vertices; the distances of all runs come in one array, run after
-    run. Each position is projected onto every segment of its polyline
-    and clamped to it, a single vertex counting as a zero-length segment,
-    and the minimum is taken over its segments. The (position, segment)
-    pairs of all polylines are formed together, at most
-    ``_PAIRS_PER_BLOCK`` at a time or a single position's.
+    Rows ``start:start + length`` of the (m, 3) ``positions``, for each
+    start and length, are scored against the matching polyline, a list of
+    vertices; the distances of all runs come in one array, run after run.
+    Each position is projected onto every segment of its polyline and
+    clamped to it, a single vertex counting as a zero-length segment, and
+    the minimum is taken over its segments. The (position, segment) pairs
+    of all polylines are formed together, at most ``_PAIRS_PER_BLOCK`` at
+    a time or a single position's.
     """
     vertices = np.array([v for polyline in polylines
                          for v in (polyline * 2 if len(polyline) == 1 else polyline)],
@@ -70,8 +73,8 @@ def _polyline_distances(positions: np.ndarray, runs: list[tuple[int, int]],
     denom = np.einsum("ij,ij->i", ab, ab)
     denom[denom == 0.0] = np.inf  # a zero-length segment projects to t = 0
     # per scored position: its coordinates, its number of segments and its first one
-    lengths = np.array([end - start for start, end in runs])
-    points = positions[np.concatenate([np.arange(start, end) for start, end in runs])]
+    points = positions[np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+                       + np.arange(lengths.sum())]
     segments = np.repeat(counts - 1, lengths)
     firsts = np.repeat(np.cumsum(counts - 1) - (counts - 1), lengths)
     pair_ends = np.cumsum(segments)
@@ -100,6 +103,17 @@ def _polyline_distances(positions: np.ndarray, runs: list[tuple[int, int]],
     return out
 
 
+def _slice_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``values[start:start + length].sum()`` for each start and length, with
+    its bits: the slices of one length are gathered into the rows of one
+    2-D array, whose row sums numpy forms as it forms each slice's sum."""
+    sums = np.zeros(len(starts))
+    for length in set(lengths.tolist()) - {0}:
+        picked = np.flatnonzero(lengths == length)
+        sums[picked] = values[starts[picked, np.newaxis] + np.arange(length)].sum(axis=1)
+    return sums
+
+
 def compute_rmse(trajectory: Trajectory,
                  reference: dict[str, list[Setpoint]]) -> MetricsReport:
     """Build the metrics report for a flown trajectory.
@@ -117,31 +131,31 @@ def compute_rmse(trajectory: Trajectory,
 
     ids = list(trajectory.samples)
     rows = [trajectory.rows(drone_id) for drone_id in ids]
-    ends = list(itertools.accumulate(map(len, rows)))
+    counts = np.array(list(map(len, rows)), dtype=np.int64)
+    starts = np.cumsum(counts) - counts
     # columns 1-3 of every drone's rows, the positions, as one (m, 3) array
     flat = list(itertools.chain.from_iterable(rows))
     positions = (np.column_stack(list(itertools.islice(zip(*flat), 1, 4))) if flat
                  else np.empty((0, 3)))
     steps = np.diff(positions, axis=0)
     legs = np.sqrt(np.einsum("ij,ij->i", steps, steps))
-    scored, runs, polylines = [], [], []
-    for drone_id, start, end in zip(ids, [0] + ends, ends):
-        # the legs between the drone's own samples, summed as one array
-        report.route_length_flown_m[drone_id] = float(legs[start:max(start, end - 1)].sum())
+    # the legs between each drone's own samples
+    flown = _slice_sums(legs, starts, np.maximum(counts - 1, 0))
+    report.route_length_flown_m = dict(zip(ids, flown.tolist()))
+    scored, picked, polylines = [], [], []
+    for k, drone_id in enumerate(ids):
         setpoints = reference.get(drone_id)
         if not setpoints:
             report.skipped_drones.append(drone_id)
             continue
         scored.append(drone_id)
-        runs.append((start, end))
+        picked.append(k)
         polylines.append([sp.target_position for sp in setpoints])
     if scored:
-        distances = _polyline_distances(positions, runs, polylines)
-        squares = distances * distances
-        start = 0
-        for drone_id, (begin, end) in zip(scored, runs):
-            stop = start + end - begin
-            report.rmse_m[drone_id] = (math.sqrt(float(np.mean(squares[start:stop])))
-                                       if stop > start else 0.0)
-            start = stop
+        counts = counts[picked]
+        distances = _polyline_distances(positions, starts[picked], counts, polylines)
+        # each drone's mean square, as np.mean forms it: its sum over the count
+        sums = _slice_sums(distances * distances, np.cumsum(counts) - counts, counts)
+        means = sums / np.maximum(counts, 1)  # a drone without samples sums to 0.0
+        report.rmse_m = dict(zip(scored, map(math.sqrt, means.tolist())))
     return report

@@ -9,17 +9,19 @@ constructors of the simulation objects check every value and hold every
 default, and the loader maps the document onto those constructors and
 names the offending field by its document path. One table of the keys
 whose document name differs from the constructor field serves both
-reading and writing. Airframes are values, so drones whose body and
-rotors are the same document value share one airframe, built and checked
-once; the value is told apart exactly, by its ``marshal`` bytes, so a
-``-0.0`` arm or an int where another drone has a float builds its own.
+reading and writing. Airframes and gains are values, so drones whose
+body and rotors, or whose gains, are the same document value share one
+object, built and checked once; the value is told apart exactly, by its
+``marshal`` bytes, so a ``-0.0`` arm or an int where another drone has a
+float builds its own.
 
 The structure is checked by checkers compiled from the schema once, at
 import, not by a JSON Schema library: one closure per schema node, in
 the manner of fastjsonschema but without generated source. An object's
 checker tests its properties that only name a type, and its arrays of
 such items (a ``vec3``), in place, without a call, and the path of an
-error is built only when one is found. The compiler understands the
+error is built only when one is found; the drones array walks each
+distinct ``body`` and ``rotors`` value once. The compiler understands the
 keywords the schema uses, with Draft 2020-12 meaning: ``type`` (only a
 dict is an object, only a list an array, and a bool is never a number),
 ``const`` and ``enum`` (a bool never equals a number), ``required``,
@@ -197,6 +199,37 @@ def _inline(node: tuple):
     return frozenset(types), types, f"must be of type {kind}, got ", elements
 
 
+# The properties of a drone that make its airframe. Drones share an airframe
+# value, so within one array check each distinct value of them is checked
+# once, as the loader builds it once (_shared).
+_AIRFRAME = ("body", "rotors")
+
+
+def _once(check, key: str, value, clean: dict) -> list:
+    """``check(value)`` for the property ``key`` of an item of one array,
+    skipped when an equal value checked clean in that array before.
+
+    ``clean`` maps ``(key, marshal bytes)`` of the values that checked
+    clean to those values, and a hit is confirmed with ``==``. A value is
+    kept only if marshal reads it back equal: marshal writes a float
+    subclass such as numpy's float64 as a bare buffer, which a one-item
+    array that breaks the schema matches, bytes and ``==`` alike, so such
+    a value is checked every time, as is one marshal cannot write (a dict
+    subclass).
+    """
+    try:
+        mark = (key, marshal.dumps(value))
+    except ValueError:
+        return check(value)
+    seen = clean.get(mark)  # a clean value is a non-empty dict or list, never None
+    if seen is not None and seen == value:
+        return []
+    errors = check(value)
+    if not errors and marshal.loads(mark[1]) == value:
+        clean[mark] = value
+    return errors
+
+
 def _compiled(node: tuple):
     """A checker for the prepared schema ``node``.
 
@@ -204,7 +237,10 @@ def _compiled(node: tuple):
     breaks the node, with paths relative to ``value``, in document order;
     at one object its missing keys come before its unknown keys. The
     properties ``_inline`` describes are checked in place, without a call,
-    and a path is built only for an error.
+    and a path is built only for an error. An array of objects that hold
+    ``_AIRFRAME`` properties checks each distinct value of them once
+    (``_once``), passing its items the values that checked clean as
+    ``clean``.
     """
     types, kind, allowed, required, closed, properties, items, min_items, max_items = node
     exact = frozenset(types or ())
@@ -214,8 +250,9 @@ def _compiled(node: tuple):
     plain = frozenset(c for c in allowed or () if type(c) in _PLAIN)
     item_check = _compiled(items) if items is not None else None
     specs = {key: _inline(sub) or _compiled(sub) for key, sub in properties.items()}
+    remembers = items is not None and not items[5].keys().isdisjoint(_AIRFRAME)
 
-    def check(value) -> list:
+    def check(value, clean=None) -> list:
         errors = []
         if types is not None and type(value) not in exact and _mistyped(value, types):
             errors.append(((), f"must be of type {kind}, got {type(value).__name__}"))
@@ -232,7 +269,8 @@ def _compiled(node: tuple):
                     if closed:
                         errors.append(((), f"unknown key {key!r}"))
                 elif type(spec) is not tuple:
-                    found = spec(item)
+                    found = (spec(item) if clean is None or key not in _AIRFRAME
+                             else _once(spec, key, item, clean))
                     if found:
                         errors += [((key, *path), message) for path, message in found]
                 elif type(item) not in spec[0] and _mistyped(item, spec[1]):
@@ -250,8 +288,9 @@ def _compiled(node: tuple):
             if not min_items <= len(value) <= max_items:
                 errors += [((), m) for m in _length_messages(len(value), min_items, max_items)]
             if item_check is not None:
+                known = {} if remembers else None
                 for i, item in enumerate(value):
-                    found = item_check(item)
+                    found = item_check(item, known)
                     if found:
                         errors += [((i, *path), message) for path, message in found]
         return errors
@@ -290,38 +329,45 @@ def _build(cls, path: str, data: dict, **fields):
             str(err), path=".".join(p for p in (path, field) if p)) from err
 
 
-def _airframe(data: dict, path: str, built: dict) -> Airframe:
-    """The airframe of the drone document ``data`` at ``path``, shared with
-    the drones before it whose body and rotors are the same value.
+def _shared(built: dict, raw, make):
+    """``make()``, the object built from the document value ``raw``, or the
+    one built for an earlier drone whose ``raw`` was the same value.
 
-    ``built`` maps the ``marshal`` bytes of a (body, rotors) value to that
-    value and its airframe. The bytes keep every float's bits, but write a
-    float subclass such as numpy's float64 as a bare buffer, so a hit is
-    also compared with ``==``; a value marshal cannot write (a dict
-    subclass) is built for this drone alone.
+    ``built`` maps the ``marshal`` bytes of a document value to that value
+    and what was built from it. The bytes keep every float's bits and tell
+    an int from a float, but write a float subclass such as numpy's float64
+    as a bare buffer, so a hit is also compared with ``==``; a value
+    marshal cannot write (a dict subclass) is built for this drone alone.
     """
-    raw = (data["body"], data["rotors"])
     try:
         key = marshal.dumps(raw)
     except ValueError:
-        key = None
+        return make()
     hit = built.get(key)
     if hit is not None and hit[0] == raw:
         return hit[1]
+    value = make()
+    built[key] = (raw, value)
+    return value
+
+
+def _airframe(data: dict, path: str) -> Airframe:
     rotors = [_build(Rotor, f"{path}.rotors[{i}]", r) for i, r in enumerate(data["rotors"])]
-    airframe = _build(Airframe, path, {}, body=_build(Body, f"{path}.body", data["body"]),
-                      rotors=rotors)
-    if key is not None:
-        built[key] = (raw, airframe)
-    return airframe
+    return _build(Airframe, path, {}, body=_build(Body, f"{path}.body", data["body"]),
+                  rotors=rotors)
 
 
-def _build_drone(data: dict, index: int, airframes: dict) -> Drone:
+def _build_drone(data: dict, index: int, built: dict) -> Drone:
+    # airframes and gains are values: drones whose airframe or gains are
+    # the same document value share one object
     path = f"drones[{index}]"
+    gains = data.get("gains", {})
     return _build(
-        Drone, path, {"id": data["id"]}, airframe=_airframe(data, path, airframes),
+        Drone, path, {"id": data["id"]},
+        airframe=_shared(built, (data["body"], data["rotors"]), lambda: _airframe(data, path)),
         state=_build(DroneState, f"{path}.start", data["start"], t=0.0),
-        gains=_build(ControllerGains, f"{path}.gains", data.get("gains", {})))
+        gains=_shared(built, gains,
+                      lambda: _build(ControllerGains, f"{path}.gains", gains)))
 
 
 def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
@@ -352,8 +398,8 @@ def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
             f"must equal dt ({scenario.reference_time_step}) — the swarm runs on one "
             f"global clock, got {tick}", path="simulation.reference_time_step")
 
-    airframes = {}
-    drones = [_build_drone(d, i, airframes) for i, d in enumerate(data["drones"])]
+    built = {}
+    drones = [_build_drone(d, i, built) for i, d in enumerate(data["drones"])]
     swarm = _build(Swarm, "", spacing, drones=drones)
 
     section = data.get("mission", {"waypoints": [], "max_route_length": math.inf})

@@ -43,7 +43,9 @@ diverges or touches the ground leaves its block with the event it would
 have alone, and events of drones leaving in one tick come in drone order.
 Airframe constants are built once per airframe object, which keeps them
 (:func:`~dronesim.airframe.airframe_constants`), and equal airframes
-built apart still share one constants object, so drones group by value.
+built apart still share one constants object, so drones group by value;
+gains are frozen values too, whose bits are packed once per gains object
+per run.
 Rotor speeds pass from the controller to the integrator as values, and
 no caller-supplied object is changed. Runs are serial and deterministic:
 the same swarm and scenario give a bit-identical trajectory every time.
@@ -83,7 +85,7 @@ class Drone:
     id: str
     airframe: Airframe
     state: DroneState
-    gains: ControllerGains = field(default_factory=ControllerGains)
+    gains: ControllerGains = ControllerGains()  # a value: every drone may share it
     route: list[Setpoint] = field(default_factory=list)
 
     def __post_init__(self):
@@ -349,8 +351,8 @@ class _Block:
 
     def due(self) -> list[_DroneRun]:
         # the drones whose setpoint must be set or that reached it
-        if self.target is None:
-            return self.refresh()
+        if self.target is None:  # tick 0: the runs hold the states x was built from
+            return self.runs
         hit = within_capture(self.x, self.target, self.runs[0].gains.capture_radius)
         picked = np.flatnonzero(hit & self.flying).tolist()
         return self.refresh(picked) if picked else []
@@ -400,14 +402,23 @@ def _start(index: int, drone: Drone, air_density: float) -> _DroneRun:
         x=_start_floats(drone.state))
 
 
+def _gains_bits(gains: ControllerGains) -> bytes:
+    # what tells gains apart for grouping: their bits (== would merge -0.0 and 0.0)
+    values = tuple(vars(gains).values())
+    return struct.pack(f"{len(values)}d", *values)
+
+
 def _units(runs: list[_DroneRun]) -> list:
-    # the runs that step alone and the blocks, in order of their first drone
+    # the runs that step alone and the blocks, in order of their first drone;
+    # a group shares one constants object and bit-equal gains, whose bits are
+    # packed once per gains object
     groups: dict[tuple, list[_DroneRun]] = {}
+    bits: dict[int, bytes] = {}
     for run in runs:
-        # the same constants object and bit-equal gains (== would merge -0.0 and 0.0)
-        gains = tuple(vars(run.gains).values())
-        key = (id(run.constants), struct.pack(f"{len(gains)}d", *gains))
-        groups.setdefault(key, []).append(run)
+        packed = bits.get(id(run.gains))
+        if packed is None:
+            packed = bits[id(run.gains)] = _gains_bits(run.gains)
+        groups.setdefault((id(run.constants), packed), []).append(run)
     units = []
     for members in groups.values():
         if len(members) < _BLOCK_MIN:

@@ -124,3 +124,19 @@ def test_numpy_and_int_arguments_give_the_bits_of_floats(call, convert):
                for c, argument, _ in CHECKED if c is call}
     assert checked
     assert bits(call(**{**arguments, **checked})) == bits(call(**arguments))
+
+
+GAINS_ROWS = [(argument, value) for call, argument, values in CHECKED
+              if call is ds.ControllerGains for value in values]
+
+
+@pytest.mark.parametrize("argument, bad", GAINS_ROWS, ids=str)
+def test_replacing_a_gain_checks_it_as_the_constructor_does(argument, bad):
+    # gains are frozen values, edited through dataclasses.replace
+    gains = ds.ControllerGains(**CALLS[ds.ControllerGains])
+    with pytest.raises(ds.FieldError) as raised:
+        dataclasses.replace(gains, **{argument: bad})
+    assert raised.value.field == argument
+    for convert in (np.float64, int):
+        good = CALLS[ds.ControllerGains][argument]
+        assert bits(dataclasses.replace(gains, **{argument: convert(good)})) == bits(gains)

@@ -7,7 +7,8 @@ runs ``simulate`` with the threshold patched to 1 (every group a block)
 and to infinity (every drone alone) and requires equal samples and
 events with ``==``: on the bundled scenarios, on the benchmark's crossing
 swarms of 200 and 1000 drones, on a mixed swarm whose groups fall on
-both sides of the real threshold, on a block in which one drone
+both sides of the real threshold, on a swarm whose edited gains take
+one drone out of its block, on a block in which one drone
 diverges and one touches the ground, on drones that capture several
 waypoints in one tick, and on generated tilted, spinning swarms.
 
@@ -97,6 +98,20 @@ def test_mixed_swarm_groups_on_both_sides_of_the_threshold():
     assert sorted(len(b.runs) for b in blocks) == [n0, n0 + 5]
     events = assert_paths_agree(swarm, scenario, n0)
     assert [e for e in events if e.kind == swarm_module.WAYPOINT_REACHED]
+
+
+def test_edited_gains_step_apart_and_equal_gains_built_apart_share_a_block():
+    swarm, scenario, _ = crossing(20, 7)  # 40 drones, one airframe, one gains object
+    drones = swarm.drones
+    drones[3].gains = dataclasses.replace(drones[3].gains, position_kp=1.5)
+    for k in (10, 11, 12):
+        drones[k].gains = ds.ControllerGains()
+    assert drones[10].gains == drones[0].gains and drones[10].gains is not drones[0].gains
+    units = swarm_module._units([swarm_module._start(i, d, scenario.physics.air_density)
+                                 for i, d in enumerate(drones)])
+    assert [len(u.runs) for u in units if isinstance(u, swarm_module._Block)] == [39]
+    assert [u.index for u in units if isinstance(u, swarm_module._DroneRun)] == [3]
+    assert_paths_agree(swarm, scenario, swarm_module._BLOCK_MIN)
 
 
 def test_a_diverging_and_a_grounded_drone_leave_their_blocks_alone():

@@ -1,7 +1,9 @@
 import collections
+import copy
 import dataclasses
 import logging
 import math
+import pickle
 import random
 
 import numpy as np
@@ -179,6 +181,24 @@ def test_gains_validation():
         ds.ControllerGains(capture_radius=0.0)
     with pytest.raises(ValueError):
         ds.Setpoint(ds.vec3(0, 0, 0), target_yaw=float("nan"))
+
+
+def test_gains_are_frozen_values():
+    gains = ds.ControllerGains(position_kp=1, max_tilt=0.25)
+    for name in ("position_kp", "max_tilt", "capture_radius"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gains, name, 1.0)
+    assert (gains.position_kp, gains.max_tilt) == (1.0, 0.25)
+    assert type(gains.position_kp) is float
+    for copied in (copy.copy(gains), copy.deepcopy(gains), pickle.loads(pickle.dumps(gains))):
+        assert copied == gains and hash(copied) == hash(gains)
+        assert [type(v) for v in vars(copied).values()] == [float] * 6
+    edited = dataclasses.replace(gains, position_kp=3)
+    assert edited.position_kp == 3.0 and type(edited.position_kp) is float
+    assert (gains.position_kp, edited != gains) == (1.0, True)
+    # the drones' default is one shared value
+    drones = [ds.Drone(f"d{i}", build_reference_craft(), level_state()) for i in range(2)]
+    assert drones[0].gains is drones[1].gains == ds.ControllerGains()
 
 
 # --- command_speeds against the composed controller ---------------------------

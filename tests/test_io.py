@@ -329,6 +329,96 @@ def test_geojson_ids_and_payloads_equal_to_the_placeholder(tmp_path, text):
             == (tmp_path / "reference.geojson").read_bytes())
 
 
+def mixed_events(count):
+    """``count`` events cycling through every kind the simulator raises and
+    payloads it never builds: positions as tuples and arrays or absent,
+    empty and mixed arrays, nested values, an int key and keys that
+    override the properties every event has."""
+    rng = np.random.default_rng(23)
+
+    def point():
+        return rng.uniform(-50.0, 50.0, 3).tolist()
+
+    makers = [
+        lambda: ("waypoint_reached", ("a",), {"waypoint_index": 2, "position": point()}),
+        lambda: ("separation_violation", ("a", "b"), {
+            "distance_m": float(rng.uniform(0.0, 2.0)), "min_separation_m": 2.0,
+            "position": point()}),
+        lambda: ("obstacle_collision", ("b",), {"position": tuple(point())}),
+        lambda: ("divergence", ("c",), {"detail": "non-finite state at t = 0.5",
+                                        "position": np.array(point())}),
+        lambda: ("ground_contact", ("c",), {"position": point()}),
+        lambda: ("mission_complete", ("a",), {"position": point()}),
+        lambda: ("note", (), {"tags": [], "pair": ("x", 1, None, True, -0.0), "event": "x"}),
+        lambda: ("nested", ("a",), {"path": [[1.0, 2.0], [3.0]], "meta": {"k": [1, -0.0]}}),
+        lambda: ("keys", ("a", "b", "c"), {1: "one", "drone_ids": "none", "position": None}),
+    ]
+    return [ds.SimEvent(0.01 * k, *makers[k % len(makers)]()) for k in range(count)]
+
+
+def mixed_trajectory(events):
+    return ds.Trajectory(samples={"a": [level_state(1.0, 2.0, 3.0, t=0.0),
+                                        level_state(2.0, 2.0, 3.0, t=0.1)],
+                                  "b": [level_state(5.0, t=0.0)], "c": []},
+                         events=events)
+
+
+FRAME = ds.InertialFrame(47.4, 8.5, 400.0)
+
+
+def test_a_hundred_mixed_events_give_the_bytes_of_the_indenting_encoder(tmp_path):
+    trajectory = mixed_trajectory(mixed_events(120))
+    ds.export_geojson(trajectory, FRAME, tmp_path / "spliced.geojson")
+    reference_export_geojson(trajectory, FRAME, tmp_path / "reference.geojson")
+    assert ((tmp_path / "spliced.geojson").read_bytes()
+            == (tmp_path / "reference.geojson").read_bytes())
+    assert len(json.loads((tmp_path / "spliced.geojson").read_text())["features"]) == 122
+
+
+def _set_payload(index, key, value):
+    def change(events):
+        events[index].payload[key] = value
+    return change
+
+
+@pytest.mark.parametrize("changes, error", [
+    # a position error comes before any property's, and the first one first
+    ([_set_payload(3, "note", object()), _set_payload(91, "position", [0.0, math.nan, 0.0]),
+      _set_payload(100, "position", [1.0, 2.0])], ds.FieldError),
+    ([_set_payload(3, "note", object()), _set_payload(91, "position", "abc")], ds.FieldError),
+    ([_set_payload(3, "note", object()), _set_payload(91, "position", [[1.0], [2.0], [3.0]])],
+     ds.FieldError),
+    # the first value json cannot serialize, in document order: one inside
+    # an array before a later scalar, and one inside a nested value before both
+    ([_set_payload(10, "tags", [1.0, {2, 3}]), _set_payload(20, "note", object())], TypeError),
+    ([_set_payload(7, "meta", {"k": [complex(1, 2)]}), _set_payload(10, "tags", [{2, 3}]),
+      _set_payload(20, "note", object())], TypeError),
+    ([_set_payload(20, "note", object()), _set_payload(30, ("a", "b"), 1.0)], TypeError),
+])
+def test_export_raises_the_first_error_of_the_indenting_encoder_and_writes_nothing(
+        tmp_path, changes, error):
+    events = mixed_events(120)
+    for change in changes:
+        change(events)
+    trajectory = mixed_trajectory(events)
+    with pytest.raises(error) as ours:
+        ds.export_geojson(trajectory, FRAME, tmp_path / "spliced.geojson")
+    with pytest.raises(error) as theirs:
+        reference_export_geojson(trajectory, FRAME, tmp_path / "reference.geojson")
+    assert str(ours.value) == str(theirs.value)
+    assert not (tmp_path / "spliced.geojson").exists()
+
+
+def test_a_bad_track_sample_is_reported_before_any_event_value(tmp_path):
+    trajectory = mixed_trajectory(mixed_events(120))
+    trajectory.events[0].payload["note"] = object()
+    trajectory.events[1].payload["position"] = [math.inf, 0.0, 0.0]
+    trajectory.samples["a"][1].position[0] = math.nan
+    with pytest.raises(ds.FieldError, match=r"non-finite components: \[nan, 2\.0, 3\.0\]"):
+        ds.export_geojson(trajectory, FRAME, tmp_path / "bad.geojson")
+    assert not (tmp_path / "bad.geojson").exists()
+
+
 # --- CSV export -------------------------------------------------------------
 
 def test_csv_has_header_plus_row_per_sample(tmp_path):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import dronesim as ds
+from dronesim import scenario_io
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import crossing_document  # noqa: E402
@@ -282,6 +283,32 @@ def test_a_crossing_of_equal_airframes_builds_one_airframe():
     swarm, _, _ = ds.scenario_from_dict(json.loads(json.dumps(document)))
     assert len(swarm.drones) == 200
     assert len({id(d.airframe) for d in swarm.drones}) == 1
+
+
+def test_a_document_of_drones_without_gains_builds_one_gains_object(monkeypatch):
+    built = []
+
+    def counted(**fields):
+        built.append(fields)
+        return ds.ControllerGains(**fields)
+
+    monkeypatch.setattr(scenario_io, "ControllerGains", counted)
+    document, _ = crossing_document(seed=1, pairs=20)
+    swarm, _, _ = ds.scenario_from_dict(json.loads(json.dumps(document)))
+    assert len(swarm.drones) == 40 and built == [{}]
+    assert len({id(d.gains) for d in swarm.drones}) == 1
+
+
+def test_drones_share_gains_only_with_the_same_gains_value():
+    doc = fixture_dict()
+    doc["drones"].append(json.loads(json.dumps(doc["drones"][1])) | {"id": "third"})
+    doc["drones"][1]["gains"]["position_kp"] = -0.0
+    doc["drones"][2]["gains"]["position_kp"] = 0.0
+    swarm, scenario, mission = ds.scenario_from_dict(doc)
+    gains = [d.gains for d in swarm.drones]
+    assert gains[1] == gains[2] and gains[1] is not gains[2]
+    written = ds.scenario_to_dict(swarm, scenario, mission)["drones"]
+    assert [math.copysign(1.0, d["gains"]["position_kp"]) for d in written[1:]] == [-1.0, 1.0]
 
 
 def test_a_negative_zero_arm_gets_its_own_airframe():

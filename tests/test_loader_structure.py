@@ -8,12 +8,16 @@ as the interpreted walk of the schema kept below as the reference.
 accept and reject the same documents, and where both reject, the loader
 reports one of ``jsonschema``'s shallowest error paths. Among several
 errors the loader reports the shallowest, then the first in document
-order, whichever ``jsonschema`` version is installed.
+order, whichever ``jsonschema`` version is installed. Within a document
+each distinct drone ``body`` and ``rotors`` value is checked once, and
+only values that checked clean are remembered, so the full error lists
+stay those of the reference walk.
 """
 
 import collections
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -217,6 +221,88 @@ def test_a_float_equal_to_an_enum_integer_is_accepted():
 
 def test_a_non_object_document_is_a_schema_error_at_its_root():
     assert schema_error([]).path == "(document root)"
+
+
+# --- each distinct airframe value is checked once ---------------------------
+
+DRONE = ROOT[5]["drones"][6]  # the prepared node of one drone
+BODY, ROTORS = DRONE[5]["body"], DRONE[5]["rotors"]
+
+
+def counted_checker(monkeypatch):
+    """The compiled checker of the shipped schema, rebuilt with every node's
+    checker counting its calls, and the counts by prepared node."""
+    calls = collections.Counter()
+    compiled = scenario_io._compiled
+
+    def counting(node):
+        check = compiled(node)  # compiles its children through counting
+
+        def counted(value, *rest):
+            calls[id(node)] += 1
+            return check(value, *rest)
+
+        return counted
+
+    monkeypatch.setattr(scenario_io, "_compiled", counting)
+    return counting(ROOT), calls
+
+
+def parsed_crossing(pairs):
+    """A crossing document as a file gives it: no two drones share an object."""
+    return json.loads(json.dumps(crossing_document(1, pairs=pairs)[0]))
+
+
+def test_the_rotor_list_checker_runs_once_for_drones_of_one_airframe(monkeypatch):
+    check, calls = counted_checker(monkeypatch)
+    document = parsed_crossing(20)
+    assert len(document["drones"]) == 40 and "gains" not in document["drones"][0]
+    assert check(document) == []
+    assert calls[id(DRONE)] == 40
+    assert calls[id(ROTORS)] == calls[id(BODY)] == 1
+
+
+@pytest.mark.parametrize("part, path, value", [
+    ("rotors", (0, "position", 2), -0.0),  # the arms' z is 0.0 elsewhere
+    ("rotors", (1, "max_speed"), 1000),  # an int where the others hold a float
+    ("rotors", (2, "disk_area"), math.nan),
+    ("body", ("mass",), 1),
+    ("body", ("inertia", 0), math.nan),
+])
+def test_an_airframe_equal_to_a_clean_one_but_in_its_bits_is_checked_in_full(
+        monkeypatch, part, path, value):
+    check, calls = counted_checker(monkeypatch)
+    document = parsed_crossing(3)
+    changed = document["drones"][2][part]
+    mutate(changed, path, value)
+    assert changed == document["drones"][0][part] or math.isnan(value)
+    assert check(document) == []
+    assert calls[id(ROTORS if part == "rotors" else BODY)] == 2
+    # a NaN value is not kept: it would never equal itself read back
+    assert calls[id(ROTORS if part == "body" else BODY)] == 1
+
+
+def test_two_drones_with_one_invalid_airframe_value_are_both_reported():
+    document = parsed_crossing(3)
+    for index in (1, 4):
+        document["drones"][index]["rotors"][2]["max_speed"] = "fast"
+        document["drones"][index]["body"]["weight"] = 1.0
+    expected = []
+    structure_errors(ROOT, document, (), expected)
+    assert scenario_io._CHECK(document) == expected
+    assert [path[:2] for path, _ in expected] == [("drones", 1)] * 2 + [("drones", 4)] * 2
+
+
+def test_a_one_item_array_is_not_taken_for_the_numpy_float_of_a_clean_airframe():
+    # marshal writes both as the same bare buffer, and they compare equal
+    document = parsed_crossing(3)
+    document["drones"][0]["body"]["mass"] = np.float64(1.0)
+    document["drones"][1]["body"]["mass"] = np.array([1.0])
+    assert document["drones"][0]["body"] == document["drones"][1]["body"]
+    expected = []
+    structure_errors(ROOT, document, (), expected)
+    assert expected == [(("drones", 1, "body", "mass"), "must be of type number, got ndarray")]
+    assert scenario_io._CHECK(document) == expected
 
 
 # --- the schema holds only what the walk checks -----------------------------

@@ -6,9 +6,10 @@ import pytest
 
 import dronesim as ds
 import dronesim.airframe as dronesim_airframe
+from dronesim import swarm as swarm_module
 from dronesim.cli import routes_from_plan
 
-from conftest import build_reference_craft, grid_violations, level_state
+from conftest import build_reference_craft, crossing, grid_violations, level_state
 
 
 def calm_scenario(dt=0.002, max_duration=10.0):
@@ -380,3 +381,20 @@ def test_allocation_pinv_and_rank_run_once_per_airframe_per_run(monkeypatch):
     assert trajectory.samples["a"][-1].t > 1.0  # many ticks flown
     # three drones, two airframe objects, one set of airframe values
     assert calls == {"pinv": 1, "matrix_rank": 1}
+
+
+def test_gains_bits_are_packed_once_per_gains_object_per_run(monkeypatch):
+    packed = []
+    gains_bits = swarm_module._gains_bits
+    monkeypatch.setattr(swarm_module, "_gains_bits",
+                        lambda gains: packed.append(gains) or gains_bits(gains))
+    swarm, scenario, _ = crossing(20, 1)
+    assert len(swarm.drones) == 40 and len({id(d.gains) for d in swarm.drones}) == 1
+    ds.simulate(swarm, scenario)
+    assert packed == [swarm.drones[0].gains]
+    # equal gains built apart are two objects, each packed once per run
+    swarm.drones[7].gains = dataclasses.replace(swarm.drones[7].gains)
+    for _ in range(2):
+        packed.clear()
+        ds.simulate(swarm, scenario)
+        assert [id(g) for g in packed] == [id(swarm.drones[0].gains), id(swarm.drones[7].gains)]
