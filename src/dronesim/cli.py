@@ -92,7 +92,7 @@ def _cmd_simulate(args) -> int:
     else:
         export_csv(trajectory, args.out)
     print(f"wrote {args.format} trajectory for {len(trajectory.samples)} drone(s) "
-          f"({sum(len(trajectory.rows(d)) for d in trajectory.samples)} samples, "
+          f"({sum(len(trajectory.table(d)) for d in trajectory.samples)} samples, "
           f"{len(trajectory.events)} events) to {args.out}")
 
     if args.metrics:

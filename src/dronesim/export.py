@@ -11,15 +11,17 @@ CSV rows are grouped by drone id and ordered by time within each drone,
 formatted to 9 significant digits; ``load_csv`` reads the format back
 for round-tripping into analysis code.
 
-Both exporters and the metrics read a trajectory as rows of floats
-through :meth:`Trajectory.rows`, so a trajectory from
+Both exporters and the metrics read a trajectory's float64 tables
+through :meth:`Trajectory.table`, so a trajectory from
 :func:`~dronesim.swarm.simulate` or :func:`load_csv` is written without
 building a single ``DroneState``; a drone whose states a caller has
 read is written from those states. The CSV is formatted one row at a
-time with one ``%.9g`` template. The GeoJSON file holds the bytes
+time with one ``%.9g`` template, fed the tuples :func:`struct.iter_unpack`
+reads from the tables. The GeoJSON file holds the bytes
 ``json.dumps(document, indent=2)`` would write, without that slow,
-pure-Python encoder: the positions of all tracks and events are
-projected in one :func:`geo_project_columns` call, json's C encoder
+pure-Python encoder: the times and positions of all tracks are columns
+of the tables, the positions of all tracks and events are projected in
+one :func:`geo_project_columns` call, json's C encoder
 renders every number, id and event property with the separators of its
 depth in a fixed number of calls, and each feature is written from a
 template. Only an event value that nests deeper than an array of
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +47,12 @@ CSV_FIELDS = ("drone_id", "t", "px", "py", "pz", "vx", "vy", "vz",
               "qw", "qx", "qy", "qz", "wx", "wy", "wz")
 
 
-def _rows(trajectory: Trajectory) -> dict[str, list[list[float]]]:
-    """Each drone's rows, built once; ValueError when no drone has any."""
-    rows = {drone_id: trajectory.rows(drone_id) for drone_id in trajectory.samples}
-    if not any(rows.values()):
+def _tables(trajectory: Trajectory) -> dict[str, np.ndarray]:
+    """Each drone's table; ValueError when no drone has a sample."""
+    tables = {drone_id: trajectory.table(drone_id) for drone_id in trajectory.samples}
+    if not any(map(len, tables.values())):
         raise ValueError("trajectory has no samples to export")
-    return rows
+    return tables
 
 
 def export_geojson(trajectory: Trajectory, frame: InertialFrame, path) -> None:
@@ -67,10 +69,9 @@ def export_geojson(trajectory: Trajectory, frame: InertialFrame, path) -> None:
     TypeError on a value json cannot serialize, both before creating the
     file, and OSError if the path is not writable.
     """
-    tracks = [(drone_id, rows) for drone_id, rows in _rows(trajectory).items() if rows]
-    times, *positions = itertools.islice(
-        zip(*itertools.chain.from_iterable(rows for _, rows in tracks)), 4)
-    positions = np.array(positions)  # east, north, up of every sample
+    tables = _tables(trajectory)
+    samples = np.concatenate([table[:, 0:4] for table in tables.values()])
+    times, positions = samples[:, 0].tolist(), samples[:, 1:4].T  # east, north, up
     finite = np.isfinite(positions).all(axis=0)
     if not finite.all():  # raise geo_project's error for the first bad one
         geo_project(frame, positions[:, np.argmin(finite)])
@@ -91,9 +92,11 @@ def export_geojson(trajectory: Trajectory, frame: InertialFrame, path) -> None:
     times = _ITEMS(times)[1:-1].split("," + _ITEM)
     points = _NUMBERS(coordinates)[2:-2].split("]," + _NUMBER + "[")
     features, start = [], 0
-    for drone_id, rows in tracks:
-        stop = start + len(rows)
-        if len(rows) == 1:
+    for drone_id, table in tables.items():
+        if not len(table):
+            continue
+        stop = start + len(table)
+        if len(table) == 1:
             kind, text = "Point", _point_text(points[start])
         else:
             kind = "LineString"
@@ -208,6 +211,7 @@ def _properties_texts(events: list[dict]) -> list[str]:
 # a row's 14 numbers and csv.writer's line terminator; "%.9g" % v prints
 # what f"{v:.9g}" prints
 _ROW_NUMBERS = ",%.9g" * (len(CSV_FIELDS) - 1) + "\r\n"
+_ROW = struct.Struct(f"{len(CSV_FIELDS) - 1}d")
 
 
 def _csv_cell(text: str) -> str:
@@ -219,13 +223,13 @@ def _csv_cell(text: str) -> str:
 
 def export_csv(trajectory: Trajectory, path) -> None:
     """Write one row per sample, grouped by drone id then ordered by time."""
-    rows = _rows(trajectory)
+    tables = _tables(trajectory)
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(CSV_FIELDS)
-        for drone_id in sorted(rows):
+        for drone_id in sorted(tables):
             template = _csv_cell(drone_id).replace("%", "%%") + _ROW_NUMBERS
-            handle.write("".join([template % tuple(row) for row in rows[drone_id]]))
+            handle.write("".join([template % row for row in _ROW.iter_unpack(tables[drone_id])]))
 
 
 def load_csv(path) -> Trajectory:
@@ -234,10 +238,10 @@ def load_csv(path) -> Trajectory:
     Every row must hold the 15 columns of the header, finite numbers and
     a unit quaternion, as :class:`DroneState` requires; otherwise a
     ValueError (a FieldError naming the column for a bad value) gives the
-    CSV line number. The samples are kept as rows of floats, in the
+    CSV line number. The samples are kept as float64 tables, in the
     order of the file, and become states when they are read.
     """
-    rows: dict[str, list[list[float]]] = {}
+    rows: dict[str, list[float]] = {}  # each drone's numbers, row after row
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -264,5 +268,8 @@ def load_csv(path) -> Trajectory:
                 check_unit_orientation(values[7:11])
             except FieldError as err:
                 raise FieldError(f"CSV line {line}: {err}", err.field) from None
-            rows.setdefault(row[0], []).append(values)
-    return Trajectory(samples=RecordedSamples(rows), events=[])
+            rows.setdefault(row[0], []).extend(values)
+    # packed into bytes, which the read-only tables share
+    return Trajectory(samples=RecordedSamples({
+        drone_id: np.frombuffer(struct.pack(f"{len(numbers)}d", *numbers)).reshape(-1, 14)
+        for drone_id, numbers in rows.items()}), events=[])

@@ -8,20 +8,20 @@ because planned routes carry no timestamps to align against, and it
 makes the metric invariant under densifying the reference with collinear
 vertices.
 
-All drones are scored together: their positions are stacked once, and
-the projections onto the segments, the clamping and the squared
-distances are computed for the (sample, segment) pairs of every drone
-in one pass. Each drone's mean and flown length are summed over its own
-samples, as one row of a 2-D array that holds every drone with as many
-samples: numpy sums a row as it sums that slice alone, so every figure
-has the bits that scoring the drone alone would give. (A flat
+All drones are scored together: the position columns of their float64
+tables (:meth:`Trajectory.table`) are stacked once, and the projections
+onto the segments, the clamping and the squared distances are computed
+for the (sample, segment) pairs of every drone in one pass. Each drone's
+mean and flown length are summed over its own samples, as one row of a
+2-D array that holds every drone with as many samples: numpy sums a row
+as it sums that slice alone, so every figure has the bits that scoring
+the drone alone would give. (A flat
 ``np.add.reduceat`` over all drones would not: it sums in another
 order.)
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -130,13 +130,11 @@ def compute_rmse(trajectory: Trajectory,
                 report.waypoint_capture_times_s.setdefault(drone_id, []).append(event.t)
 
     ids = list(trajectory.samples)
-    rows = [trajectory.rows(drone_id) for drone_id in ids]
-    counts = np.array(list(map(len, rows)), dtype=np.int64)
+    tables = [trajectory.table(drone_id) for drone_id in ids]
+    counts = np.array(list(map(len, tables)), dtype=np.int64)
     starts = np.cumsum(counts) - counts
-    # columns 1-3 of every drone's rows, the positions, as one (m, 3) array
-    flat = list(itertools.chain.from_iterable(rows))
-    positions = (np.column_stack(list(itertools.islice(zip(*flat), 1, 4))) if flat
-                 else np.empty((0, 3)))
+    # columns 1-3 of every drone's table, the positions, as one (m, 3) array
+    positions = np.concatenate([table[:, 1:4] for table in tables] or [np.empty((0, 3))])
     steps = np.diff(positions, axis=0)
     legs = np.sqrt(np.einsum("ij,ij->i", steps, steps))
     # the legs between each drone's own samples

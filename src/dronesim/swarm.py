@@ -38,9 +38,11 @@ setpoint's yaw are computed once, when the route is read. A block tests
 capture on all its columns at once; only the drones that reached their
 setpoint enter the per-drone route bookkeeping. A block's states stay
 in the block; a drone's floats are made from it only for that
-bookkeeping, for recording, and when the drone leaves. A drone that
-diverges or touches the ground leaves its block with the event it would
-have alone, and events of drones leaving in one tick come in drone order.
+bookkeeping and when the drone leaves. A block records one copy of its
+(13, n) states per record tick, and a drone that steps alone packs its
+samples into a buffer of 8 B per number. A drone that diverges or
+touches the ground leaves its block with the event it would have alone,
+and events of drones leaving in one tick come in drone order.
 Airframe constants are built once per airframe object, which keeps them
 (:func:`~dronesim.airframe.airframe_constants`), and equal airframes
 built apart still share one constants object, so drones group by value;
@@ -114,23 +116,24 @@ class SimEvent:
 
 
 class RecordedSamples(Mapping):
-    """Samples per drone, in drone order, stored as rows of 14 floats.
+    """Samples per drone, in drone order, stored as float64 tables.
 
-    A row is ``t`` followed by the 13 components of
+    A drone's table is a read-only, C-contiguous (k, 14) float64 array,
+    112 B a sample: each row is ``t`` followed by the 13 components of
     :meth:`DroneState.as_floats`. Reading a drone builds its
     ``list[DroneState]`` the first time, keeps that list and drops the
-    rows, so a caller's edits to the list are what later readers see.
+    table, so a caller's edits to the list are what later readers see.
     """
 
-    def __init__(self, rows: dict[str, list[list[float]]]):
-        self._rows = rows
-        self._states: dict[str, list[DroneState] | None] = dict.fromkeys(rows)
+    def __init__(self, tables: dict[str, np.ndarray]):
+        self._tables = tables
+        self._states: dict[str, list[DroneState] | None] = dict.fromkeys(tables)
 
     def __getitem__(self, drone_id: str) -> list[DroneState]:
         states = self._states[drone_id]
         if states is None:
             states = [DroneState.from_checked(row[0], row[1:])
-                      for row in self._rows.pop(drone_id)]
+                      for row in self._tables.pop(drone_id).tolist()]
             self._states[drone_id] = states
         return states
 
@@ -150,8 +153,8 @@ class Trajectory:
 
     ``samples`` maps each drone id, in drone order, to its states in time
     order. From :func:`simulate` and :func:`~dronesim.export.load_csv`
-    it is a :class:`RecordedSamples`, which stores the samples as rows
-    of floats and builds a drone's states when they are first read; any
+    it is a :class:`RecordedSamples`, which stores the samples as float64
+    tables and builds a drone's states when they are first read; any
     mapping of ids to ``DroneState`` lists works too.
     """
 
@@ -162,16 +165,19 @@ class Trajectory:
         return list(self.samples.keys())
 
     def rows(self, drone_id: str) -> list[list[float]]:
-        """The drone's samples as rows: ``t``, then the 13 state components.
+        """The drone's samples as new lists of 14 floats: ``t``, then the
+        13 state components (the rows of :meth:`table`)."""
+        return self.table(drone_id).tolist()
 
-        Recorded rows that no one has read as states yet are returned as
-        stored, without building states, and must not be changed;
-        otherwise the rows are made from the drone's current states.
-        """
+    def table(self, drone_id: str) -> np.ndarray:
+        """The drone's samples as a (k, 14) float64 array: as stored and
+        read-only while no one has read them as states, and otherwise
+        made from the drone's current states."""
         samples = self.samples
-        if type(samples) is RecordedSamples and drone_id in samples._rows:
-            return samples._rows[drone_id]
-        return [[s.t, *s.as_floats()] for s in samples[drone_id]]
+        if type(samples) is RecordedSamples and drone_id in samples._tables:
+            return samples._tables[drone_id]
+        return np.array([[s.t, *s.as_floats()] for s in samples[drone_id]],
+                        dtype=float).reshape(-1, 14)
 
 
 # The separation test sorts the drones by the column of a uniform grid in
@@ -310,6 +316,7 @@ _BLOCK_MIN = 32
 # the environment is uniform and constant, so one sample serves every drone
 # and every tick of a run
 _ANYWHERE = (0.0, 0.0, 0.0)
+_PACK_SAMPLE = struct.Struct("14d").pack  # t and the 13 state floats
 
 
 @dataclass(slots=True)
@@ -327,6 +334,9 @@ class _DroneRun:
     status: str = "flying"  # flying | complete | deactivated
     route_index: int = 0
     setpoint: tuple[list[float], tuple] | None = None
+    # its samples: the tables cut from its block's records, then its own rows
+    pieces: list[np.ndarray] = field(default_factory=list)
+    buffer: bytearray = field(default_factory=bytearray)  # packed by _PACK_SAMPLE
 
 
 @dataclass(slots=True, eq=False)
@@ -337,7 +347,7 @@ class _Block:
     deactivated drone's column is removed. The drones' states live in
     ``x`` alone: a run's own ``x`` and ``tick`` are set from the block only
     when the run needs them, that is when it enters route bookkeeping
-    (:meth:`due`), leaves the block, or is recorded (:meth:`refresh`).
+    (:meth:`due`) or leaves the block.
     """
 
     index: int  # of its first drone, which orders it among the runs
@@ -348,23 +358,17 @@ class _Block:
     target: np.ndarray | None = None  # (3, n) setpoint positions, set by aim()
     heading: np.ndarray | None = None  # (4, n) setpoint headings
     flying: np.ndarray | None = None  # (n,) still on their routes
+    records: list[tuple[int, np.ndarray]] = field(default_factory=list)  # (tick, x copy)
 
     def due(self) -> list[_DroneRun]:
-        # the drones whose setpoint must be set or that reached it
+        # the drones whose setpoint must be set or that reached it, their x
+        # and tick set from the block
         if self.target is None:  # tick 0: the runs hold the states x was built from
             return self.runs
         hit = within_capture(self.x, self.target, self.runs[0].gains.capture_radius)
         picked = np.flatnonzero(hit & self.flying).tolist()
-        return self.refresh(picked) if picked else []
-
-    def refresh(self, picked: list[int] | None = None) -> list[_DroneRun]:
-        # the picked columns' runs (all by default), their x and tick set
-        # from the block
-        if picked is None:
-            runs, columns = self.runs, self.x.T.tolist()
-        else:
-            runs, columns = [self.runs[k] for k in picked], self.x[:, picked].T.tolist()
-        for run, column in zip(runs, columns):
+        runs = [self.runs[k] for k in picked]
+        for run, column in zip(runs, self.x[:, picked].T.tolist()):
             run.x = column
             run.tick = self.tick
         return runs
@@ -430,6 +434,30 @@ def _units(runs: list[_DroneRun]) -> list:
     return units
 
 
+def _cut(block: _Block, dt: float) -> None:
+    # hand the block's records to its runs: each keeps its (records, 14)
+    # slice of one (n, records, 14) table
+    if block.records:
+        table = np.empty((len(block.runs), len(block.records), 14))
+        for j, (tick, x) in enumerate(block.records):
+            table[:, j, 0] = tick * dt
+            table[:, j, 1:] = x.T
+        for run, rows in zip(block.runs, table):
+            run.pieces.append(rows)
+            run.recorded_tick = tick
+        block.records = []
+
+
+def _table(run: _DroneRun) -> np.ndarray:
+    # the run's samples as one read-only (k, 14) table
+    pieces = run.pieces
+    if run.buffer:
+        pieces = pieces + [np.frombuffer(bytes(run.buffer)).reshape(-1, 14)]
+    table = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    table.flags.writeable = False
+    return table
+
+
 def _step_block(block: _Block, env, dt: float, dropped: list) -> None:
     # one tick of every column, as simulate steps a drone alone; a failed or
     # grounded column leaves the block with its state before or after the
@@ -449,6 +477,7 @@ def _step_block(block: _Block, env, dt: float, dropped: list) -> None:
         grounded = [k for k in np.flatnonzero(x[2] < 0.0).tolist() if k not in failed]
     block.tick = tick + 1
     if failed or grounded:
+        _cut(block, dt)
         for k, detail in failed.items():
             runs[k].x, runs[k].tick = block.x[:, k].tolist(), tick
             _deactivate(runs[k], DIVERGENCE, t_next, dropped, detail=detail)
@@ -478,7 +507,7 @@ def simulate(swarm: Swarm, scenario: Scenario,
 
     States are recorded every ``recording_interval``, by default the
     scenario's; it must span at least one and a finite number of
-    reference time steps. They are kept as rows of floats and become
+    reference time steps. They are kept as float64 tables and become
     ``DroneState``s only when ``samples`` is read (see
     :class:`RecordedSamples`). Tick k is time ``k * dt`` exactly, so every
     sample and event time is an exact tick multiple; every drone starts
@@ -505,9 +534,9 @@ def simulate(swarm: Swarm, scenario: Scenario,
     runs = [_start(i, d, scenario.physics.air_density) for i, d in enumerate(swarm.drones)]
     units = _units(runs)
     blocks = [u for u in units if type(u) is _Block]
-    alone = [u for u in units if type(u) is _DroneRun]  # those still flying
+    # the drones that step alone; those still flying are the ones in alone
+    lone = alone = [u for u in units if type(u) is _DroneRun]
     ids = [run.id for run in runs]
-    rows: dict[str, list[list[float]]] = {run.id: [] for run in runs}
     events: list[SimEvent] = []
     # a pair (i, j) or a drone (i,) in violation after the last tick
     active: set[tuple] = set()
@@ -570,10 +599,10 @@ def simulate(swarm: Swarm, scenario: Scenario,
         if tick == next_record:
             next_record += record_every
             for block in blocks:
-                block.refresh()
-            for run in runs:
+                block.records.append((tick, block.x.copy()))
+            for run in lone:
                 if run.tick == tick:  # skip drones frozen earlier
-                    rows[run.id].append([t, *run.x])
+                    run.buffer += _PACK_SAMPLE(t, *run.x)
                     run.recorded_tick = tick
 
         if tick == n_ticks or not flying:
@@ -630,11 +659,15 @@ def simulate(swarm: Swarm, scenario: Scenario,
                           for v in instant if v[0:2] not in active)
             active = current
 
-    # flush the last state of drones whose final tick fell between records
+    # flush the last state of drones whose final tick fell between records;
+    # a drone that left its block keeps its own x and tick
     for block in blocks:
-        block.refresh()
+        if block.tick % record_every:
+            block.records.append((block.tick, block.x.copy()))
+        _cut(block, dt)
     for run in runs:
         if run.recorded_tick < run.tick:
-            rows[run.id].append([run.tick * dt, *run.x])
+            run.buffer += _PACK_SAMPLE(run.tick * dt, *run.x)
 
-    return Trajectory(samples=RecordedSamples(rows), events=events)
+    return Trajectory(samples=RecordedSamples({run.id: _table(run) for run in runs}),
+                      events=events)

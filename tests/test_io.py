@@ -742,8 +742,9 @@ POINTS = st.lists(COORDINATES, min_size=3, max_size=3)
 
 @st.composite
 def scored_flights(draw):
-    """A trajectory of 0-8 drones with 0-40 samples each, as recorded rows
-    or as state lists, and a reference that lacks some of them."""
+    """A trajectory of 0-8 drones with 0-40 samples each, as recorded
+    float64 tables or as state lists, and a reference that lacks some of
+    them."""
     ids = draw(st.lists(st.text(min_size=1, max_size=3), max_size=8, unique=True))
     rows, reference = {}, {}
     for k, drone_id in enumerate(ids):
@@ -757,7 +758,8 @@ def scored_flights(draw):
             reference[drone_id] = ([] if choice == "empty" else
                                    [ds.Setpoint(np.array(v, dtype=float)) for v in vertices])
     if draw(st.booleans()):
-        samples = RecordedSamples(rows)
+        samples = RecordedSamples({drone_id: np.array(r, dtype=float).reshape(-1, 14)
+                                   for drone_id, r in rows.items()})
     else:
         samples = {drone_id: [ds.DroneState.from_checked(row[0], row[1:]) for row in r]
                    for drone_id, r in rows.items()}
