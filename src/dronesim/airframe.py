@@ -21,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 from numpy import ndarray
@@ -143,7 +142,10 @@ class AirframeConstants:
     ``rotors`` holds (thrust gain, arm x, arm y, signed torque gain) per
     rotor; ``pinv_rows`` is the pseudo-inverse of the allocation matrix,
     one 4-tuple per rotor, or None when the matrix is rank-deficient.
-    Everything is a plain float so the tick runs without numpy.
+    Everything is a plain float so the tick runs without numpy. A block
+    of drones (:mod:`dronesim.swarm`) holds the same structure with a row
+    of its drones' values in place of each number but ``air_density`` and
+    ``rank``, and its ``max_speeds`` as one (rotors, n) array.
     """
 
     air_density: float
@@ -161,10 +163,8 @@ def airframe_constants(airframe: Airframe, air_density: float) -> AirframeConsta
 
     Kept on the airframe for the last air density asked for, so repeat
     calls for one object build nothing, and a call with the very float
-    object already checked for it checks nothing either. Behind that they
-    are cached on the airframe's values, so equal airframes built apart
-    share one constants object, one pseudo-inverse and one rank check. An
-    airframe cannot change, so its constants are never stale.
+    object already checked for it checks nothing either. An airframe
+    cannot change, so its constants are never stale.
     """
     density, constants = airframe._last_constants
     if density is air_density:
@@ -173,27 +173,20 @@ def airframe_constants(airframe: Airframe, air_density: float) -> AirframeConsta
     if density == air_density:
         return constants
     body = airframe.body
-    # the key is built from plain floats: indexing the numpy arms costs more
+    # plain floats: indexing the numpy arms costs more
     rotors = []
     for r in airframe.rotors:
         x, y, _ = r.position_body.tolist()
         rotors.append((thrust_gain(r, air_density), x, y,
                        r.spin_direction * r.torque_coefficient * air_density * r.disk_area))
-    constants = _constants(air_density, body.mass, tuple(body.inertia_diagonal.tolist()),
-                           body.linear_drag, tuple(rotors),
-                           tuple(r.max_speed for r in airframe.rotors))
-    _set(airframe, "_last_constants", (air_density, constants))
-    return constants
-
-
-@lru_cache(maxsize=128)
-def _constants(air_density, mass, inertia, linear_drag, rotors,
-               max_speeds) -> AirframeConstants:
     m = _allocation_rows(rotors)
     rank = int(np.linalg.matrix_rank(m))
     pinv_rows = tuple(map(tuple, np.linalg.pinv(m).tolist())) if rank == 4 else None
-    return AirframeConstants(air_density, mass, inertia, linear_drag, rotors,
-                             max_speeds, pinv_rows, rank)
+    constants = AirframeConstants(air_density, body.mass, tuple(body.inertia_diagonal.tolist()),
+                                  body.linear_drag, tuple(rotors),
+                                  tuple(r.max_speed for r in airframe.rotors), pinv_rows, rank)
+    _set(airframe, "_last_constants", (air_density, constants))
+    return constants
 
 
 def _allocation_rows(rotors) -> np.ndarray:
@@ -225,9 +218,10 @@ def allocate_speeds(constants: AirframeConstants, thrust, torque_x, torque_y,
                     torque_z) -> list:
     """Rotor speeds for a demanded wrench; the law behind :func:`allocate`.
 
-    On floats, or on rows of n drones' demands (then each speed is a
-    row); a rank-deficient rotor layout raises ConfigurationError. Exact
-    on quadrotors; on more rotors see the limit in :func:`allocate`.
+    On floats, or on rows of n drones' demands, with a block's constants
+    or one drone's for all (then each speed is a row); a rank-deficient
+    rotor layout raises ConfigurationError. Exact on quadrotors; on more
+    rotors see the limit in :func:`allocate`.
     """
     if constants.pinv_rows is None:
         raise ConfigurationError(

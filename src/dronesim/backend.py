@@ -127,7 +127,7 @@ class FLOATS:
 
 class ROWS:
     """Many drones: every value is a float64 row with one entry per drone,
-    and every scalar is shared by all of them."""
+    constants and gains included, where one float may stand in for a row."""
 
     sqrt = np.sqrt
     cos = _map(math.cos)
@@ -154,13 +154,13 @@ class ROWS:
 
     @staticmethod
     def rotor_speeds(s_squared, max_speeds):
-        # as FLOATS.rotor_speeds per column, with all rotors' rows at once;
-        # the clamped columns, in order
+        # as FLOATS.rotor_speeds per column, with all rotors' rows at once,
+        # max_speeds a row or one float per rotor; the clamped columns, in order
         s2 = np.array(s_squared)
         s = np.sqrt(np.where(s2 < 0.0, 0.0, s2))
-        max_speed = np.array(max_speeds)[:, np.newaxis]
-        over = s > max_speed
-        return list(np.where(over, max_speed, s)), np.flatnonzero(over.any(axis=0)).tolist()
+        max_speeds = np.reshape(max_speeds, (len(s2), -1))
+        over = s > max_speeds
+        return list(np.where(over, max_speeds, s)), np.flatnonzero(over.any(axis=0)).tolist()
 
     @staticmethod
     def columns(picked, *values):

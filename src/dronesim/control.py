@@ -94,7 +94,8 @@ def command_speeds(c: AirframeConstants, gains: ControllerGains, gravity: float,
 
     The law behind :func:`compute_commands`, on plain floats, or on rows
     of a (13, n) block (``target`` (3, n), ``yaw_trig`` (4, n)) for n
-    drones that share ``c`` and ``gains``: then each speed is a row.
+    drones whose ``c`` and ``gains`` hold a row per number: then each
+    speed is a row.
     """
     B = ROWS if isinstance(x, ndarray) else FLOATS
     cos_y, sin_y, cy, sy = yaw_trig
@@ -158,8 +159,8 @@ def within_capture(position, target, capture_radius: float) -> bool:
     """True iff ``position`` lies within ``capture_radius`` of ``target`` (inclusive).
 
     Reads the first three components of each, as plain floats, or as
-    rows of n drones' positions and targets: then the result is a row
-    of n booleans.
+    rows of n drones' positions and targets, with a row of their radii
+    or one for all: then the result is a row of n booleans.
     """
     dx = position[0] - target[0]
     dy = position[1] - target[1]

@@ -14,10 +14,11 @@ classical fixed-step RK4; the quaternion is renormalized once per step.
 The equations live only in the integrator, :func:`rk4_step`, which
 spells them out in each of its four stages, so a step makes no call per
 stage and builds no list but the stepped state. It runs on 13 plain
-floats, or on the rows of a (13, n) block of drones with one airframe
-(its branches through :mod:`dronesim.backend`), with the airframe's
-constants built once (:func:`airframe_constants`); :func:`step` wraps it
-for DroneState values and rotor speeds passed in.
+floats, or on the rows of a (13, n) block of drones with one rotor
+layout, whose constants are rows too (its branches through
+:mod:`dronesim.backend`), with each airframe's constants built once
+(:func:`airframe_constants`); :func:`step` wraps it for DroneState
+values and rotor speeds passed in.
 """
 
 from __future__ import annotations
@@ -100,9 +101,10 @@ def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
 
     The law behind :func:`step`. Raises DivergenceError, stamped with
     ``t_end``, if the result is non-finite or its quaternion collapsed.
-    ``x`` may also be a (13, n) block of drones sharing ``c``, with one
-    row per rotor speed: then it returns the stepped block, or raises
-    with the failed columns.
+    ``x`` may also be a (13, n) block of drones, with ``c`` the block's
+    constants (a row per number; one drone's floats serve every column)
+    and one row per rotor speed: then it returns the stepped block, or
+    raises with the failed columns.
     """
     # The four stages are written out, each derivative named by its stage:
     # p2x is stage 2's position rate (its substep's velocity), a2x its
@@ -117,7 +119,10 @@ def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
     gravity = float(env.gravity)
     fz, tx, ty, tz = rotor_wrench(c, speeds)
     f = fz / c.mass
-    drag = c.linear_drag != 0.0
+    B = ROWS if isinstance(x, ndarray) else FLOATS
+    # a zero drag is skipped, not applied (-0.0 - 0.0 * (v - u) is +0.0 when
+    # v < u), so a block's drones all have drag or none has (swarm._units)
+    drag = c.linear_drag != 0.0 if B is FLOATS else np.all(c.linear_drag != 0.0)
     if drag:
         kd = c.linear_drag / c.mass
         ux, uy, uz = env.wind_velocity.tolist()
@@ -181,7 +186,6 @@ def rk4_step(c: AirframeConstants, env: EnvironmentSample, speeds, x,
     except ZeroDivisionError:  # a substep quaternion of zero norm
         raise DivergenceError(f"non-finite state at t = {t_end}", t=t_end) from None
     sixth = dt / 6.0
-    B = ROWS if isinstance(x, ndarray) else FLOATS
     return B.renormalized([
         x0 + sixth * (vx + 2.0 * p2x + 2.0 * p3x + p4x),
         x1 + sixth * (vy + 2.0 * p2y + 2.0 * p3y + p4y),

@@ -26,14 +26,18 @@ setpoint until the whole swarm is done; drones that hit the ground or
 diverge are deactivated and keep their last state.
 
 The clock is the tick index: tick k is time k * dt exactly, so every
-sample and event time is an exact tick multiple. Drones with the same
-airframe constants and bit-equal gains form a group. A group of at least
-``_BLOCK_MIN`` (N0) drones steps as one (13, n) float64 block, one column
-per drone; a smaller group steps drone by drone on 13 plain floats. Both
-run the one controller and integrator, whose few branches go through
-:mod:`dronesim.backend` (``math`` on floats, ``np.where`` on the same
-comparisons and ``math`` trig mapped over the row on blocks), so a drone
-gets the same bits in a block as alone. The sines and cosines of each
+sample and event time is an exact tick multiple. Drones of one rotor
+layout form a group: one rotor count, one allocation rank, and drag on
+every drone or on none, which fix the shapes and branches of the update.
+A group of at least ``_BLOCK_MIN`` (N0) drones steps as one (13, n)
+float64 block, one column per drone, with the drones' airframe constants
+and gains as (n,) rows, built once per block from each distinct pair of
+constants and gains objects; a smaller group steps drone by drone on 13
+plain floats. Both run the one controller and integrator, whose few
+branches go through :mod:`dronesim.backend` (``math`` on floats,
+``np.where`` on the same comparisons and ``math`` trig mapped over the
+row on blocks), so a drone gets the same bits in a block as alone,
+whatever the masses or gains of the others. The sines and cosines of each
 setpoint's yaw are computed once, when the route is read. A block tests
 capture on all its columns at once; only the drones that reached their
 setpoint enter the per-drone route bookkeeping. A block's states stay
@@ -44,10 +48,7 @@ samples into a buffer of 8 B per number. A drone that diverges or
 touches the ground leaves its block with the event it would have alone,
 and events of drones leaving in one tick come in drone order.
 Airframe constants are built once per airframe object, which keeps them
-(:func:`~dronesim.airframe.airframe_constants`), and equal airframes
-built apart still share one constants object, so drones group by value;
-gains are frozen values too, whose bits are packed once per gains object
-per run.
+(:func:`~dronesim.airframe.airframe_constants`).
 Rotor speeds pass from the controller to the integrator as values, and
 no caller-supplied object is changed. Runs are serial and deterministic:
 the same swarm and scenario give a bit-identical trajectory every time.
@@ -59,6 +60,8 @@ import math
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -164,11 +167,6 @@ class Trajectory:
     def drone_ids(self) -> list[str]:
         return list(self.samples.keys())
 
-    def rows(self, drone_id: str) -> list[list[float]]:
-        """The drone's samples as new lists of 14 floats: ``t``, then the
-        13 state components (the rows of :meth:`table`)."""
-        return self.table(drone_id).tolist()
-
     def table(self, drone_id: str) -> np.ndarray:
         """The drone's samples as a (k, 14) float64 array: as stored and
         read-only while no one has read them as states, and otherwise
@@ -252,10 +250,12 @@ def _close_pairs(positions, min_separation: float) -> list[tuple[int, int, float
     shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     owner = np.repeat(np.concatenate((order, order)), counts)
     partner = order.take(shift + np.arange(total))
-    # a - b is exactly -(b - a), so the squares do not depend on the order
-    d = positions.take(owner, axis=1) - positions.take(partner, axis=1)
-    d *= d
-    distance = np.sqrt(d[0] + d[1] + d[2])
+    # a - b is exactly -(b - a), so the squares do not depend on the order;
+    # far apart, they overflow to inf, as on floats
+    with np.errstate(all="ignore"):
+        d = positions.take(owner, axis=1) - positions.take(partner, axis=1)
+        d *= d
+        distance = np.sqrt(d[0] + d[1] + d[2])
     close = np.flatnonzero(distance < min_separation)
     if not len(close):
         return []
@@ -303,14 +303,15 @@ def _violation_event(violation: tuple, ids: list[str], positions, min_separation
     })
 
 
-# Groups of at least this many drones with one airframe and one set of
-# gains step as a (13, n) block; smaller groups step drone by drone. The
-# block's numpy calls cost a few hundred us a tick whatever n is. On
-# crossing swarms of n drones (12 ticks, median of 11 interleaved runs,
-# each the best of 3, 2 vCPUs) a whole run cost 1.20-1.22 times as much
-# with the drones in a block as on floats at n = 24, 0.96-0.98 at 32,
-# 0.82-0.85 at 40, 0.72 at 48 and 0.57 at 64; over 60 ticks, 1.13, 0.93,
-# 0.77, 0.68 and 0.53.
+# Groups of at least this many drones of one rotor layout step as a
+# (13, n) block; smaller groups step drone by drone. The block's numpy
+# calls cost a few hundred us a tick whatever n is. On crossing swarms of
+# n drones, each of its own mass (12 ticks, median of 11 interleaved runs,
+# each the best of 3, 2 vCPUs), a whole run cost 1.33 times as much with
+# the drones in a block as on floats at n = 24, 1.05 at 32, 0.98 at 34,
+# 0.91 at 40, 0.78 at 48 and 0.63 at 64; over 60 ticks, 1.31, 1.03, 0.98,
+# 0.87, 0.74 and 0.58. Drones of one mass gave the same ratios within 0.02.
+# The break-even, 33 to 34 drones, lies within one crossing pair of 32.
 _BLOCK_MIN = 32
 
 # the environment is uniform and constant, so one sample serves every drone
@@ -341,31 +342,60 @@ class _DroneRun:
 
 @dataclass(slots=True, eq=False)
 class _Block:
-    """Drones of one airframe and one set of gains that step together.
+    """Drones of one rotor layout that step together.
 
     Column k of each array belongs to ``runs[k]``, in drone order; a
-    deactivated drone's column is removed. The drones' states live in
-    ``x`` alone: a run's own ``x`` and ``tick`` are set from the block only
-    when the run needs them, that is when it enters route bookkeeping
-    (:meth:`due`) or leaves the block.
+    deactivated drone's column is removed. ``constants`` and ``gains``
+    hold the drones' airframe constants and gains as the kernels read
+    them, with a row per number (:meth:`gather`). The drones' states live
+    in ``x`` alone: a run's own ``x`` and ``tick`` are set from the block
+    only when the run needs them, that is when it enters route
+    bookkeeping (:meth:`due`) or leaves the block.
     """
 
     index: int  # of its first drone, which orders it among the runs
     runs: list[_DroneRun]
     x: np.ndarray  # (13, n) states
     columns: np.ndarray  # (n,) the drones' indices in the swarm
+    constants: AirframeConstants | None = None  # set by gather()
+    gains: SimpleNamespace | None = None
     tick: int = 0  # x holds the states at time tick * dt
     target: np.ndarray | None = None  # (3, n) setpoint positions, set by aim()
     heading: np.ndarray | None = None  # (4, n) setpoint headings
     flying: np.ndarray | None = None  # (n,) still on their routes
     records: list[tuple[int, np.ndarray]] = field(default_factory=list)  # (tick, x copy)
 
+    def __post_init__(self):
+        self.gather()
+
+    def gather(self) -> None:
+        # one table row of numbers per distinct pair of constants and gains
+        # objects, taken into one column per drone
+        pairs: dict[tuple[int, int], int] = {}
+        table, picks = [], []
+        for run in self.runs:
+            c, g = run.constants, run.gains
+            pick = pairs.setdefault((id(c), id(g)), len(table))
+            if pick == len(table):
+                table.append([c.mass, *c.inertia, c.linear_drag, *c.max_speeds,
+                              *chain(*c.rotors, *(c.pinv_rows or ())), *vars(g).values()])
+            picks.append(pick)
+        rows = np.array(table).T.take(picks, axis=1)
+        lead, names = self.runs[0].constants, vars(self.runs[0].gains)
+        r = len(lead.rotors)
+        # the rotors' 4-tuples, then the pseudo-inverse's, if any
+        fours = tuple(map(tuple, rows[5 + r:-len(names)].reshape(-1, 4, len(picks))))
+        self.constants = AirframeConstants(lead.air_density, rows[0], tuple(rows[1:4]), rows[4],
+                                           fours[:r], rows[5:5 + r], fours[r:] or None, lead.rank)
+        self.gains = SimpleNamespace(**dict(zip(names, rows[-len(names):])))
+
     def due(self) -> list[_DroneRun]:
         # the drones whose setpoint must be set or that reached it, their x
         # and tick set from the block
         if self.target is None:  # tick 0: the runs hold the states x was built from
             return self.runs
-        hit = within_capture(self.x, self.target, self.runs[0].gains.capture_radius)
+        with np.errstate(all="ignore"):  # far off, a squared distance overflows to inf
+            hit = within_capture(self.x, self.target, self.gains.capture_radius)
         picked = np.flatnonzero(hit & self.flying).tolist()
         runs = [self.runs[k] for k in picked]
         for run, column in zip(runs, self.x[:, picked].T.tolist()):
@@ -406,23 +436,13 @@ def _start(index: int, drone: Drone, air_density: float) -> _DroneRun:
         x=_start_floats(drone.state))
 
 
-def _gains_bits(gains: ControllerGains) -> bytes:
-    # what tells gains apart for grouping: their bits (== would merge -0.0 and 0.0)
-    values = tuple(vars(gains).values())
-    return struct.pack(f"{len(values)}d", *values)
-
-
 def _units(runs: list[_DroneRun]) -> list:
     # the runs that step alone and the blocks, in order of their first drone;
-    # a group shares one constants object and bit-equal gains, whose bits are
-    # packed once per gains object
+    # a group has one rotor layout: rotor count, rank, and drag or none
     groups: dict[tuple, list[_DroneRun]] = {}
-    bits: dict[int, bytes] = {}
     for run in runs:
-        packed = bits.get(id(run.gains))
-        if packed is None:
-            packed = bits[id(run.gains)] = _gains_bits(run.gains)
-        groups.setdefault((id(run.constants), packed), []).append(run)
+        c = run.constants
+        groups.setdefault((len(c.rotors), c.rank, c.linear_drag != 0.0), []).append(run)
     units = []
     for members in groups.values():
         if len(members) < _BLOCK_MIN:
@@ -465,13 +485,12 @@ def _step_block(block: _Block, env, dt: float, dropped: list) -> None:
     tick = block.tick
     t_next = (tick + 1) * dt
     runs = block.runs
-    lead = runs[0]
     failed: dict[int, str] = {}
     with np.errstate(all="ignore"):
-        speeds = command_speeds(lead.constants, lead.gains, env.gravity, block.x,
+        speeds = command_speeds(block.constants, block.gains, env.gravity, block.x,
                                 block.target, block.heading)
         try:
-            x = rk4_step(lead.constants, env, speeds, block.x, dt, t_next)
+            x = rk4_step(block.constants, env, speeds, block.x, dt, t_next)
         except DivergenceError as err:
             x, failed = err.state, err.columns
         grounded = [k for k in np.flatnonzero(x[2] < 0.0).tolist() if k not in failed]
@@ -490,6 +509,7 @@ def _step_block(block: _Block, env, dt: float, dropped: list) -> None:
         x = x[:, keep]
     block.x = x
     if (failed or grounded) and block.runs:
+        block.gather()
         block.aim()
 
 
@@ -513,9 +533,11 @@ def simulate(swarm: Swarm, scenario: Scenario,
     sample and event time is an exact tick multiple; every drone starts
     at t = 0 and the ``t`` of its initial state is not used. The
     environment, uniform and constant, is sampled once per run. Drones
-    that share an airframe and gains, at least ``_BLOCK_MIN`` of them,
-    step together as the columns of one (13, n) numpy block; other
-    drones step one after another on plain floats. Both run the same
+    of one rotor layout (rotor count, allocation rank, and drag or
+    none), at least ``_BLOCK_MIN`` of them, step together as the columns
+    of one (13, n) numpy block, whatever their masses, inertias, rotors
+    and gains; other drones step one after another on plain floats. Both
+    run the same
     controller and integrator (see :mod:`dronesim.backend`) and give the
     same bits, so the result is deterministic and independent of the
     grouping: the same swarm and scenario give a bit-identical

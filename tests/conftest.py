@@ -70,9 +70,9 @@ def grid_violations(ids, positions, min_separation, conditions, t) -> list[ds.Si
             for v in swarm_module._instant_violations(positions, min_separation, boxes)]
 
 
-def heavier_craft() -> ds.Airframe:
+def heavier_craft(linear_drag=0.0) -> ds.Airframe:
     return dataclasses.replace(build_reference_craft(), body=ds.Body(
-        mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025)))
+        mass=1.3, inertia_diagonal=ds.vec3(0.012, 0.012, 0.025), linear_drag=linear_drag))
 
 
 def flat(trajectory):
@@ -80,9 +80,9 @@ def flat(trajectory):
             for drone_id, states in trajectory.samples.items()}
 
 
-def scenario_of(ticks, obstacles=(), dt=0.01):
+def scenario_of(ticks, obstacles=(), dt=0.01, wind=(0.0, 0.0, 0.0)):
     return ds.Scenario(physics=ds.Physics(),
-                       conditions=ds.FlyingConditions(obstacles=list(obstacles)),
+                       conditions=ds.FlyingConditions(wind, list(obstacles)),
                        inertial_frame=ds.InertialFrame(41.1, 16.9, 10.0),
                        reference_time_step=dt, max_duration=ticks * dt,
                        recording_interval=3 * dt)

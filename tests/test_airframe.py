@@ -264,13 +264,13 @@ def test_hover_speed_helper_matches_closed_form(reference_craft):
         math.sqrt(GRAVITY / (4.0 * LUMPED_THRUST_CONSTANT)), rel=1e-12)
 
 
-def test_equal_airframes_share_one_constants_object():
-    # the cache is keyed on values: swarm._units groups drones by the identity
-    # of their constants, so equal airframes must get the same object
+def test_equal_airframes_built_apart_build_equal_constants_each():
+    # constants are kept per airframe object, not per value
     first, second = build_reference_craft(), build_reference_craft()
     assert first is not second
-    constants = airframe_constants(first, AIR_DENSITY)
-    assert airframe_constants(second, AIR_DENSITY) is constants
+    assert airframe_constants(first, AIR_DENSITY) == airframe_constants(second, AIR_DENSITY)
+    assert airframe_constants(first, AIR_DENSITY) is not airframe_constants(second, AIR_DENSITY)
+    constants = airframe_constants(second, AIR_DENSITY)
     assert all(type(v) is float for rotor in constants.rotors for v in rotor)
     # an airframe cannot be edited in place, so it never flies on stale constants
     rotor = second.rotors[0]
@@ -316,20 +316,25 @@ def test_repeat_constants_calls_for_one_airframe_build_nothing(monkeypatch):
         raise AssertionError("constants rebuilt for an airframe that holds them")
 
     with monkeypatch.context() as patch:
-        patch.setattr(dronesim_airframe, "_constants", rebuilt)
+        patch.setattr(dronesim_airframe, "_allocation_rows", rebuilt)
         patch.setattr(dronesim_airframe, "thrust_gain", rebuilt)
         assert airframe_constants(craft, AIR_DENSITY) is constants
-    # another air density builds its own, which the airframe then keeps
+    # another air density builds its own, which the airframe then keeps in
+    # place of the first, so going back builds equal constants again
     thin = airframe_constants(craft, 0.9)
     assert thin is not constants and thin.air_density == 0.9
     assert airframe_constants(craft, 0.9) is thin
-    assert airframe_constants(craft, AIR_DENSITY) is constants
+    again = airframe_constants(craft, AIR_DENSITY)
+    assert again == constants and again is not constants
+    constants = again
     # what the airframe keeps is not a field, so it is not part of its value,
-    # and a copy shares the constants of the original
+    # and a copy, a new object, builds its own equal constants once
     assert [f.name for f in dataclasses.fields(craft)] == ["body", "rotors"]
     assert dataclasses.asdict(craft).keys() == {"body", "rotors"}
     for duplicate in (copy.copy(craft), copy.deepcopy(craft), pickle.loads(pickle.dumps(craft))):
-        assert airframe_constants(duplicate, AIR_DENSITY) is constants
+        kept = airframe_constants(duplicate, AIR_DENSITY)
+        assert kept == constants and kept is not constants
+        assert airframe_constants(duplicate, AIR_DENSITY) is kept
 
 
 @st.composite

@@ -1,16 +1,20 @@
 """Drones stepped as one numpy block fly exactly as drones stepped alone.
 
 ``simulate`` steps every group of at least ``swarm._BLOCK_MIN`` drones
-that share an airframe and gains as the columns of a (13, n) block, and
-smaller groups drone by drone on plain floats. Each whole-run test here
-runs ``simulate`` with the threshold patched to 1 (every group a block)
-and to infinity (every drone alone) and requires equal samples and
-events with ``==``: on the bundled scenarios, on the benchmark's crossing
-swarms of 200 and 1000 drones, on a mixed swarm whose groups fall on
-both sides of the real threshold, on a swarm whose edited gains take
-one drone out of its block, on a block in which one drone
-diverges and one touches the ground, on drones that capture several
-waypoints in one tick, and on generated tilted, spinning swarms.
+of one rotor layout (rotor count, allocation rank, and drag on all or
+none) as the columns of a (13, n) block, with their airframe constants
+and gains as rows, and smaller groups drone by drone on plain floats.
+Each whole-run test here runs ``simulate`` with the threshold patched
+to 1 (every group a block) and to infinity (every drone alone) and
+requires equal samples and events with ``==``: on the bundled
+scenarios, on the benchmark's crossing swarms of 200 and 1000 drones,
+on a swarm whose groups fall on both sides of the real threshold, on a
+swarm whose edited gains and airframes stay in its block, on blocks of
+random per-drone masses, inertias, rotors, drags and gains (there with
+every sample and event compared bit for bit), on a block in which one
+drone diverges and one touches the ground, on a block with a drone far
+beyond 1e154 m, on drones that capture several waypoints in one tick,
+and on generated tilted, spinning swarms.
 
 The seam's numpy primitives are checked against their ``math`` twins on
 NaN, signed zeros, infinities and values at the clamp limits, the float
@@ -22,6 +26,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +46,31 @@ def run_with_threshold(swarm, scenario, threshold):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(swarm_module, "_BLOCK_MIN", threshold)
         return ds.simulate(swarm, scenario)
+
+
+def craft(rotor_count=4, mass=1.0, inertia=(0.01, 0.01, 0.02), drag=0.0, arm=0.2 * math.sqrt(2.0),
+          thrust=1.0, torque=1.0, max_speed=1000.0, flat=False):
+    """Rotors evenly spaced on a circle of radius ``arm`` from 45 degrees,
+    spins alternating, each the reference rotor with its coefficients
+    scaled by ``thrust`` and ``torque``; ``flat`` puts every rotor on the
+    x axis, which leaves no roll torque (rank 3)."""
+    rotor = build_reference_craft().rotors[0]
+    angles = [math.radians(45.0 + 360.0 * k / rotor_count) for k in range(rotor_count)]
+    return ds.Airframe(ds.Body(mass, ds.vec3(*inertia), drag), [dataclasses.replace(
+        rotor, position_body=ds.vec3(arm * math.cos(a), 0.0 if flat else arm * math.sin(a), 0.0),
+        spin_direction=1 - 2 * (k % 2), thrust_coefficient=thrust * rotor.thrust_coefficient,
+        torque_coefficient=torque * rotor.torque_coefficient, max_speed=max_speed)
+        for k, a in enumerate(angles)])
+
+
+def hexacopter(mass, drag):
+    return craft(6, mass=mass, inertia=(0.015, 0.015, 0.028), drag=drag)
+
+
+def blocks_of(swarm, air_density=1.225):
+    units = swarm_module._units([swarm_module._start(i, d, air_density)
+                                 for i, d in enumerate(swarm.drones)])
+    return [u for u in units if isinstance(u, swarm_module._Block)]
 
 
 def assert_paths_agree(swarm, scenario, *thresholds):
@@ -72,52 +102,139 @@ def test_crossing_swarms_fly_the_same_in_a_block(pairs, seed):
 
 
 def test_mixed_swarm_groups_on_both_sides_of_the_threshold():
-    # four groups, interleaved in drone order: two airframes times two
-    # gain sets, two groups above the real threshold and two below it
+    # four groups, interleaved in drone order: quadrotors and hexacopters,
+    # each without and with drag, two groups above the real threshold and
+    # two below it; the two gain sets are spread over all of them
     n0 = swarm_module._BLOCK_MIN
     sizes = {(0, 0): n0 + 5, (0, 1): 3, (1, 0): 2, (1, 1): n0}
-    airframes = [build_reference_craft, heavier_craft]
+    airframes = [[build_reference_craft, lambda: heavier_craft(0.2)],
+                 [lambda: hexacopter(1.1, 0.0), lambda: hexacopter(1.4, 0.3)]]
     gain_sets = [ds.ControllerGains, lambda: ds.ControllerGains(position_kp=1.5, max_tilt=0.3)]
     keys = [key for key, size in sizes.items() for _ in range(size)]
     order = np.random.default_rng(5).permutation(len(keys))
     drones = []
     for i, k in enumerate(order):
-        af, g = keys[k]
+        layout, drag = keys[k]
         x, y = 7.0 * (i % 9), 7.0 * (i // 9)
         drones.append(ds.Drone(
-            id=f"m{i:03d}", airframe=airframes[af](),
+            id=f"m{i:03d}", airframe=airframes[layout][drag](),
             state=ds.DroneState(0.0, ds.vec3(x, y, 3.0), velocity=ds.vec3(0.5, -0.3, 0.2),
                                 orientation=ds.quat_from_euler(0.1, -0.05, 0.3)),
-            gains=gain_sets[g](), route=[ds.Setpoint(ds.vec3(x + 2.0, y + 1.0, 4.0), 0.4),
-                              ds.Setpoint(ds.vec3(x, y, 4.5), -0.2)]))
+            gains=gain_sets[i % 2](), route=[ds.Setpoint(ds.vec3(x + 2.0, y + 1.0, 4.0), 0.4),
+                                           ds.Setpoint(ds.vec3(x, y, 4.5), -0.2)]))
     swarm = ds.Swarm(drones, min_separation=2.0)
-    scenario = scenario_of(250)
-    units = swarm_module._units([swarm_module._start(i, d, 1.225)
-                                 for i, d in enumerate(drones)])
-    blocks = [u for u in units if isinstance(u, swarm_module._Block)]
-    assert sorted(len(b.runs) for b in blocks) == [n0, n0 + 5]
+    scenario = scenario_of(250, wind=(1.5, -0.5, 0.2))
+    assert sorted(len(b.runs) for b in blocks_of(swarm)) == [n0, n0 + 5]
     events = assert_paths_agree(swarm, scenario, n0)
     assert [e for e in events if e.kind == swarm_module.WAYPOINT_REACHED]
 
 
-def test_edited_gains_step_apart_and_equal_gains_built_apart_share_a_block():
+def test_edited_gains_and_airframes_stay_in_their_block():
     swarm, scenario, _ = crossing(20, 7)  # 40 drones, one airframe, one gains object
     drones = swarm.drones
     drones[3].gains = dataclasses.replace(drones[3].gains, position_kp=1.5)
+    drones[5].airframe = heavier_craft()
     for k in (10, 11, 12):
         drones[k].gains = ds.ControllerGains()
     assert drones[10].gains == drones[0].gains and drones[10].gains is not drones[0].gains
-    units = swarm_module._units([swarm_module._start(i, d, scenario.physics.air_density)
-                                 for i, d in enumerate(drones)])
-    assert [len(u.runs) for u in units if isinstance(u, swarm_module._Block)] == [39]
-    assert [u.index for u in units if isinstance(u, swarm_module._DroneRun)] == [3]
+    assert [len(b.runs) for b in blocks_of(swarm, scenario.physics.air_density)] == [40]
     assert_paths_agree(swarm, scenario, swarm_module._BLOCK_MIN)
 
 
+def random_drone(rng, i, rotor_count, drag, flat=False):
+    """A drone of its own mass, inertia, rotors, drag (if ``drag``) and
+    gains, its rotor ceiling 1.1 to 1.8 times its hover speed, starting
+    tilted, moving and spinning, with a route of two or three setpoints."""
+    mass, thrust = rng.uniform(0.7, 1.6), rng.uniform(0.8, 1.3)
+    hover = math.sqrt(mass * 9.81 / (rotor_count * thrust * 1e-5))
+    airframe = craft(rotor_count, mass, (rng.uniform(0.008, 0.014), rng.uniform(0.008, 0.014),
+                                         rng.uniform(0.015, 0.03)),
+                     rng.uniform(0.05, 0.4) if drag else 0.0, rng.uniform(0.15, 0.35), thrust,
+                     rng.uniform(0.5, 1.5), hover * rng.uniform(1.1, 1.8), flat)
+    gains = ds.ControllerGains(rng.uniform(1.2, 2.8), rng.uniform(2.0, 3.4),
+                               rng.uniform(40.0, 80.0), rng.uniform(10.0, 20.0),
+                               rng.uniform(0.2, 0.7), rng.uniform(0.2, 0.8))
+    x, y, z = 3.0 * (i % 12), 3.0 * (i // 12), rng.uniform(3.0, 8.0)
+    state = ds.DroneState(0.0, ds.vec3(x, y, z), rng.uniform(-2.0, 2.0, 3),
+                          ds.quat_from_euler(*rng.uniform(-0.4, 0.4, 3)), rng.uniform(-2.0, 2.0, 3))
+    route = [ds.Setpoint(ds.vec3(x + rng.uniform(-4.0, 4.0), y + rng.uniform(-4.0, 4.0),
+                                 rng.uniform(2.0, 9.0)), rng.uniform(-3.0, 3.0))
+             for _ in range(rng.integers(2, 4))]
+    return ds.Drone(f"x{i:03d}", airframe, state, gains, route)
+
+
+def bits(trajectory):
+    """Every sample's floats and every event, spelled out exactly."""
+    samples = {drone_id: [[v.hex() for v in row] for row in trajectory.table(drone_id).tolist()]
+               for drone_id in trajectory.drone_ids()}
+    return samples, [(e.t.hex(), e.kind, e.drone_ids, repr(e.payload)) for e in trajectory.events]
+
+
+def test_drones_of_every_mass_inertia_rotor_drag_and_gains_fly_their_own_bits_in_a_block():
+    # quadrotors without and with drag, interleaved with hexacopters, each
+    # drone with its own values; every fifth drone shares the airframe and
+    # gains objects of the drone of its layout before it. In each quadrotor
+    # block one drone touches the ground in the first tick and one
+    # diverges, so the blocks gather their rows again from the drones left
+    rng = np.random.default_rng(20)
+    layouts = [(4, False), (4, True), (6, False)] * 36
+    drones = [random_drone(rng, i, *layout) for i, layout in enumerate(layouts[:105])]
+    for i in range(5, len(drones), 5):
+        drones[i].airframe, drones[i].gains = drones[i - 3].airframe, drones[i - 3].gains
+    for i in (0, 1):
+        drones[i].state = ds.DroneState(0.0, ds.vec3(3.0 * i, 0.0, 0.02), velocity=[0, 0, -5.0])
+        drones[i + 3].state = ds.DroneState(0.0, ds.vec3(3.0 * i + 9.0, 0.0, 5.0),
+                                            angular_velocity=[1e200, -2e200, 3e200])
+    swarm = ds.Swarm(drones)
+    scenario = scenario_of(200, wind=(2.0, -1.0, 0.3))
+    # the quadrotors form one block per drag class, the hexacopters a third
+    assert [b.columns.tolist() for b in blocks_of(swarm)] == [
+        list(range(0, 105, 3)), list(range(1, 105, 3)), list(range(2, 105, 3))]
+    alone = bits(run_with_threshold(swarm, scenario, math.inf))
+    for threshold in (1, swarm_module._BLOCK_MIN):
+        assert bits(run_with_threshold(swarm, scenario, threshold)) == alone
+    kinds = {kind for _, kind, _, _ in alone[1]}
+    assert {swarm_module.WAYPOINT_REACHED, swarm_module.GROUND_CONTACT,
+            swarm_module.DIVERGENCE} <= kinds
+    # a rank-deficient group of drones that differ in every value raises
+    # the error a drone of it raises alone
+    flat = ds.Swarm([random_drone(rng, i, 4, True, flat=True)
+                     for i in range(swarm_module._BLOCK_MIN)])
+    assert [len(b.runs) for b in blocks_of(flat)] == [swarm_module._BLOCK_MIN]
+    with pytest.raises(ds.ConfigurationError) as lone:
+        ds.simulate(ds.Swarm(flat.drones[0:1]), scenario)
+    assert str(lone.value).startswith("allocation matrix is rank-deficient (rank 3 < 4)")
+    for threshold in (1, swarm_module._BLOCK_MIN):
+        with pytest.raises(ds.ConfigurationError) as err:
+            run_with_threshold(flat, scenario, threshold)
+        assert str(err.value) == str(lone.value)
+
+
+def test_a_drone_far_beyond_1e154_m_flies_in_a_block_without_a_warning():
+    # drone 0 starts at the largest float in x, flying on at 1e306 m/s;
+    # drone 1 hovers 1e200 m above drone 2, in the one column of the
+    # separation grid that holds every drone but drone 0. Their squared
+    # distances overflow to inf in the block's capture test and in the grid
+    n = swarm_module._BLOCK_MIN + 2
+    drones = [ds.Drone(id=f"w{i:02d}", airframe=build_reference_craft(),
+                       state=level_state(4.0 * i, 0.0, 5.0),
+                       route=[ds.Setpoint(ds.vec3(4.0 * i, 2.0, 5.0))]) for i in range(n)]
+    drones[0].state = ds.DroneState(0.0, ds.vec3(1.797e308, 0.0, 5.0), velocity=[1e306, 0, 0])
+    drones[1].state = level_state(8.0, 0.0, 1e200)
+    swarm = ds.Swarm(drones)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = bits(run_with_threshold(swarm, scenario_of(20), math.inf))
+        assert bits(run_with_threshold(swarm, scenario_of(20), 1)) == alone
+    # drone 0's x overflows to inf after a few ticks
+    assert [kind for _, kind, ids, _ in alone[1] if ids == ("w00",)] == [swarm_module.DIVERGENCE]
+
+
 def test_a_diverging_and_a_grounded_drone_leave_their_blocks_alone():
-    # two blocks, one per airframe, interleaved in drone order; the block
-    # of the first drone steps first, yet drone 5's divergence (second
-    # block) is reported before drone 8's ground contact (first block)
+    # two blocks, one without drag and one with, interleaved in drone
+    # order; the block of the first drone steps first, yet drone 5's
+    # divergence (second block) is reported before drone 8's ground
+    # contact (first block)
     n = 2 * (swarm_module._BLOCK_MIN + 2)
     drones = []
     for i in range(n):
@@ -127,10 +244,12 @@ def test_a_diverging_and_a_grounded_drone_leave_their_blocks_alone():
                                   angular_velocity=ds.vec3(1e200, 3e200, -2e200))
         if i == 8:  # a hair above the ground, falling
             state = ds.DroneState(0.0, ds.vec3(32.0, 0.0, 0.01), velocity=ds.vec3(0.0, 0.0, -5.0))
-        craft = build_reference_craft() if i % 2 == 0 else heavier_craft()
+        craft = build_reference_craft() if i % 2 == 0 else heavier_craft(0.2)
         drones.append(ds.Drone(id=f"b{i:02d}", airframe=craft, state=state,
                                route=[ds.Setpoint(ds.vec3(4.0 * i, 3.0, 5.0))]))
     swarm = ds.Swarm(drones)
+    assert [b.columns.tolist() for b in blocks_of(swarm)] == [list(range(0, n, 2)),
+                                                            list(range(1, n, 2))]
     events = assert_paths_agree(swarm, scenario_of(60), swarm_module._BLOCK_MIN)
     left = [(e.kind, e.drone_ids, e.t) for e in events
             if e.kind in (swarm_module.DIVERGENCE, swarm_module.GROUND_CONTACT)]
@@ -178,7 +297,8 @@ def spinning_swarms(draw):
                  for dx, dy, z, yaw in draw(st.lists(st.tuples(
                      st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.5, 8.0),
                      st.floats(-3.0, 3.0)), max_size=3))]
-        craft = draw(st.sampled_from([build_reference_craft, heavier_craft]))()
+        craft = draw(st.sampled_from([build_reference_craft, heavier_craft,
+                                      lambda: heavier_craft(0.3)]))()
         drones.append(ds.Drone(id=f"h{i:02d}", airframe=craft, state=state, route=route))
     return ds.Swarm(drones), scenario_of(draw(st.integers(1, 40)), dt=draw(
         st.sampled_from([0.005, 0.01, 0.02])))

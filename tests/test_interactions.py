@@ -129,8 +129,8 @@ def units_of(swarm):
 
 
 def test_block_and_lone_drones_interleaved_give_the_reference_events():
-    # 32 drones of one airframe form a block, and 10 heavier drones, one in
-    # every four, fly alone; neighbours on the line fly through each
+    # 32 drones of one airframe form a block, and 10 heavier drones with
+    # drag, one in every four, fly alone; neighbours on the line fly through each
     # other, so pairs of block and lone drones meet, and some pass
     # through an obstacle slab
     n = swarm_module._BLOCK_MIN + 10
@@ -138,8 +138,9 @@ def test_block_and_lone_drones_interleaved_give_the_reference_events():
     drones = []
     for i in range(n):
         x, step = 3.0 * i, (1.6 if i % 2 == 0 else -1.6)
+        craft = heavier_craft(0.1) if i in lone else build_reference_craft()
         drones.append(ds.Drone(
-            id=f"m{n - i:02d}", airframe=heavier_craft() if i in lone else build_reference_craft(),
+            id=f"m{n - i:02d}", airframe=craft,
             state=level_state(x, 0.0, 5.0), route=[ds.Setpoint(ds.vec3(x + step, 0.3, 5.0))]))
     swarm = ds.Swarm(drones)
     assert units_of(swarm) == ([[i for i in range(n) if i not in lone]], lone)

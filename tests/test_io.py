@@ -224,7 +224,7 @@ def reference_export_geojson(trajectory, frame, path):
     # the whole document through json.dumps(indent=2)
     features = []
     for drone_id in trajectory.samples:
-        rows = trajectory.rows(drone_id)
+        rows = trajectory.table(drone_id).tolist()
         if not rows:
             continue
         times = [row[0] for row in rows]
@@ -695,7 +695,7 @@ def reference_compute_rmse(trajectory, reference) -> dict:
             for drone_id in event.drone_ids:
                 report.waypoint_capture_times_s.setdefault(drone_id, []).append(event.t)
     for drone_id in trajectory.samples:
-        rows = trajectory.rows(drone_id)
+        rows = trajectory.table(drone_id).tolist()
         positions = (np.column_stack(list(itertools.islice(zip(*rows), 1, 4))) if rows
                      else np.empty((0, 3)))
         steps = np.diff(positions, axis=0)

