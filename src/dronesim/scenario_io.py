@@ -11,17 +11,18 @@ names the offending field by its document path. One table of the keys
 whose document name differs from the constructor field serves both
 reading and writing. Airframes and gains are values, so drones whose
 body and rotors, or whose gains, are the same document value share one
-object, built and checked once; the value is told apart exactly, by its
-``marshal`` bytes, so a ``-0.0`` arm or an int where another drone has a
-float builds its own.
+object, built and checked once. The structure check alone tells values
+apart, exactly, by their ``marshal`` bytes (a ``-0.0`` arm or an int
+where another drone has a float is a value of its own), and the build
+shares what it built by the identity of the value the check matched.
 
 The structure is checked by checkers compiled from the schema once, at
 import, not by a JSON Schema library: one closure per schema node, in
 the manner of fastjsonschema but without generated source. An object's
 checker tests its properties that only name a type, and its arrays of
 such items (a ``vec3``), in place, without a call, and the path of an
-error is built only when one is found; the drones array walks each
-distinct ``body`` and ``rotors`` value once. The compiler understands the
+error is built only when one is found; each distinct drone ``body``,
+``rotors`` and ``gains`` value is walked once. The compiler understands the
 keywords the schema uses, with Draft 2020-12 meaning: ``type`` (only a
 dict is an object, only a list an array, and a bool is never a number),
 ``const`` and ``enum`` (a bool never equals a number), ``required``,
@@ -45,6 +46,7 @@ names the key.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import marshal
 import math
@@ -199,32 +201,32 @@ def _inline(node: tuple):
     return frozenset(types), types, f"must be of type {kind}, got ", elements
 
 
-# The properties of a drone that make its airframe. Drones share an airframe
-# value, so within one array check each distinct value of them is checked
-# once, as the loader builds it once (_shared).
-_AIRFRAME = ("body", "rotors")
+# The properties of a drone that make its airframe and its gains: each
+# distinct value of them in a document is checked once, and built once.
+_SHARED = frozenset({"body", "rotors", "gains"})
 
 
 def _once(check, key: str, value, clean: dict) -> list:
-    """``check(value)`` for the property ``key`` of an item of one array,
-    skipped when an equal value checked clean in that array before.
+    """``check(value, clean)`` for the property ``key`` of a drone, skipped
+    when an equal value checked clean earlier in the document.
 
-    ``clean`` maps ``(key, marshal bytes)`` of the values that checked
-    clean to those values, and a hit is confirmed with ``==``. A value is
-    kept only if marshal reads it back equal: marshal writes a float
-    subclass such as numpy's float64 as a bare buffer, which a one-item
-    array that breaks the schema matches, bytes and ``==`` alike, so such
-    a value is checked every time, as is one marshal cannot write (a dict
-    subclass).
+    ``clean`` maps ``(key, marshal bytes)`` of each value that checked
+    clean to that value; the value a later one hits, confirmed with
+    ``==``, is recorded against the later value's ``id``, so the build
+    shares by identity alone. A value is kept only if marshal reads it
+    back equal, which a NaN, a numpy float64 (written as a bare buffer, as
+    a one-item array that breaks the schema is) and a dict subclass (not
+    written) never do: such a value is checked, and built, for each drone.
     """
     try:
         mark = (key, marshal.dumps(value))
     except ValueError:
-        return check(value)
-    seen = clean.get(mark)  # a clean value is a non-empty dict or list, never None
+        return check(value, clean)
+    seen = clean.get(mark)  # a clean value is a dict or list, never None
     if seen is not None and seen == value:
+        clean[id(value)] = seen
         return []
-    errors = check(value)
+    errors = check(value, clean)
     if not errors and marshal.loads(mark[1]) == value:
         clean[mark] = value
     return errors
@@ -233,14 +235,14 @@ def _once(check, key: str, value, clean: dict) -> list:
 def _compiled(node: tuple):
     """A checker for the prepared schema ``node``.
 
-    ``check(value)`` returns ``(path, message)`` for each way ``value``
-    breaks the node, with paths relative to ``value``, in document order;
-    at one object its missing keys come before its unknown keys. The
-    properties ``_inline`` describes are checked in place, without a call,
-    and a path is built only for an error. An array of objects that hold
-    ``_AIRFRAME`` properties checks each distinct value of them once
-    (``_once``), passing its items the values that checked clean as
-    ``clean``.
+    ``check(value, clean)`` returns ``(path, message)`` for each way
+    ``value`` breaks the node, with paths relative to ``value``, in
+    document order; at one object its missing keys come before its
+    unknown keys. The properties ``_inline`` describes are checked in
+    place, without a call, and a path is built only for an error.
+    ``clean``, the document's table of values that checked clean (started
+    when none is given), goes to every checker below; a ``_SHARED``
+    property is checked through ``_once``.
     """
     types, kind, allowed, required, closed, properties, items, min_items, max_items = node
     exact = frozenset(types or ())
@@ -250,9 +252,12 @@ def _compiled(node: tuple):
     plain = frozenset(c for c in allowed or () if type(c) in _PLAIN)
     item_check = _compiled(items) if items is not None else None
     specs = {key: _inline(sub) or _compiled(sub) for key, sub in properties.items()}
-    remembers = items is not None and not items[5].keys().isdisjoint(_AIRFRAME)
+    for key in _SHARED & specs.keys():
+        specs[key] = functools.partial(_once, specs[key], key)
 
     def check(value, clean=None) -> list:
+        if clean is None:
+            clean = {}
         errors = []
         if types is not None and type(value) not in exact and _mistyped(value, types):
             errors.append(((), f"must be of type {kind}, got {type(value).__name__}"))
@@ -269,8 +274,7 @@ def _compiled(node: tuple):
                     if closed:
                         errors.append(((), f"unknown key {key!r}"))
                 elif type(spec) is not tuple:
-                    found = (spec(item) if clean is None or key not in _AIRFRAME
-                             else _once(spec, key, item, clean))
+                    found = spec(item, clean)
                     if found:
                         errors += [((key, *path), message) for path, message in found]
                 elif type(item) not in spec[0] and _mistyped(item, spec[1]):
@@ -288,9 +292,8 @@ def _compiled(node: tuple):
             if not min_items <= len(value) <= max_items:
                 errors += [((), m) for m in _length_messages(len(value), min_items, max_items)]
             if item_check is not None:
-                known = {} if remembers else None
                 for i, item in enumerate(value):
-                    found = item_check(item, known)
+                    found = item_check(item, clean)
                     if found:
                         errors += [((i, *path), message) for path, message in found]
         return errors
@@ -329,50 +332,38 @@ def _build(cls, path: str, data: dict, **fields):
             str(err), path=".".join(p for p in (path, field) if p)) from err
 
 
-def _shared(built: dict, raw, make):
-    """``make()``, the object built from the document value ``raw``, or the
-    one built for an earlier drone whose ``raw`` was the same value.
-
-    ``built`` maps the ``marshal`` bytes of a document value to that value
-    and what was built from it. The bytes keep every float's bits and tell
-    an int from a float, but write a float subclass such as numpy's float64
-    as a bare buffer, so a hit is also compared with ``==``; a value
-    marshal cannot write (a dict subclass) is built for this drone alone.
-    """
-    try:
-        key = marshal.dumps(raw)
-    except ValueError:
-        return make()
-    hit = built.get(key)
-    if hit is not None and hit[0] == raw:
-        return hit[1]
-    value = make()
-    built[key] = (raw, value)
-    return value
-
-
 def _airframe(data: dict, path: str) -> Airframe:
     rotors = [_build(Rotor, f"{path}.rotors[{i}]", r) for i, r in enumerate(data["rotors"])]
     return _build(Airframe, path, {}, body=_build(Body, f"{path}.body", data["body"]),
                   rotors=rotors)
 
 
-def _build_drone(data: dict, index: int, built: dict) -> Drone:
-    # airframes and gains are values: drones whose airframe or gains are
-    # the same document value share one object
+# What a drone without gains is built from, one object for all of them
+_NO_GAINS = {}
+
+
+def _build_drone(data: dict, index: int, clean: dict, built: dict) -> Drone:
+    # airframes and gains are values: ``clean`` maps a value the check found
+    # equal to an earlier one to that one, and ``built`` holds the objects
+    # built, by the identity of the first values they were built from
     path = f"drones[{index}]"
-    gains = data.get("gains", {})
-    return _build(
-        Drone, path, {"id": data["id"]},
-        airframe=_shared(built, (data["body"], data["rotors"]), lambda: _airframe(data, path)),
-        state=_build(DroneState, f"{path}.start", data["start"], t=0.0),
-        gains=_shared(built, gains,
-                      lambda: _build(ControllerGains, f"{path}.gains", gains)))
+    body, rotors = data["body"], data["rotors"]
+    gains = data.get("gains", _NO_GAINS)
+    frame = (id(clean.get(id(body), body)), id(clean.get(id(rotors), rotors)))
+    if frame not in built:
+        built[frame] = _airframe(data, path)
+    state = _build(DroneState, f"{path}.start", data["start"], t=0.0)
+    tuning = id(clean.get(id(gains), gains))
+    if tuning not in built:
+        built[tuning] = _build(ControllerGains, f"{path}.gains", gains)
+    return _build(Drone, path, {"id": data["id"]}, airframe=built[frame], state=state,
+                  gains=built[tuning])
 
 
 def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
     """Validate a parsed document and build the simulation objects."""
-    errors = _CHECK(data)
+    clean = {}
+    errors = _CHECK(data, clean)
     if errors:
         path, message = min(errors, key=lambda error: len(error[0]))
         text = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
@@ -399,7 +390,7 @@ def scenario_from_dict(data: dict) -> tuple[Swarm, Scenario, Mission]:
             f"global clock, got {tick}", path="simulation.reference_time_step")
 
     built = {}
-    drones = [_build_drone(d, i, built) for i, d in enumerate(data["drones"])]
+    drones = [_build_drone(d, i, clean, built) for i, d in enumerate(data["drones"])]
     swarm = _build(Swarm, "", spacing, drones=drones)
 
     section = data.get("mission", {"waypoints": [], "max_route_length": math.inf})
@@ -460,17 +451,16 @@ def scenario_to_dict(swarm: Swarm, scenario: Scenario, mission: Mission) -> dict
     """Serialize simulation objects back to the canonical document form.
 
     Writes every field explicitly (defaults included), so serializing,
-    loading, and serializing again produces an identical document.
+    loading, and serializing again produces an identical document; the
+    deprecated ``simulation.reference_time_step`` is not written.
     """
-    tick = scenario.reference_time_step
     doc = {
         "version": SCHEMA_VERSION,
         "physics": _to_document(scenario.physics),
         "flying_conditions": _to_document(scenario.conditions),
         "inertial_frame": _to_document(scenario.inertial_frame),
         "simulation": {
-            _DOCUMENT_KEYS[Scenario]["reference_time_step"]: tick,
-            "reference_time_step": tick,
+            _DOCUMENT_KEYS[Scenario]["reference_time_step"]: scenario.reference_time_step,
             "max_duration": scenario.max_duration,
             "recording_interval": scenario.recording_interval,
             "min_separation": swarm.min_separation,

@@ -164,9 +164,6 @@ class Trajectory:
     samples: Mapping[str, list[DroneState]]
     events: list[SimEvent]
 
-    def drone_ids(self) -> list[str]:
-        return list(self.samples.keys())
-
     def table(self, drone_id: str) -> np.ndarray:
         """The drone's samples as a (k, 14) float64 array: as stored and
         read-only while no one has read them as states, and otherwise

@@ -166,7 +166,7 @@ def random_drone(rng, i, rotor_count, drag, flat=False):
 def bits(trajectory):
     """Every sample's floats and every event, spelled out exactly."""
     samples = {drone_id: [[v.hex() for v in row] for row in trajectory.table(drone_id).tolist()]
-               for drone_id in trajectory.drone_ids()}
+               for drone_id in trajectory.samples}
     return samples, [(e.t.hex(), e.kind, e.drone_ids, repr(e.payload)) for e in trajectory.events]
 
 

@@ -167,7 +167,6 @@ def test_samples_iterate_in_drone_order():
                            recording_interval=0.02)
     trajectory = ds.simulate(swarm, scenario)
     assert list(trajectory.samples) == ids
-    assert trajectory.drone_ids() == ids
     assert "mike" in trajectory.samples and "echo" not in trajectory.samples
     assert len(trajectory.samples) == 4
     assert [k for k, _ in trajectory.samples.items()] == ids

@@ -305,15 +305,23 @@ FRAMES = st.builds(ds.InertialFrame, st.sampled_from([-0.0, 0.0, 37.5]),
                    st.sampled_from([-0.0, 0.0, 1e300, sys.float_info.max]))
 
 
+# each example writes files of its own names: the examples share one
+# tmp_path, and rewriting an existing file can cost tens of milliseconds on
+# close where writing a new one costs a fraction of one
+EXAMPLES = itertools.count()
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(trajectories(), FRAMES)
 def test_geojson_bytes_equal_the_indenting_encoder(tmp_path, trajectory, frame):
+    example = next(EXAMPLES)
+    spliced = tmp_path / f"spliced-{example}.geojson"
+    reference = tmp_path / f"reference-{example}.geojson"
     with np.errstate(over="ignore"):
-        ds.export_geojson(trajectory, frame, tmp_path / "spliced.geojson")
-        reference_export_geojson(trajectory, frame, tmp_path / "reference.geojson")
-    assert ((tmp_path / "spliced.geojson").read_bytes()
-            == (tmp_path / "reference.geojson").read_bytes())
+        ds.export_geojson(trajectory, frame, spliced)
+        reference_export_geojson(trajectory, frame, reference)
+    assert spliced.read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("text", ["\x000", '"\x000', "\x000\x001\x002", '"\x000"\x001'])

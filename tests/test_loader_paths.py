@@ -6,7 +6,9 @@ reports for it. Files that cannot be parsed raise ScenarioParseError, and
 the constructors behind the loader raise FieldError naming the field.
 """
 
+import copy
 import json
+import marshal
 import math
 import re
 import struct
@@ -297,6 +299,53 @@ def test_a_document_of_drones_without_gains_builds_one_gains_object(monkeypatch)
     swarm, _, _ = ds.scenario_from_dict(json.loads(json.dumps(document)))
     assert len(swarm.drones) == 40 and built == [{}]
     assert len({id(d.gains) for d in swarm.drones}) == 1
+
+
+def test_the_check_alone_keys_a_drone_and_the_build_shares_by_identity(monkeypatch):
+    dumps = marshal.dumps
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return dumps(value)
+
+    document, _ = crossing_document(seed=1, pairs=20)
+    document = json.loads(json.dumps(document))
+    assert len(document["drones"]) == 40 and "gains" not in document["drones"][0]
+    monkeypatch.setattr(scenario_io.marshal, "dumps", counted)
+    swarm, _, _ = ds.scenario_from_dict(document)
+    assert len(calls) == 2 * 40  # each drone's body and rotors, once
+    assert len({id(d.airframe) for d in swarm.drones}) == 1
+    assert len({id(d.gains) for d in swarm.drones}) == 1
+
+
+@pytest.mark.parametrize("name", ["two_drone_cross.json", "square_route.json"])
+def test_loading_leaves_the_document_as_it_was(name):
+    document = fixture_dict(name)
+    document["drones"].append(copy.deepcopy(document["drones"][0]) | {"id": "copy"})
+    before = copy.deepcopy(document)
+    ds.scenario_from_dict(document)
+    assert document == before
+
+
+def test_equal_airframes_of_numpy_floats_fly_the_bits_of_plain_floats():
+    # marshal does not keep a numpy float64, so each drone builds its own
+    # airframe, from the same numbers
+    plain, numpy = fixture_dict(), fixture_dict()
+    for doc in (plain, numpy):
+        doc["simulation"]["max_duration"] = 2.0
+    for drone in numpy["drones"]:
+        drone["body"]["mass"] = np.float64(drone["body"]["mass"])
+    assert numpy["drones"][0]["body"] == numpy["drones"][1]["body"]
+    flights = []
+    for doc in (plain, numpy):
+        swarm, scenario, _ = ds.scenario_from_dict(doc)
+        trajectory = ds.simulate(swarm, scenario)
+        flights.append(({k: trajectory.table(k).tobytes() for k in trajectory.samples},
+                        [(e.t, e.kind, e.drone_ids) for e in trajectory.events]))
+        airframes = {id(d.airframe) for d in swarm.drones}
+        assert len(airframes) == (1 if doc is plain else 2)
+    assert flights[0] == flights[1]
 
 
 def test_drones_share_gains_only_with_the_same_gains_value():
